@@ -182,40 +182,36 @@ def q_update(q: QTable, state: StateKey, action_id: str, r: float,
     return q
 
 
-_HONEY_KINDS = (EventKind.HONEY_TOUCH, EventKind.DUMMY_FILE_ACCESS,
-                EventKind.DUMMY_PROCESS_ALERT)
+_HONEY_KINDS = frozenset(k.label for k in (EventKind.HONEY_TOUCH,
+                                            EventKind.DUMMY_FILE_ACCESS,
+                                            EventKind.DUMMY_PROCESS_ALERT))
+_SECURITY_KIND = EventKind.IDS_ALERT.label
 
 
-def accumulate_reward_inputs(trace_window, pool_available: int,
+def accumulate_reward_inputs(events, cfh_labels, pool_available: int,
                              last_action_delta: int,
-                             honeypot_node_ids=frozenset(),
                              window_ticks: int = 1) -> RewardInputs:
     """Harness-side tally of one accounting period.
 
-    trace_window mixes WorldEvents and sent-message records (anything
-    with a `classification` attribute of "justified" or "cry_wolf").
-    Ground truth is taken from the events; the agent never sees it.
+    events are the period's event payloads (WorldEvent.to_dict() form)
+    and cfh_labels the "justified"/"cry_wolf" labels of the cries for
+    help sent in it. Ground truth is taken from the events; the agent
+    never sees it.
     """
     if window_ticks <= 0:
         raise EmptyWindow("reward accounting period must cover at least one tick")
-    honey = security = justified = cw = 0
-    for item in trace_window:
-        if hasattr(item, "classification"):  # a sent-message record
-            if item.classification == "justified":
-                justified += 1
-            elif item.classification == "cry_wolf":
-                cw += 1
-            continue
-        if item.kind in _HONEY_KINDS:
+    honey = security = 0
+    for ev in events:
+        kind = ev["kind"]
+        if kind in _HONEY_KINDS:
             honey += 1
-        elif (item.kind is EventKind.IDS_ALERT and item.truth_malicious
-              and item.node not in honeypot_node_ids):
+        elif kind == _SECURITY_KIND and ev["truth_malicious"]:
             security += 1
     return RewardInputs(
         honey_events=honey,
         security_events=security,
         delta_resources=last_action_delta,
         total_resources=max(pool_available, 1),
-        justified_cfh=justified,
-        cw=cw,
+        justified_cfh=cfh_labels.count("justified"),
+        cw=cfh_labels.count("cry_wolf"),
     )

@@ -38,7 +38,7 @@ class ModelIncomplete(HoneysimError):
 
 
 class WindowOutOfRange(HoneysimError):
-    """A cry-for-help evidence window lies outside the logged tick range."""
+    """A cry-for-help evidence window lies outside the ticks the accountant holds."""
 
 
 class UnknownPeer(HoneysimError):

@@ -13,7 +13,8 @@ and everything it does is recorded in a byte-deterministic trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import asdict, dataclass, field
 
 from . import trace as trace_mod
 from ._kernels import get_backend
@@ -24,16 +25,17 @@ from .agent import (BinThresholds, QTable, RewardInputs, RewardParams,
 from .cascade import (DEFAULT_STAGE_COSTS, FailSafeProfile, OnlineLearner,
                       OperatorPolicy, PatternTable, QValueModel, StageContext,
                       StageCost, StageId, decide)
-from .comms import Message, MessageKind, MessageLog, send
+from .comms import Message, MessageKind, send
 from .config import ScenarioConfig
 from .constraints import EmconLevel, EnvConstraints
 from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
-                     InsufficientResources, NoSuchNode, TraceCorrupt)
+                     InsufficientResources, NoSuchNode, TraceCorrupt,
+                     WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_ruleset
 from .sensing import Baseline, anomaly_score, collect, update_baseline
 from .world import (EventKind, ExecutedAction, NodeKind, NodeStatus,
-                    STREAM_AGENT, WorldState, apply_action, derive_seed,
-                    init_world, step_world)
+                    STREAM_AGENT, WorldEvent, WorldState, apply_action,
+                    derive_seed, init_world, step_world)
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +82,17 @@ class QPolicy:
 @dataclass
 class MetricsReport:
     ticks: int
-    cumulative_reward: float
-    honey_term_total: float
-    resource_term_total: float
-    cfh_term_total: float
-    real_server_compromises: int
-    honeypot_engagements: int
-    cfh_justified: int
-    cfh_cry_wolf: int
-    cfh_precision: float | None
-    messages_sent: int
-    messages_suppressed: int
+    cumulative_reward: float = 0.0
+    honey_term_total: float = 0.0
+    resource_term_total: float = 0.0
+    cfh_term_total: float = 0.0
+    real_server_compromises: int = 0
+    honeypot_engagements: int = 0
+    cfh_justified: int = 0
+    cfh_cry_wolf: int = 0
+    cfh_precision: float | None = None
+    messages_sent: int = 0
+    messages_suppressed: int = 0
     stage_histogram: dict = field(default_factory=dict)
     vetoes_by_reason: dict = field(default_factory=dict)
     agent_terminated_at: int | None = None
@@ -115,71 +117,117 @@ class MetricsReport:
         }
 
 
-class _MetricsAccumulator:
-    def __init__(self, ticks):
-        self.ticks = ticks
-        self.cumulative = 0.0
-        self.honey = 0.0
-        self.resource = 0.0
-        self.cfh = 0.0
-        self.compromises = 0
-        self.engagements = 0
-        self.justified = 0
-        self.cry_wolf = 0
-        self.sent = 0
-        self.suppressed = 0
-        self.stages: dict = {}
-        self.vetoes: dict = {}
-        self.terminated_at = None
+_HONEY_TOUCH = EventKind.HONEY_TOUCH.label
+_UNAUTHORIZED_ACCESS = EventKind.UNAUTHORIZED_ACCESS.label
+_CRY_FOR_HELP = MessageKind.CRY_FOR_HELP.value
 
-    def reward_sample(self, value, terms):
-        self.cumulative += value
-        self.honey += terms[0]
-        self.resource += terms[1]
-        self.cfh += terms[2]
 
-    def event(self, kind, truth):
-        if kind is EventKind.HONEY_TOUCH or kind == EventKind.HONEY_TOUCH.label:
-            self.engagements += 1
-        if (kind is EventKind.UNAUTHORIZED_ACCESS
-                or kind == EventKind.UNAUTHORIZED_ACCESS.label) and truth:
-            self.compromises += 1
+class Accountant:
+    """Metrics and reward-period accounting fed one trace record at a time.
 
-    def message(self, sent, classification):
-        if sent:
-            self.sent += 1
-            if classification == "justified":
-                self.justified += 1
-            elif classification == "cry_wolf":
-                self.cry_wolf += 1
-        else:
-            self.suppressed += 1
+    The live run and replay feed it the same (kind, tick, payload)
+    records, so both derive the report, each period's reward inputs and
+    each cry-for-help label the same way. Ground truth reaches it only
+    through the truth tags of event records.
+    """
 
-    def decision(self, provenance_label):
-        self.stages[provenance_label] = self.stages.get(provenance_label, 0) + 1
+    def __init__(self, ticks: int, window: int):
+        self.window = window
+        self.tick = 0
+        self.metrics = MetricsReport(ticks)
+        self.period_events: list = []
+        self.period_cfh: list = []
+        self.last_executed: dict | None = None
+        # the last `window` distinct ticks that had a truth-tagged event
+        self.truth_ticks: deque = deque(maxlen=window)
 
-    def veto(self, reason):
-        self.vetoes[reason] = self.vetoes.get(reason, 0) + 1
+    def feed(self, kind: str, tick: int, payload: dict) -> None:
+        self.tick = tick
+        m = self.metrics
+        if kind == "event":
+            ev = payload["event"]
+            self.period_events.append(ev)
+            if ev["kind"] == _HONEY_TOUCH:
+                m.honeypot_engagements += 1
+            if ev["truth_malicious"]:
+                if not self.truth_ticks or self.truth_ticks[-1] != tick:
+                    self.truth_ticks.append(tick)
+                if ev["kind"] == _UNAUTHORIZED_ACCESS:
+                    m.real_server_compromises += 1
+        elif kind == "executed_action":
+            self.last_executed = payload
+        elif kind == "decision":
+            stage = payload["provenance"]
+            m.stage_histogram[stage] = m.stage_histogram.get(stage, 0) + 1
+        elif kind == "veto":
+            reason = payload["reason"]
+            m.vetoes_by_reason[reason] = m.vetoes_by_reason.get(reason, 0) + 1
+        elif kind == "message":
+            if payload["status"] != "sent":
+                m.messages_suppressed += 1
+                return
+            m.messages_sent += 1
+            if payload["message_kind"] == _CRY_FOR_HELP:
+                label = payload["classification"]
+                self.period_cfh.append(label)
+                if label == "justified":
+                    m.cfh_justified += 1
+                else:
+                    m.cfh_cry_wolf += 1
+        elif kind == "reward_sample":
+            terms = payload["terms"]
+            m.cumulative_reward += payload["value"]
+            m.honey_term_total += terms["honey"]
+            m.resource_term_total += terms["resource"]
+            m.cfh_term_total += terms["cfh"]
+        elif kind == "agent_status" and payload["status"] == "terminated":
+            m.agent_terminated_at = tick
+
+    def classify_cfh(self, evidence_start: int, evidence_end: int) -> str:
+        """Ground-truth label of a cry for help: "justified" when a
+        truth-tagged event falls inside its inclusive evidence window,
+        else "cry_wolf". The window must lie within the held ticks."""
+        oldest = max(0, self.tick - self.window + 1)
+        if evidence_start < oldest or evidence_end > self.tick:
+            raise WindowOutOfRange(
+                f"evidence [{evidence_start}, {evidence_end}] outside held "
+                f"ticks [{oldest}, {self.tick}]")
+        if any(evidence_start <= t <= evidence_end for t in self.truth_ticks):
+            return "justified"
+        return "cry_wolf"
+
+    def close_period(self, available: int) -> RewardInputs:
+        """Tally the open reward period and start the next one.
+
+        The resource figures come from the period's last executed action;
+        `available` stands in only for a period without one, which
+        happens after the agent is terminated.
+        """
+        delta = 0
+        if self.last_executed is not None:
+            available = self.last_executed["available_before"]
+            delta = self.last_executed["delta_resources"]
+        inputs = accumulate_reward_inputs(self.period_events, self.period_cfh,
+                                          available, delta,
+                                          window_ticks=self.window)
+        self.period_events = []
+        self.period_cfh = []
+        self.last_executed = None
+        return inputs
 
     def report(self) -> MetricsReport:
-        total_cfh = self.justified + self.cry_wolf
-        return MetricsReport(
-            ticks=self.ticks,
-            cumulative_reward=self.cumulative,
-            honey_term_total=self.honey,
-            resource_term_total=self.resource,
-            cfh_term_total=self.cfh,
-            real_server_compromises=self.compromises,
-            honeypot_engagements=self.engagements,
-            cfh_justified=self.justified,
-            cfh_cry_wolf=self.cry_wolf,
-            cfh_precision=(self.justified / total_cfh) if total_cfh else None,
-            messages_sent=self.sent,
-            messages_suppressed=self.suppressed,
-            stage_histogram=self.stages,
-            vetoes_by_reason=self.vetoes,
-            agent_terminated_at=self.terminated_at,
-        )
+        m = self.metrics
+        total_cfh = m.cfh_justified + m.cfh_cry_wolf
+        m.cfh_precision = (m.cfh_justified / total_cfh) if total_cfh else None
+        return m
+
+
+def _reward_sample(params: RewardParams, inputs: RewardInputs) -> dict:
+    """The reward_sample payload the live run writes and replay expects."""
+    honey, resource, cfh = reward_terms(params, inputs)
+    return {"value": reward(params, inputs),
+            "terms": {"honey": honey, "resource": resource, "cfh": cfh},
+            "inputs": asdict(inputs)}
 
 
 # ---------------------------------------------------------------------------
@@ -381,50 +429,36 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             "config_digest": config.digest(),
         })
 
-    metrics = _MetricsAccumulator(config.episode_ticks)
-    msg_log = MessageLog()
+    accountant = Accountant(config.episode_ticks, window)
     baseline = Baseline()
     buckets = []  # last `window` ticks of events, one list per tick
 
     agent_active = True
-    last_action: tuple | None = None  # (state, action_id)
-    period_delta = 0
-    period_available = None
-    period_messages = []
-
     current_tick = [0]
 
     def record(kind, payload):
+        accountant.feed(kind, current_tick[0], payload)
         if writer is not None:
             writer.record(kind, current_tick[0], payload)
 
-    def record_event(ev):
-        metrics.event(ev.kind, ev.truth_malicious)
-        record("event", {"event": ev.to_dict()})
-
     def operator_replied(replied):
-        ev = world.append_event(current_tick[0], EventKind.OPERATOR_REPLY, "operator")
+        ev = WorldEvent(current_tick[0], EventKind.OPERATOR_REPLY, "operator",
+                        0, 0.0, False)
         buckets[-1].append(ev)
-        record_event(ev)
+        record("event", {"event": ev.to_dict()})
 
     ctx.on_operator_reply = operator_replied
 
     def send_message(msg, emcon):
         rec = send(msg, emcon, guard)
+        label = None
         if rec.sent and msg.kind is MessageKind.CRY_FOR_HELP:
-            window_events = [e for b in buckets for e in b]
-            label = "justified" if any(e.truth_malicious for e in window_events) \
-                else "cry_wolf"
-            rec = replace(rec, classification=label)
-        msg_log.append(rec)
-        metrics.message(rec.sent, rec.classification)
-        if rec.sent:
-            period_messages.append(rec)
+            label = accountant.classify_cfh(msg.evidence_start, msg.evidence_end)
         record("message", {
             "message_kind": msg.kind.value,
             "status": "sent" if rec.sent else "suppressed",
             "reason": rec.reason,
-            "classification": rec.classification,
+            "classification": label,
             "evidence_start": msg.evidence_start,
             "evidence_end": msg.evidence_end,
             "entries": list(msg.entries),
@@ -450,7 +484,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         if agent_active:
             if verify_ruleset(guard, ruleset.canonical_bytes()) is RulesetCheck.TAMPERED:
                 agent_active = False
-                metrics.terminated_at = t
                 record("agent_status", {"status": "terminated",
                                         "reason": "ruleset_tampered"})
 
@@ -459,7 +492,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         if len(buckets) > window:
             buckets.pop(0)
         for ev in events:
-            record_event(ev)
+            record("event", {"event": ev.to_dict()})
 
         key = None
         if agent_active:
@@ -474,7 +507,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                                "state": key.encode()})
 
             decision = decide(fv, env, ctx, profile)
-            metrics.decision(decision.provenance.label)
             record("decision", {
                 "action": decision.action,
                 "provenance": decision.provenance.label,
@@ -483,7 +515,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             })
             for stage, action_id, reason in ctx.audit:
                 if reason.startswith("guardrail:"):
-                    metrics.veto(reason)
                     record("veto", {"action": action_id, "stage": stage.label,
                                     "reason": reason})
 
@@ -515,9 +546,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 "pool_used": world.pool.used,
                 "pool_available": world.pool.available,
             })
-            last_action = (key, decision.action)
-            period_delta = delta
-            period_available = available_before
 
             if applied:
                 if spec.effect is ActionEffect.CRY_FOR_HELP:
@@ -532,7 +560,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                                          entries=blocked), emcon)
                 elif spec.effect is ActionEffect.TERMINATE_SELF:
                     agent_active = False
-                    metrics.terminated_at = t
                     record("agent_status", {"status": "terminated",
                                             "reason": "self_terminated"})
                 elif config.comms.alert_after_actions \
@@ -545,40 +572,19 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 send_message(Message(MessageKind.HEARTBEAT, tick=t), emcon)
 
         if (t + 1) % window == 0:
-            window_events = [e for b in buckets for e in b]
-            available = period_available if period_available is not None \
-                else world.pool.available
-            inputs = accumulate_reward_inputs(
-                window_events + period_messages, available, period_delta,
-                window_ticks=window)
-            value = reward(params, inputs)
-            terms = reward_terms(params, inputs)
-            credited = last_action[1] if last_action is not None else None
-            metrics.reward_sample(value, terms)
-            record("reward_sample", {
-                "value": value,
-                "terms": {"honey": terms[0], "resource": terms[1],
-                          "cfh": terms[2]},
-                "inputs": {
-                    "honey_events": inputs.honey_events,
-                    "security_events": inputs.security_events,
-                    "delta_resources": inputs.delta_resources,
-                    "total_resources": inputs.total_resources,
-                    "justified_cfh": inputs.justified_cfh,
-                    "cw": inputs.cw,
-                },
-                "credited_action": credited,
-            })
-            if learn and agent_active and last_action is not None and key is not None:
-                q_update(policy_obj.qtable, last_action[0], last_action[1],
-                         value, key)
-            period_messages = []
-            period_delta = 0
-            period_available = None
-            last_action = None
+            credited = accountant.last_executed
+            inputs = accountant.close_period(world.pool.available)
+            sample = _reward_sample(params, inputs)
+            sample["credited_action"] = credited["action"] if credited else None
+            record("reward_sample", sample)
+            # An agent still active here acted this tick, so the credited
+            # action is this tick's decision, taken in state `key`.
+            if learn and agent_active:
+                q_update(policy_obj.qtable, key, decision.action,
+                         sample["value"], key)
 
     lines = writer.finish() if writer is not None else []
-    return metrics.report(), lines
+    return accountant.report(), lines
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +677,7 @@ def experience_from_trace(lines, window: int | None = None):
     accounting period is positive.
     """
     header, records = trace_mod.parse(lines)
-    window = window or header.get("window", 20)
+    window = window or header["window"]
     decisions = []
     state_by_tick = {}
     triples = []
@@ -698,87 +704,38 @@ def experience_from_trace(lines, window: int | None = None):
 def replay(lines) -> MetricsReport:
     """Recompute the metrics purely from trace records.
 
-    Cross-checks every reward sample against a recount of its period's
-    events and messages and the stated reward parameters; mismatches
-    raise TraceCorrupt.
+    Feeds every record to the Accountant the live run uses. Each sent
+    cry for help's classification and each reward sample must equal what
+    the accountant derives from the records before it and the stated
+    reward parameters; a mismatch raises TraceCorrupt.
     """
     header, records = trace_mod.parse(lines)
-    rw = header.get("reward")
-    if not rw:
-        raise TraceCorrupt("header lacks reward parameters")
+    rw = header["reward"]
     params = RewardParams(rw["a"], rw["b"], rw["c"], rw["floor"])
-    window = header.get("window")
-    ticks = header.get("episode_ticks")
-    if not isinstance(window, int) or not isinstance(ticks, int):
-        raise TraceCorrupt("header lacks window/episode_ticks")
-
-    metrics = _MetricsAccumulator(ticks)
-    period_events = []
-    period_cfh = {"justified": 0, "cry_wolf": 0}
-    period_execs = []
-
+    accountant = Accountant(header["episode_ticks"], header["window"])
     for rec in records:
         kind = rec["kind"]
-        if kind == "event":
-            ev = rec["event"]
-            metrics.event(ev["kind"], ev["truth_malicious"])
-            period_events.append(ev)
-        elif kind == "message":
-            sent = rec["status"] == "sent"
-            metrics.message(sent, rec.get("classification"))
-            if sent and rec["message_kind"] == "cry_for_help":
-                label = rec.get("classification")
-                if label not in period_cfh:
-                    raise TraceCorrupt(
-                        f"sent cry_for_help lacks classification at seq {rec['seq']}")
-                period_cfh[label] += 1
-        elif kind == "decision":
-            metrics.decision(rec["provenance"])
-        elif kind == "veto":
-            metrics.veto(rec["reason"])
-        elif kind == "executed_action":
-            period_execs.append(rec)
-        elif kind == "agent_status":
-            if rec["status"] == "terminated":
-                metrics.terminated_at = rec["tick"]
+        if kind == "message" and rec["status"] == "sent" \
+                and rec["message_kind"] == _CRY_FOR_HELP:
+            try:
+                label = accountant.classify_cfh(rec["evidence_start"],
+                                                rec["evidence_end"])
+            except WindowOutOfRange as exc:
+                raise TraceCorrupt(f"seq {rec['seq']}: {exc}") from exc
+            _expect(rec, {"classification": label})
         elif kind == "reward_sample":
-            inputs = rec["inputs"]
-            honey = sum(1 for ev in period_events
-                        if ev["kind"] in ("honey_touch", "dummy_file_access",
-                                          "dummy_process_alert"))
-            security = sum(1 for ev in period_events
-                           if ev["kind"] == "ids_alert" and ev["truth_malicious"])
-            checks = [
-                ("honey_events", honey),
-                ("security_events", security),
-                ("justified_cfh", period_cfh["justified"]),
-                ("cw", period_cfh["cry_wolf"]),
-            ]
-            for name, expected in checks:
-                if inputs[name] != expected:
-                    raise TraceCorrupt(
-                        f"reward sample at tick {rec['tick']}: {name}="
-                        f"{inputs[name]} but records imply {expected}")
-            if period_execs:
-                last = period_execs[-1]
-                delta = last["delta_resources"] if last["applied"] else 0
-                if inputs["delta_resources"] != delta:
-                    raise TraceCorrupt(
-                        f"reward sample at tick {rec['tick']}: delta mismatch")
-                if inputs["total_resources"] != max(last["available_before"], 1):
-                    raise TraceCorrupt(
-                        f"reward sample at tick {rec['tick']}: total mismatch")
-            value = reward(params, RewardInputs(**inputs))
-            if abs(value - rec["value"]) > 1e-12:
-                raise TraceCorrupt(
-                    f"reward sample at tick {rec['tick']}: value {rec['value']} "
-                    f"!= recomputed {value}")
-            metrics.reward_sample(value, reward_terms(params, RewardInputs(**inputs)))
-            period_events = []
-            period_cfh = {"justified": 0, "cry_wolf": 0}
-            period_execs = []
+            inputs = accountant.close_period(rec["inputs"]["total_resources"])
+            _expect(rec, _reward_sample(params, inputs))
+        accountant.feed(kind, rec["tick"], rec)
+    return accountant.report()
 
-    return metrics.report()
+
+def _expect(rec: dict, derived: dict) -> None:
+    for name, value in derived.items():
+        if rec[name] != value:
+            raise TraceCorrupt(
+                f"{rec['kind']} at seq {rec['seq']}: {name}={rec[name]!r} "
+                f"but records imply {value!r}")
 
 
 # ---------------------------------------------------------------------------

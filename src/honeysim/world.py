@@ -174,7 +174,6 @@ class WorldState:
     node_index: dict = field(default_factory=dict)
     costs: list = field(default_factory=list)
     pool: ResourcePool = None
-    events: list = field(default_factory=list)
     campaign_ids: list = field(default_factory=list)
     _next_hp: int = 0
 
@@ -216,14 +215,6 @@ class WorldState:
         return sum(1 for i in range(core.n_nodes())
                    if core.kind(i) == codes.HONEYPOT
                    and core.status(i) == codes.RUNNING)
-
-    def append_event(self, tick: int, kind: EventKind, node: str,
-                     truth_malicious: bool = False) -> WorldEvent:
-        """Record an event produced outside the step kernel (e.g. an
-        operator reply during escalation)."""
-        ev = WorldEvent(tick, kind, node, 0, 0.0, truth_malicious)
-        self.events.append(ev)
-        return ev
 
     def check_invariants(self) -> None:
         """Raise AssertionError when a structural invariant is broken."""
@@ -303,10 +294,8 @@ def step_world(world: WorldState) -> list:
     tick = world.core.clock
     raw = world.core.step(world.pool.used, world.pool.capacity)
     ids = world.node_ids
-    events = [WorldEvent(tick, EventKind(kind), ids[i], severity, load, bool(truth))
-              for kind, i, severity, load, truth in raw]
-    world.events.extend(events)
-    return events
+    return [WorldEvent(tick, EventKind(kind), ids[i], severity, load, bool(truth))
+            for kind, i, severity, load, truth in raw]
 
 
 def _require_target(world: WorldState, action: ExecutedAction) -> int:

@@ -180,39 +180,38 @@ def test_qtable_round_trip():
 
 
 def he(kind, node="n", truth=True):
-    return WorldEvent(0, kind, node, 0, 0.0, truth)
+    return WorldEvent(0, kind, node, 0, 0.0, truth).to_dict()
 
 
 def test_accumulate_direct_counts():
     window = [he(EventKind.HONEY_TOUCH), he(EventKind.HONEY_TOUCH),
               he(EventKind.HONEY_TOUCH),
-              WorldEvent(0, EventKind.IDS_ALERT, "db-0", 3, 0.0, True)]
-    x = accumulate_reward_inputs(window, pool_available=50,
-                                 last_action_delta=-10, window_ticks=20)
+              WorldEvent(0, EventKind.IDS_ALERT, "db-0", 3, 0.0, True).to_dict()]
+    x = accumulate_reward_inputs(window, ["justified", "cry_wolf", "justified"],
+                                 pool_available=50, last_action_delta=-10,
+                                 window_ticks=20)
     assert x.honey_events == 3
     assert x.security_events == 1
     assert x.delta_resources == -10
     assert x.total_resources == 50
-    assert (x.justified_cfh, x.cw) == (0, 0)
+    assert (x.justified_cfh, x.cw) == (2, 1)
 
 
-def test_accumulate_ignores_benign_and_honeypot_alerts():
+def test_accumulate_ignores_benign_alerts():
     window = [
-        WorldEvent(0, EventKind.IDS_ALERT, "db-0", 2, 0.0, False),  # false positive
-        WorldEvent(0, EventKind.IDS_ALERT, "hp-0", 4, 0.0, True),
+        WorldEvent(0, EventKind.IDS_ALERT, "db-0", 2, 0.0, False).to_dict(),  # false positive
         he(EventKind.DUMMY_FILE_ACCESS),
         he(EventKind.DUMMY_PROCESS_ALERT),
     ]
-    x = accumulate_reward_inputs(window, 10, 0,
-                                 honeypot_node_ids=frozenset({"hp-0"}),
-                                 window_ticks=20)
+    x = accumulate_reward_inputs(window, [], 10, 0, window_ticks=20)
     assert x.security_events == 0
     assert x.honey_events == 2
 
 
 def test_accumulate_matches_random_tally(rng):
     window = [random_event(rng) for _ in range(200)]
-    x = accumulate_reward_inputs(window, 33, 4, window_ticks=20)
+    x = accumulate_reward_inputs([e.to_dict() for e in window], [], 33, 4,
+                                 window_ticks=20)
     honey = sum(1 for e in window if e.kind in (
         EventKind.HONEY_TOUCH, EventKind.DUMMY_FILE_ACCESS,
         EventKind.DUMMY_PROCESS_ALERT))
@@ -223,7 +222,7 @@ def test_accumulate_matches_random_tally(rng):
 
 def test_accumulate_rejects_empty_period():
     with pytest.raises(EmptyWindow):
-        accumulate_reward_inputs([], 10, 0, window_ticks=0)
+        accumulate_reward_inputs([], [], 10, 0, window_ticks=0)
 
 
 def test_reward_inputs_validation():

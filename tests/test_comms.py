@@ -3,9 +3,10 @@ import pytest
 from honeysim.config import ScenarioConfig
 from honeysim.constraints import EmconLevel
 from honeysim.comms import (CloneRequest, Message, MessageKind, MessageLog,
-                            classify_cfh, make_ledger, record_violation, send)
+                            make_ledger, record_violation, send)
 from honeysim.errors import UnknownPeer, WindowOutOfRange
 from honeysim.guardrails import GuardrailSet, build_ruleset
+from honeysim.harness import Accountant
 from honeysim.world import EventKind, WorldEvent
 
 
@@ -54,8 +55,12 @@ def test_sent_sets_monotone_across_emcon(rng):
     assert sent[EmconLevel.SILENT] == set()
 
 
-def log_with(*events):
-    return list(events)
+def fed(*events, window=20):
+    """An accountant that has seen the event records of `events`."""
+    accountant = Accountant(ticks=1000, window=window)
+    for ev in events:
+        accountant.feed("event", ev.tick, {"event": ev.to_dict()})
+    return accountant
 
 
 def mal(tick, kind=EventKind.HONEY_TOUCH):
@@ -67,30 +72,33 @@ def benign(tick, kind=EventKind.LOAD_SAMPLE):
 
 
 def test_classify_justified_on_honey_touch():
-    log = log_with(benign(0), mal(3), benign(5))
-    assert classify_cfh(cfh(start=0, end=5), log) == "justified"
+    accountant = fed(benign(0), mal(3), benign(5))
+    assert accountant.classify_cfh(0, 5) == "justified"
 
 
 def test_classify_cry_wolf_on_benign_window():
-    log = log_with(benign(0), benign(1), benign(5))
-    assert classify_cfh(cfh(start=0, end=5), log) == "cry_wolf"
+    accountant = fed(benign(0), benign(1), benign(5))
+    assert accountant.classify_cfh(0, 5) == "cry_wolf"
 
 
 def test_classify_window_out_of_range():
-    log = log_with(benign(0), benign(1))
     with pytest.raises(WindowOutOfRange):
-        classify_cfh(cfh(start=0, end=9), log)
+        fed(benign(0), benign(1)).classify_cfh(0, 9)
+    # ticks older than the accounting window are no longer held
+    with pytest.raises(WindowOutOfRange):
+        fed(mal(3), benign(30), window=20).classify_cfh(3, 30)
 
 
 def test_classification_partitions_random_messages(rng):
     log = [WorldEvent(t, rng.choice((EventKind.LOAD_SAMPLE, EventKind.HONEY_TOUCH)),
                       "n", 0, 0.0, rng.random() < 0.2) for t in range(300)]
+    accountant = fed(*log, window=300)
     justified = cry_wolf = 0
     total = 500
     for _ in range(total):
         start = rng.randint(0, 290)
         end = min(299, start + rng.randint(0, 20))
-        label = classify_cfh(cfh(start=start, end=end), log)
+        label = accountant.classify_cfh(start, end)
         if label == "justified":
             justified += 1
             assert any(e.truth_malicious and start <= e.tick <= end for e in log)

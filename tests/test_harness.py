@@ -1,13 +1,17 @@
+import functools
 import json
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config
 from honeysim import trace as trace_mod
-from honeysim.agent import StateKey
+from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
+                            reward_terms)
 from honeysim.errors import EmptyCorpus, TraceCorrupt
 from honeysim.harness import (RandomPolicy, epsilon_for_episode,
                               experience_from_trace, load_qtable, offline_train,
@@ -97,6 +101,106 @@ def test_replay_rejects_corrupted_reward():
         doctored.append(line)
     with pytest.raises(TraceCorrupt):
         replay(doctored)
+
+
+def test_replay_rejects_flipped_cfh_classification():
+    # Relabel one justified cry for help as cry wolf and make its period's
+    # reward sample agree with the new label: the events still show an
+    # attacker in the evidence window, so replay must refuse the trace.
+    _, lines = run_scenario(small_config(), 5, RandomPolicy())
+    recs = [json.loads(line) for line in lines]
+    rw = recs[0]["reward"]
+    params = RewardParams(rw["a"], rw["b"], rw["c"], rw["floor"])
+    flip = next(i for i, r in enumerate(recs)
+                if r.get("kind") == "message" and r["classification"] == "justified")
+    recs[flip]["classification"] = "cry_wolf"
+    sample = next(r for r in recs[flip:] if r.get("kind") == "reward_sample")
+    sample["inputs"]["justified_cfh"] -= 1
+    sample["inputs"]["cw"] += 1
+    inputs = RewardInputs(**sample["inputs"])
+    sample["value"] = reward(params, inputs)
+    sample["terms"] = dict(zip(("honey", "resource", "cfh"),
+                               reward_terms(params, inputs)))
+    with pytest.raises(TraceCorrupt, match="classification"):
+        replay([trace_mod.dumps(r) for r in recs])
+
+
+def _first(recs, kind):
+    return next(r for r in recs if r.get("kind") == kind)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda recs: _first(recs, "event").pop("event"),
+    lambda recs: _first(recs, "reward_sample")["inputs"].update(bonus=0),
+    lambda recs: _first(recs, "reward_sample").update(value=None),
+    lambda recs: recs[0]["reward"].pop("a"),
+    lambda recs: recs.__setitem__(1, [recs[1]]),
+], ids=["payload_deleted", "extra_input", "null_value", "no_reward_a",
+        "list_record"])
+def test_replay_rejects_malformed_records(corrupt):
+    _, lines = run_scenario(small_config(), 5, RandomPolicy())
+    recs = [json.loads(line) for line in lines]
+    corrupt(recs)
+    with pytest.raises(TraceCorrupt):
+        replay([json.dumps(r, sort_keys=True) for r in recs])
+
+
+# Single-field mutation fuzz: each scenario's trace is produced once, and
+# every example deletes, nulls or retypes one field of one line.
+FUZZ_SCENARIOS = {
+    "random": ({}, 5),
+    "silent_tampered": ({"env": {"emcon_schedule": [{"tick": 0, "level": "silent"}]},
+                         "guardrails": {"tamper_tick": 70}}, 13),
+}
+_OTHER_TYPED = (0, 1.5, "x", True, None, [], {})
+
+
+def _field_paths(obj, prefix=()):
+    for name, value in obj.items():
+        yield prefix + (name,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (name,))
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_trace(scenario):
+    overrides, seed = FUZZ_SCENARIOS[scenario]
+    report, lines = run_scenario(small_config(**overrides), seed, RandomPolicy())
+    sites = {}  # (record kind or header/footer, field path) -> line numbers
+    for n, line in enumerate(lines):
+        obj = json.loads(line)
+        kind = obj.get("kind") or obj["format"]
+        for path in _field_paths(obj):
+            sites.setdefault((kind, path), []).append(n)
+    return report, lines, sites
+
+
+@pytest.mark.parametrize("scenario", sorted(FUZZ_SCENARIOS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_field_mutation_replays_identically_or_is_corrupt(scenario, data):
+    report, lines, sites = _fuzz_trace(scenario)
+    kind, path = data.draw(st.sampled_from(sorted(sites)), label="site")
+    n = data.draw(st.sampled_from(sites[(kind, path)]), label="line")
+    obj = json.loads(lines[n])
+    holder = obj
+    for name in path[:-1]:
+        holder = holder[name]
+    old = holder[path[-1]]
+    mutation = data.draw(st.sampled_from(
+        [("delete",)] + [("set", v) for v in _OTHER_TYPED if type(v) is not type(old)]),
+        label="mutation")
+    if mutation[0] == "delete":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = mutation[1]
+    mutated = list(lines)
+    mutated[n] = trace_mod.dumps(obj)
+    try:
+        replayed = replay(mutated)
+    except TraceCorrupt:
+        return
+    assert replayed == report
 
 
 def test_guardrail_vetoes_appear_in_trace_before_no_execution():
@@ -260,6 +364,23 @@ def test_cli_run_replay_and_exit_codes(tmp_path):
     cfg_path.write_text("episode_ticks: -5\n", encoding="utf-8")
     bad_cfg = cli("run", "--config", str(cfg_path))
     assert bad_cfg.returncode == 2
+
+
+def test_cli_replay_exits_3_on_missing_field_and_bad_bytes(tmp_path):
+    _, lines = run_scenario(small_config(), 5, RandomPolicy())
+    trace_path = tmp_path / "run.trace"
+    recs = [json.loads(line) for line in lines]
+    del _first(recs, "executed_action")["available_before"]
+    trace_mod.write_file(trace_path, [trace_mod.dumps(r) for r in recs])
+    missing = cli("replay", "--trace", str(trace_path))
+    assert missing.returncode == 3, missing.stderr
+    assert "Traceback" not in missing.stderr
+
+    trace_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8")
+                           .replace(b'"kind":"event"', b'"kind":"ev\xffent"', 1))
+    bad_bytes = cli("replay", "--trace", str(trace_path))
+    assert bad_bytes.returncode == 3, bad_bytes.stderr
+    assert "Traceback" not in bad_bytes.stderr
 
 
 def test_cli_oracle_reward_matches_library():

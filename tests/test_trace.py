@@ -1,7 +1,7 @@
 import pytest
 
 from honeysim.errors import TraceCorrupt
-from honeysim.trace import TraceWriter, dumps, parse
+from honeysim.trace import TraceWriter, dumps, parse, read_file
 
 
 def sample_lines():
@@ -65,3 +65,38 @@ def test_tick_ordering_enforced():
 def test_empty_trace_detected():
     with pytest.raises(TraceCorrupt):
         parse([])
+
+
+def test_non_utf8_file_is_corrupt(tmp_path):
+    path = tmp_path / "run.trace"
+    path.write_bytes(b"\xff\xfe not a trace\n")
+    with pytest.raises(TraceCorrupt, match="UTF-8"):
+        read_file(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda rec: rec.pop("provenance"),
+    lambda rec: rec.update(provenance=None),
+    lambda rec: rec.update(provenance=3),
+])
+def test_missing_or_mistyped_record_field_detected(mutate):
+    w = TraceWriter({"episode_ticks": 3, "window": 2,
+                     "reward": {"a": 1, "b": 1, "c": 1, "floor": 1}})
+    rec = {"action": "noop", "provenance": "fail_safe", "rejected": []}
+    mutate(rec)
+    w.record("decision", 0, rec)
+    with pytest.raises(TraceCorrupt, match="provenance"):
+        parse(w.finish())
+
+
+@pytest.mark.parametrize("reward", [
+    {"a": 1, "b": 1, "c": 1},
+    {"a": float("nan"), "b": 1, "c": 1, "floor": 1},
+    {"a": 1, "b": 1, "c": 1, "floor": 0},
+    {"a": 1, "b": True, "c": 1, "floor": 1},
+    {"a": 1, "b": 1, "c": 1, "floor": 1, "d": 1},
+])
+def test_header_reward_parameters_checked(reward):
+    w = TraceWriter({"episode_ticks": 3, "window": 2, "reward": reward})
+    with pytest.raises(TraceCorrupt, match="header"):
+        parse(w.finish())

@@ -288,9 +288,8 @@ def test_seeded_determinism_event_log_bytes():
     logs = []
     for _ in range(2):
         w = init_world(cfg, seed=77)
-        for _ in range(300):
-            step_world(w)
-        logs.append(serialize_events(w.events))
+        logs.append(serialize_events(
+            [ev for _ in range(300) for ev in step_world(w)]))
     assert logs[0] == logs[1]
 
 
