@@ -206,6 +206,20 @@ cdef class CoreWorld:
         self.owners.push_back(-1)
         return self.kinds.size() - 1
 
+    def remove_node(self, i):
+        # Later nodes shift down one index and keep their order, so every
+        # index-ordered scan visits the survivors in the same sequence.
+        cdef size_t idx = <size_t>i
+        if idx >= self.kinds.size():
+            raise IndexError("node index out of range")
+        self.kinds.erase(self.kinds.begin() + idx)
+        self.statuses.erase(self.statuses.begin() + idx)
+        self.addresses.erase(self.addresses.begin() + idx)
+        self.decoys.erase(self.decoys.begin() + idx)
+        self.integrity.erase(self.integrity.begin() + idx)
+        self.progress.erase(self.progress.begin() + idx)
+        self.owners.erase(self.owners.begin() + idx)
+
     def n_campaigns(self):
         return self.c_intensity.size()
 

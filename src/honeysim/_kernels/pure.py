@@ -148,6 +148,17 @@ class CoreWorld:
         self.owners.append(-1)
         return len(self.kinds) - 1
 
+    def remove_node(self, i):
+        # Later nodes shift down one index and keep their order, so every
+        # index-ordered scan visits the survivors in the same sequence.
+        del self.kinds[i]
+        del self.statuses[i]
+        del self.addresses[i]
+        del self.decoys[i]
+        del self.integrity[i]
+        del self.progress[i]
+        del self.owners[i]
+
     def n_campaigns(self):
         return len(self.c_intensity)
 

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from . import trace as trace_mod
-from ._kernels import get_backend
+from ._kernels import codes, get_backend
 from .actions import ActionCatalog, ActionEffect, build_catalog
 from .agent import (BinThresholds, QTable, RewardInputs, RewardParams,
                     StateKey, WorldSummary, accumulate_reward_inputs,
@@ -33,9 +33,9 @@ from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
                      WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_ruleset
 from .sensing import Baseline, anomaly_score, collect, update_baseline
-from .world import (EventKind, ExecutedAction, NodeKind, NodeStatus,
-                    STREAM_AGENT, WorldEvent, WorldState, apply_action,
-                    derive_seed, init_world, step_world)
+from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent,
+                    WorldState, apply_action, derive_seed, init_world,
+                    step_world)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +222,18 @@ class Accountant:
         return m
 
 
-def _reward_sample(params: RewardParams, inputs: RewardInputs) -> dict:
-    """The reward_sample payload the live run writes and replay expects."""
+def _reward_sample(params: RewardParams, accountant: Accountant,
+                   available: int) -> dict:
+    """Close the accountant's open period and return the reward_sample
+    payload the live run writes and replay expects. The credited action
+    is that of the period's last executed action, None without one."""
+    credited = accountant.last_executed
+    inputs = accountant.close_period(available)
     honey, resource, cfh = reward_terms(params, inputs)
     return {"value": reward(params, inputs),
             "terms": {"honey": honey, "resource": resource, "cfh": cfh},
-            "inputs": asdict(inputs)}
+            "inputs": asdict(inputs),
+            "credited_action": credited["action"] if credited else None}
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +243,10 @@ _SUSPICIOUS_KINDS = (EventKind.IDS_ALERT, EventKind.ANTI_MALWARE_ALERT,
                      EventKind.UNAUTHORIZED_ACCESS,
                      EventKind.FILE_INTEGRITY_VIOLATION)
 
-
-def _agent_sees_up(status: NodeStatus) -> bool:
-    return status in (NodeStatus.RUNNING, NodeStatus.COMPROMISED)
+# Effects whose target is the most suspicious of their candidates.
+_RANKED = (ActionEffect.STOP_REAL_VM, ActionEffect.QUARANTINE_NODE,
+           ActionEffect.ROTATE_ADDRESS, ActionEffect.QUARANTINE_FILE,
+           ActionEffect.RESTORE_KNOWN_GOOD)
 
 
 def resolve_target(effect: ActionEffect, world: WorldState, window_events):
@@ -247,49 +254,45 @@ def resolve_target(effect: ActionEffect, world: WorldState, window_events):
 
     Suspicion ranking counts alert-type events per node in the current
     window; ties and empty rankings fall back to the lowest node id.
-    Returns None when no legal candidate exists.
+    Returns None when no legal candidate exists. Candidates are read off
+    the kernel's integer kind and status codes of the resident nodes.
     """
+    core = world.core
+    ids = world.node_ids
+    kind = core.kind
+    status = core.status
+    n = core.n_nodes()
+    honeypot, stopped = codes.HONEYPOT, codes.STOPPED
+    # The agent cannot tell Compromised from Running: both look up.
+    up = (codes.RUNNING, codes.COMPROMISED)
+
+    if effect is ActionEffect.STOP_HONEYPOT:
+        # a stopped honeypot is retired, so no resident one is stopped
+        return min((ids[i] for i in range(n) if kind(i) == honeypot), default=None)
+    if effect is ActionEffect.START_REAL_VM:
+        return min((ids[i] for i in range(n)
+                    if kind(i) != honeypot and status(i) == stopped), default=None)
+    if effect is ActionEffect.DEPLOY_DUMMY_FILES:
+        ranked = [(core.decoy_count(i), ids[i]) for i in range(n) if status(i) in up]
+        return min(ranked)[1] if ranked else None
+    if effect not in _RANKED:
+        return None
+
+    if effect is ActionEffect.QUARANTINE_FILE:
+        candidates = [ids[i] for i in range(n) if status(i) != stopped]
+    elif effect is ActionEffect.RESTORE_KNOWN_GOOD:
+        candidates = [ids[i] for i in range(n)
+                      if kind(i) != honeypot and status(i) != stopped]
+    else:  # STOP_REAL_VM, QUARANTINE_NODE, ROTATE_ADDRESS
+        candidates = [ids[i] for i in range(n)
+                      if kind(i) != honeypot and status(i) in up]
+    if not candidates:
+        return None
     suspicion: dict = {}
     for ev in window_events:
         if ev.kind in _SUSPICIOUS_KINDS:
             suspicion[ev.node] = suspicion.get(ev.node, 0) + 1
-
-    nodes = world.nodes()
-
-    def most_suspicious(candidates):
-        if not candidates:
-            return None
-        return min(candidates, key=lambda n: (-suspicion.get(n.id, 0), n.id)).id
-
-    if effect is ActionEffect.STOP_HONEYPOT:
-        ups = [n for n in nodes if n.kind is NodeKind.HONEYPOT
-               and n.status is not NodeStatus.STOPPED]
-        return min((n.id for n in ups), default=None)
-    if effect is ActionEffect.START_REAL_VM:
-        stopped = [n for n in nodes if n.kind is not NodeKind.HONEYPOT
-                   and n.status is NodeStatus.STOPPED]
-        return min((n.id for n in stopped), default=None)
-    if effect is ActionEffect.STOP_REAL_VM:
-        ups = [n for n in nodes if n.kind is not NodeKind.HONEYPOT
-               and _agent_sees_up(n.status)]
-        return most_suspicious(ups)
-    if effect in (ActionEffect.QUARANTINE_NODE, ActionEffect.ROTATE_ADDRESS):
-        ups = [n for n in nodes if n.kind is not NodeKind.HONEYPOT
-               and _agent_sees_up(n.status)]
-        return most_suspicious(ups)
-    if effect is ActionEffect.QUARANTINE_FILE:
-        ups = [n for n in nodes if n.status is not NodeStatus.STOPPED]
-        return most_suspicious(ups)
-    if effect is ActionEffect.RESTORE_KNOWN_GOOD:
-        ups = [n for n in nodes if n.kind is not NodeKind.HONEYPOT
-               and n.status is not NodeStatus.STOPPED]
-        return most_suspicious(ups)
-    if effect is ActionEffect.DEPLOY_DUMMY_FILES:
-        ups = [n for n in nodes if _agent_sees_up(n.status)]
-        if not ups:
-            return None
-        return min(ups, key=lambda n: (n.decoy_files, n.id)).id
-    return None
+    return min(candidates, key=lambda node_id: (-suspicion.get(node_id, 0), node_id))
 
 
 _TARGETLESS = (ActionEffect.NOOP, ActionEffect.START_HONEYPOT,
@@ -553,9 +556,10 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                                          evidence_start=max(0, t - window + 1),
                                          evidence_end=t), emcon)
                 elif spec.effect is ActionEffect.SHARE_BLOCKLIST:
+                    core = world.core
                     blocked = tuple(sorted(
-                        n.address for n in world.nodes()
-                        if n.status is NodeStatus.QUARANTINED))
+                        core.address(i) for i in range(core.n_nodes())
+                        if core.status(i) == codes.QUARANTINED))
                     send_message(Message(MessageKind.SHARE_BLOCKLIST, tick=t,
                                          entries=blocked), emcon)
                 elif spec.effect is ActionEffect.TERMINATE_SELF:
@@ -572,10 +576,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 send_message(Message(MessageKind.HEARTBEAT, tick=t), emcon)
 
         if (t + 1) % window == 0:
-            credited = accountant.last_executed
-            inputs = accountant.close_period(world.pool.available)
-            sample = _reward_sample(params, inputs)
-            sample["credited_action"] = credited["action"] if credited else None
+            sample = _reward_sample(params, accountant, world.pool.available)
             record("reward_sample", sample)
             # An agent still active here acted this tick, so the credited
             # action is this tick's decision, taken in state `key`.
@@ -707,12 +708,16 @@ def replay(lines) -> MetricsReport:
     Feeds every record to the Accountant the live run uses. Each sent
     cry for help's classification and each reward sample must equal what
     the accountant derives from the records before it and the stated
-    reward parameters; a mismatch raises TraceCorrupt.
+    reward parameters. Each executed action's pool figures must follow
+    from its own resource delta, its `applied` flag must say whether it
+    failed, and the pool's capacity (used plus available) must not
+    change. A mismatch raises TraceCorrupt.
     """
     header, records = trace_mod.parse(lines)
     rw = header["reward"]
     params = RewardParams(rw["a"], rw["b"], rw["c"], rw["floor"])
     accountant = Accountant(header["episode_ticks"], header["window"])
+    capacity = None
     for rec in records:
         kind = rec["kind"]
         if kind == "message" and rec["status"] == "sent" \
@@ -724,8 +729,16 @@ def replay(lines) -> MetricsReport:
                 raise TraceCorrupt(f"seq {rec['seq']}: {exc}") from exc
             _expect(rec, {"classification": label})
         elif kind == "reward_sample":
-            inputs = accountant.close_period(rec["inputs"]["total_resources"])
-            _expect(rec, _reward_sample(params, inputs))
+            _expect(rec, _reward_sample(params, accountant,
+                                        rec["inputs"]["total_resources"]))
+        elif kind == "executed_action":
+            if capacity is None:
+                capacity = rec["pool_used"] + rec["pool_available"]
+            _expect(rec, {
+                "pool_available": rec["available_before"] + rec["delta_resources"],
+                "pool_used": capacity - rec["pool_available"],
+                "applied": rec["error"] is None,
+            })
         accountant.feed(kind, rec["tick"], rec)
     return accountant.report()
 

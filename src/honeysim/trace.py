@@ -74,13 +74,16 @@ RECORD_FIELDS = {
                         "truth_malicious": _BOOL}},
     "percept": {},
     "decision": {"provenance": _STR},
-    "executed_action": {"delta_resources": _INT, "available_before": _INT},
+    "executed_action": {"action": _STR, "applied": _BOOL, "error": _OPTIONAL_STR,
+                        "delta_resources": _INT, "available_before": _INT,
+                        "pool_used": _INT, "pool_available": _INT},
     "veto": {"reason": _STR},
     "message": {"status": _STR, "message_kind": _STR,
                 "classification": _OPTIONAL_STR,
                 "evidence_start": _INT, "evidence_end": _INT},
     "reward_sample": {
         "value": _NUMBER,
+        "credited_action": _OPTIONAL_STR,
         "terms": {"honey": _NUMBER, "resource": _NUMBER, "cfh": _NUMBER},
         "inputs": {name: _INT for name in (
             "honey_events", "security_events", "delta_resources",

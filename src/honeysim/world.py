@@ -16,6 +16,12 @@ Critical invariants:
   * A node transition to Compromised always emits one truth-tagged
     UnauthorizedAccess event; traces can recount compromises from
     event records alone.
+  * A stopped honeypot can never run again, so stopping one retires
+    it: it leaves the kernel arrays, node_ids and costs, and only its
+    final snapshot is kept in WorldState.retired. Nothing that scans or
+    draws from the nodes selects a Stopped honeypot, so retiring it
+    changes no draw and no event; per-tick cost follows the resident
+    nodes, not the number of honeypots ever started.
 """
 
 from __future__ import annotations
@@ -175,6 +181,7 @@ class WorldState:
     costs: list = field(default_factory=list)
     pool: ResourcePool = None
     campaign_ids: list = field(default_factory=list)
+    retired: dict = field(default_factory=dict)  # node id -> final Node
     _next_hp: int = 0
 
     @property
@@ -182,11 +189,14 @@ class WorldState:
         return self.core.clock
 
     def node(self, node_id: str) -> Node:
+        """Snapshot of a resident node, or the final one of a retired node."""
+        i = self.node_index.get(node_id)
+        if i is not None:
+            return self._snapshot(i)
         try:
-            i = self.node_index[node_id]
+            return self.retired[node_id]
         except KeyError:
             raise NoSuchNode(f"no node with id {node_id!r}")
-        return self._snapshot(i)
 
     def _snapshot(self, i: int) -> Node:
         return Node(
@@ -200,7 +210,17 @@ class WorldState:
         )
 
     def nodes(self):
+        """Snapshots of the resident nodes in index order; retired
+        honeypots are not listed."""
         return [self._snapshot(i) for i in range(len(self.node_ids))]
+
+    def _retire(self, i: int) -> None:
+        node_id = self.node_ids[i]
+        self.retired[node_id] = self._snapshot(i)
+        self.core.remove_node(i)
+        del self.node_ids[i]
+        del self.costs[i]
+        self.node_index = {nid: k for k, nid in enumerate(self.node_ids)}
 
     def campaign_phase(self, campaign_id: str) -> CampaignPhase:
         ci = self.campaign_ids.index(campaign_id)
@@ -227,6 +247,13 @@ class WorldState:
         running = [core.address(i) for i in range(core.n_nodes())
                    if core.status(i) == codes.RUNNING]
         assert len(running) == len(set(running)), "duplicate running addresses"
+        n = core.n_nodes()
+        assert len(self.node_ids) == len(self.costs) == n
+        assert all(self.node_index[nid] == i for i, nid in enumerate(self.node_ids))
+        assert len(self.node_index) == n
+        assert not any(core.kind(i) == codes.HONEYPOT and core.status(i) == codes.STOPPED
+                       for i in range(n)), "stopped honeypot left resident"
+        assert self.retired.keys().isdisjoint(self.node_index), "retired node resident"
 
 
 def _world_params(w) -> tuple:
@@ -303,6 +330,9 @@ def _require_target(world: WorldState, action: ExecutedAction) -> int:
         raise NoSuchNode(f"{action.action_id} requires a target node")
     i = world.node_index.get(action.target)
     if i is None:
+        # Every targeted effect is illegal on a stopped honeypot.
+        if action.target in world.retired:
+            raise IllegalTransition(f"{action.target} is a stopped honeypot")
         raise NoSuchNode(f"no node with id {action.target!r}")
     return i
 
@@ -351,14 +381,15 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
     kind = core.kind(i)
 
     if effect is ActionEffect.STOP_HONEYPOT:
+        # A stopped honeypot is retired, so a resident one is never stopped.
         if kind != codes.HONEYPOT:
             raise IllegalTransition(f"{action.target} is not a honeypot")
-        if status == codes.STOPPED:
-            raise IllegalTransition(f"{action.target} is already stopped")
         core.set_status(i, codes.STOPPED)
         core.reset_progress(i)
-        pool.used -= world.costs[i]
-        return ActionOutcome(delta_resources=world.costs[i], node=action.target)
+        cost = world.costs[i]
+        pool.used -= cost
+        world._retire(i)
+        return ActionOutcome(delta_resources=cost, node=action.target)
 
     if effect is ActionEffect.START_REAL_VM:
         if kind == codes.HONEYPOT:

@@ -145,6 +145,30 @@ def test_replay_rejects_malformed_records(corrupt):
         replay([json.dumps(r, sort_keys=True) for r in recs])
 
 
+@pytest.mark.parametrize("kind, name, change, named", [
+    ("executed_action", "pool_available", lambda v: v + 1, "pool_available"),
+    ("executed_action", "available_before", lambda v: v + 1, "pool_available"),
+    ("executed_action", "delta_resources", lambda v: v + 1, "pool_available"),
+    ("executed_action", "pool_used", lambda v: v + 1, "pool_used"),
+    ("executed_action", "applied", lambda v: not v, "applied"),
+    ("executed_action", "error",
+     lambda v: "illegal_transition" if v is None else None, "applied"),
+    ("reward_sample", "credited_action",
+     lambda v: "start_honeypot" if v == "noop" else "noop", "credited_action"),
+], ids=["pool_available", "available_before", "delta_resources", "pool_used",
+        "applied", "error", "credited_action"])
+def test_replay_rejects_doctored_resource_field(kind, name, change, named):
+    # The first executed action of a run is not the last of its reward
+    # period, so its pool figures reach no reward input: only the
+    # executed-action checks can see them change.
+    _, lines = run_scenario(small_config(), 5, RandomPolicy())
+    recs = [json.loads(line) for line in lines]
+    rec = _first(recs, kind)
+    rec[name] = change(rec[name])
+    with pytest.raises(TraceCorrupt, match=named):
+        replay([trace_mod.dumps(r) for r in recs])
+
+
 # Single-field mutation fuzz: each scenario's trace is produced once, and
 # every example deletes, nulls or retypes one field of one line.
 FUZZ_SCENARIOS = {

@@ -1,7 +1,9 @@
 """Cross-backend equivalence: the compiled kernels must reproduce the
 pure-Python reference draw for draw and byte for byte."""
 
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -17,6 +19,24 @@ except ImportError:  # extension not built in this environment
 
 needs_accel = pytest.mark.skipif(accel is None,
                                  reason="compiled extension not built")
+
+
+def _pyx_class_defs(source, cls):
+    """Names of the `def` methods in `cdef class cls` of a .pyx source."""
+    body = re.search(rf"^cdef class {cls}\b[^\n]*\n(.*?)(?=^\S|\Z)", source,
+                     re.M | re.S)
+    assert body, f"_accel.pyx has no cdef class {cls}"
+    return set(re.findall(r"^    def (\w+)\(", body.group(1), re.M))
+
+
+@pytest.mark.parametrize("cls", ["CoreWorld", "Stream"])
+def test_compiled_twin_defines_every_public_pure_method(cls):
+    # Read from source, so the check holds where the extension is not built
+    # and the parity tests below skip.
+    source = pathlib.Path(pure.__file__).with_name("_accel.pyx").read_text()
+    public = {name for name, member in vars(getattr(pure, cls)).items()
+              if callable(member) and not name.startswith("_")}
+    assert public - _pyx_class_defs(source, cls) == set()
 
 
 @needs_accel

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from conftest import make_config, quiet_world
+from honeysim import harness
 from honeysim.actions import ActionEffect
 from honeysim.errors import ConfigInvalid, IllegalTransition, InsufficientResources, NoSuchNode
-from honeysim.world import (EventKind, ExecutedAction, NodeStatus, apply_action,
-                            init_world, step_world)
+from honeysim.world import (EventKind, ExecutedAction, NodeKind, NodeStatus,
+                            apply_action, init_world, step_world)
 
 
 def nine_real(**world_overrides):
@@ -124,6 +125,58 @@ def test_stop_honeypot_frees_resources():
     assert outcome.delta_resources == +10
     assert w.node("hp-0").status is NodeStatus.STOPPED
     w.check_invariants()
+
+
+def test_stop_honeypot_retires_it():
+    w = init_world(hp_world(hp_count=2), seed=1)
+    resident = len(w.node_ids)
+    stop = ExecutedAction("stop_honeypot", ActionEffect.STOP_HONEYPOT, "hp-0")
+    apply_action(w, stop)
+    assert len(w.node_ids) == w.core.n_nodes() == resident - 1
+    assert "hp-0" not in w.node_ids
+    assert "hp-0" not in [n.id for n in w.nodes()]
+    node = w.node("hp-0")
+    assert node.kind is NodeKind.HONEYPOT and node.status is NodeStatus.STOPPED
+    # the honeypot after it moved down one index and is still addressable
+    assert w.node("hp-1").status is NodeStatus.RUNNING
+    assert w.core.kind(w.node_index["hp-1"]) == NodeKind.HONEYPOT
+    with pytest.raises(IllegalTransition):
+        apply_action(w, stop)
+    with pytest.raises(IllegalTransition):
+        apply_action(w, ExecutedAction("deploy_dummy_files",
+                                       ActionEffect.DEPLOY_DUMMY_FILES, "hp-0"))
+    w.check_invariants()
+
+
+def test_resident_nodes_stay_bounded_over_long_random_run(monkeypatch):
+    # Every stopped honeypot leaves the per-tick state, so the resident
+    # count is fixed by the capacity, not by how many honeypots the
+    # episode has started.
+    cfg = make_config(world={
+        "capacity": 140,
+        "database": {"count": 3, "cost": 10},
+        "application": {"count": 3, "cost": 10},
+        "web": {"count": 3, "cost": 10},
+        "honeypot": {"count": 1, "cost": 10},
+        "campaigns": [{"id": "apt-0", "intensity": 0.6}],
+    }, episode_ticks=5000)
+    seen = set()
+    resident = []
+
+    def checked_step(world):
+        seen.update(world.node_ids)
+        assert len(world.node_ids) <= len(seen) - len(world.retired)
+        assert seen == set(world.node_ids) | world.retired.keys()
+        world.check_invariants()
+        resident.append(len(world.node_ids))
+        return step_world(world)
+
+    monkeypatch.setattr(harness, "step_world", checked_step)
+    harness.run_scenario(cfg, 0, harness.RandomPolicy(), with_trace=False)
+    assert len(resident) == 5000
+    assert len(seen) > 100  # many honeypots were started and retired
+    # at most 14 non-stopped nodes fit the capacity, plus 9 stopped real VMs
+    assert max(resident) <= 140 // 10 + 9
 
 
 def test_start_honeypot_consumes_resources():
