@@ -1,9 +1,11 @@
-"""Kernel backend selection.
+"""Kernel backend selection, made once at import.
 
-The compiled extension is preferred when present; HONEYSIM_PURE=1
+The compiled extension is used when it is built; HONEYSIM_PURE=1
 forces the pure-Python twin. Both expose the same surface (Stream,
 CoreWorld, tally, mix64, IMPL) and are parity-tested against each
-other, so everything above this package is backend-agnostic.
+other, so everything above this package is backend-agnostic. Callers
+read the four entry points as attributes of this module at call time,
+so a whole run uses one backend.
 """
 
 import os
@@ -23,19 +25,3 @@ Stream = _impl.Stream
 CoreWorld = _impl.CoreWorld
 tally = _impl.tally
 mix64 = _impl.mix64
-
-
-def get_backend(name=None):
-    """Return a kernel module by name ("pure" or "compiled").
-
-    name=None returns the default selection. Asking for "compiled"
-    when the extension is not built raises ImportError.
-    """
-    if name is None:
-        return _impl
-    if name == "pure":
-        return pure
-    if name == "compiled":
-        from . import _accel
-        return _accel
-    raise ValueError(f"unknown kernel backend: {name!r}")

@@ -1,8 +1,9 @@
 """Integer codes shared by both kernel backends.
 
-The compiled backend mirrors these values as C constants; the parity
-test suite asserts both backends agree event-for-event, so any edit
-here must be reflected in _accel.pyx.
+The compiled backend mirrors these values as C constants, so any edit
+here must be reflected in _accel.pyx. The parity suite compares those
+constants with this module from source, and asserts both backends
+agree event-for-event where the extension is built.
 """
 
 # Node kinds

@@ -58,10 +58,9 @@ def reward(p: RewardParams, x: RewardInputs) -> float:
     of delta_resources (negative when the action consumed resources),
     and the help term rewards justified requests per false alarm.
     """
-    floor = p.denominator_floor
-    honey_term = p.a * x.honey_events / max(x.security_events, floor)
-    resource_term = p.b * x.delta_resources / x.total_resources
-    cfh_term = p.c * x.justified_cfh / max(x.cw, floor)
+    honey_term, resource_term, cfh_term = reward_terms(p, x)
+    # Not sum(): it starts from int 0, and 0 + -0.0 is 0.0, so an
+    # all-negative-zero total would lose its sign.
     return honey_term + resource_term + cfh_term
 
 

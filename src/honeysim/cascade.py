@@ -4,10 +4,11 @@ fail-safe last, every proposal reviewed by an arbiter.
 Stages run in a fixed order of increasing intensity. A stage is
 skipped when the environment cannot pay for it (connectivity, time,
 power, emissions posture); an attempted stage consumes its cost from
-the per-decision budget. The first proposal the arbiter accepts wins
-and is fed back to the online learner's experience stream; if nothing
-is accepted the fail-safe profile decides, and a plain no-op is the
-unvetoable floor, so decide() is total.
+the per-decision budget. The first proposal the arbiter accepts wins;
+if nothing is accepted the fail-safe profile decides, and a plain
+no-op is the unvetoable floor, so decide() is total. The arbiter's
+per-stage confidence thresholds are those of the sealed ruleset, so
+the digest the harness re-verifies every tick covers them.
 """
 
 from __future__ import annotations
@@ -75,14 +76,6 @@ DEFAULT_STAGE_COSTS = {
     StageId.HUMAN_ESCALATION: StageCost(5, 1),
     StageId.GAME_SEARCH: StageCost(10, 10),
     StageId.FAIL_SAFE: StageCost(0, 0),
-}
-
-DEFAULT_THRESHOLDS = {
-    StageId.PATTERN_RECOGNITION: 0.8,
-    StageId.ONLINE_LEARNING: 0.6,
-    StageId.HUMAN_ESCALATION: 0.5,
-    StageId.GAME_SEARCH: 0.3,
-    StageId.FAIL_SAFE: 0.0,
 }
 
 UNAVAILABLE = "unavailable"
@@ -245,10 +238,11 @@ def failsafe(profile: FailSafeProfile, table: PatternTable | None = None,
 
 
 def arbiter_review(p: ProposedAction, c: EnvConstraints, guard: gr.GuardrailSet,
-                   thresholds: dict, catalog: ActionCatalog) -> gr.Verdict:
-    """Accept iff confidence clears the stage threshold and the
-    guardrails allow the action; the first failure is the reason."""
-    if p.confidence < thresholds[p.stage]:
+                   catalog: ActionCatalog) -> gr.Verdict:
+    """Accept iff confidence clears the sealed ruleset's threshold for
+    the stage and the guardrails allow the action; the first failure
+    is the reason."""
+    if p.confidence < guard.ruleset.stage_thresholds[p.stage.label]:
         return gr.Verdict(False, BELOW_THRESHOLD)
     verdict = gr.check(catalog.get(p.action), c, guard)
     if not verdict.allowed:
@@ -257,16 +251,11 @@ def arbiter_review(p: ProposedAction, c: EnvConstraints, guard: gr.GuardrailSet,
 
 
 class OnlineLearner:
-    """Stage handle around the live policy.
-
-    Every accepted decision, whatever stage produced it, is observed
-    exactly once so the learner benefits from all actions taken.
-    """
+    """Stage handle around the live policy."""
 
     def __init__(self, policy, confidence: float = 0.9):
         self.policy = policy
         self.confidence = confidence
-        self.experience: list = []
 
     def propose(self, key: StateKey):
         action = self.policy.choose(key)
@@ -276,9 +265,6 @@ class OnlineLearner:
 
     def rank(self, key: StateKey):
         return self.policy.rank(key)
-
-    def observe(self, key: StateKey, action: str, stage: StageId) -> None:
-        self.experience.append((key, action, stage))
 
 
 @dataclass
@@ -293,7 +279,6 @@ class StageContext:
     game_model: object | None = None
     game_horizon: int = 2
     escalation_options: int = 3
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
     stage_costs: dict = field(default_factory=lambda: dict(DEFAULT_STAGE_COSTS))
     discretize: object = None  # FeatureVector -> StateKey
     availability: object = None  # test hook; defaults to stage_available
@@ -318,9 +303,8 @@ def decide(fv: FeatureVector, c: EnvConstraints, ctx: StageContext,
     ctx.audit.clear()
 
     def review(proposal):
-        verdict = arbiter_review(proposal, c, ctx.guard, ctx.thresholds, ctx.catalog)
+        verdict = arbiter_review(proposal, c, ctx.guard, ctx.catalog)
         if verdict.allowed:
-            ctx.online.observe(key, proposal.action, proposal.stage)
             return Decision(proposal.action, proposal.stage, tuple(rejected))
         rejected.append((proposal.stage, verdict.reason))
         ctx.audit.append((proposal.stage, proposal.action, verdict.reason))
@@ -368,5 +352,4 @@ def decide(fv: FeatureVector, c: EnvConstraints, ctx: StageContext,
     if decision is not None:
         return decision
     # Unvetoable floor: doing nothing needs no budget, no emissions.
-    ctx.online.observe(key, "noop", StageId.FAIL_SAFE)
     return Decision("noop", StageId.FAIL_SAFE, tuple(rejected))

@@ -128,39 +128,6 @@ def verify_ruleset(g: GuardrailSet, current_rules: bytes) -> RulesetCheck:
     return RulesetCheck.OK
 
 
-def save_ruleset(ruleset: Ruleset, path) -> None:
-    """Write the canonical ruleset text, digest alongside in <path>.sha256."""
-    data = ruleset.canonical_bytes()
-    with open(path, "wb") as fh:
-        fh.write(data)
-        fh.write(b"\n")
-    with open(f"{path}.sha256", "w", encoding="utf-8") as fh:
-        fh.write(ruleset_digest(data))
-        fh.write("\n")
-
-
-def load_ruleset(path) -> GuardrailSet:
-    """Load and seal a ruleset file, verifying the stored digest."""
-    with open(path, "rb") as fh:
-        data = fh.read().rstrip(b"\n")
-    with open(f"{path}.sha256", "r", encoding="utf-8") as fh:
-        stored = fh.read().strip()
-    if ruleset_digest(data) != stored:
-        raise ConfigInvalid(f"ruleset file {path} does not match its digest")
-    try:
-        payload = json.loads(data)
-        budget = ImpactBudget(**payload["budget"])
-        gates = {EmconLevel.from_name(level): AutonomyLevel.from_name(gate)
-                 for level, gate in payload["autonomy_gates"].items()}
-        ruleset = Ruleset(budget, gates, dict(payload["stage_thresholds"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"ruleset file {path} is malformed: {exc}") from exc
-    sealed = GuardrailSet.seal(ruleset)
-    if sealed.expected_digest != stored:
-        raise ConfigInvalid(f"ruleset file {path} is not in canonical form")
-    return sealed
-
-
 def build_ruleset(guard_config, thresholds_config) -> Ruleset:
     """Assemble the live ruleset from scenario configuration."""
     gates = {

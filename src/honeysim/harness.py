@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from . import trace as trace_mod
-from ._kernels import codes, get_backend
+from . import _kernels
+from ._kernels import codes
 from .actions import ActionCatalog, ActionEffect, build_catalog
 from .agent import (BinThresholds, QTable, RewardInputs, RewardParams,
                     StateKey, WorldSummary, accumulate_reward_inputs,
@@ -329,17 +330,6 @@ def _stage_costs(config: ScenarioConfig) -> dict:
     return costs
 
 
-def _thresholds(config: ScenarioConfig) -> dict:
-    th = config.cascade.thresholds
-    return {
-        StageId.PATTERN_RECOGNITION: th.pattern_recognition,
-        StageId.ONLINE_LEARNING: th.online_learning,
-        StageId.HUMAN_ESCALATION: th.human_escalation,
-        StageId.GAME_SEARCH: th.game_search,
-        StageId.FAIL_SAFE: th.fail_safe,
-    }
-
-
 def make_catalog(config: ScenarioConfig) -> ActionCatalog:
     real_cost = max(config.world.database.cost, config.world.application.cost,
                     config.world.web.cost)
@@ -371,15 +361,14 @@ _ERROR_LABELS = {
 
 
 def run_scenario(config: ScenarioConfig, seed: int, policy,
-                 *, learn: bool = False, backend: str | None = None,
-                 with_trace: bool = True):
+                 *, learn: bool = False, with_trace: bool = True):
     """Execute one episode; returns (MetricsReport, trace lines).
 
     trace lines are [] when with_trace is False (training runs skip
     record serialization for speed). The same (config, seed, policy)
     always yields byte-identical lines.
     """
-    world = init_world(config, seed, backend)
+    world = init_world(config, seed)
     catalog = make_catalog(config)
     window = config.agent.window
     rp = config.agent.reward
@@ -388,7 +377,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                          tuple(config.agent.bins.load),
                          tuple(config.agent.bins.honeypots))
 
-    agent_stream = get_backend(backend).Stream(derive_seed(seed, STREAM_AGENT))
+    agent_stream = _kernels.Stream(derive_seed(seed, STREAM_AGENT))
     policy_obj, policy_label = _bind_policy(policy, catalog, agent_stream)
     if learn and not isinstance(policy_obj, QPolicy):
         raise ConfigInvalid("learning runs need a QPolicy")
@@ -415,7 +404,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         game_model=QValueModel(qtable_for_model),
         game_horizon=config.cascade.game_horizon,
         escalation_options=config.cascade.escalation_options,
-        thresholds=_thresholds(config),
         stage_costs=_stage_costs(config),
         discretize=lambda _fv: current_key_box[0],
     )
@@ -604,8 +592,7 @@ def epsilon_for_episode(episode: int, episodes: int, start: float, end: float) -
     return start + (end - start) * episode / (episodes - 1)
 
 
-def train_agent(config: ScenarioConfig, episodes: int, seeds=None,
-                backend: str | None = None) -> TrainResult:
+def train_agent(config: ScenarioConfig, episodes: int, seeds=None) -> TrainResult:
     """Run learning episodes and return the table plus reward curve."""
     if episodes < 1:
         raise ConfigInvalid("episodes must be >= 1")
@@ -620,14 +607,12 @@ def train_agent(config: ScenarioConfig, episodes: int, seeds=None,
             seed = derive_seed(config.seed, 1000 + ep)
         eps = epsilon_for_episode(ep, episodes, lc.epsilon_start, lc.epsilon_end)
         policy = QPolicy(qtable, epsilon=eps)
-        report, _ = run_scenario(config, seed, policy, learn=True,
-                                 backend=backend, with_trace=False)
+        report, _ = run_scenario(config, seed, policy, learn=True, with_trace=False)
         curve.append(report.cumulative_reward)
     return TrainResult(qtable, curve)
 
 
-def evaluate(config: ScenarioConfig, policy_spec, seeds,
-             backend: str | None = None, with_trace: bool = False):
+def evaluate(config: ScenarioConfig, policy_spec, seeds, with_trace: bool = False):
     """Greedy evaluation over a seed list; reports are seed-ordered."""
     reports = []
     for seed in seeds:
@@ -635,8 +620,7 @@ def evaluate(config: ScenarioConfig, policy_spec, seeds,
             policy = QPolicy(policy_spec, epsilon=0.0)
         else:
             policy = policy_spec
-        report, lines = run_scenario(config, seed, policy, backend=backend,
-                                     with_trace=with_trace)
+        report, lines = run_scenario(config, seed, policy, with_trace=with_trace)
         reports.append((seed, report, lines))
     return reports
 

@@ -18,9 +18,9 @@ Critical invariants:
     event records alone.
   * A stopped honeypot can never run again, so stopping one retires
     it: it leaves the kernel arrays, node_ids and costs, and only its
-    final snapshot is kept in WorldState.retired. Nothing that scans or
-    draws from the nodes selects a Stopped honeypot, so retiring it
-    changes no draw and no event; per-tick cost follows the resident
+    id is kept in WorldState.retired. Nothing that scans or draws from
+    the nodes selects a Stopped honeypot, so retiring it changes no
+    draw and no event; per-tick cost and memory follow the resident
     nodes, not the number of honeypots ever started.
 """
 
@@ -173,7 +173,6 @@ _KIND_TO_GROUP = {
 @dataclass
 class WorldState:
     config: ScenarioConfig
-    seed: int
     backend_name: str
     core: object
     node_ids: list = field(default_factory=list)
@@ -181,22 +180,15 @@ class WorldState:
     costs: list = field(default_factory=list)
     pool: ResourcePool = None
     campaign_ids: list = field(default_factory=list)
-    retired: dict = field(default_factory=dict)  # node id -> final Node
+    retired: set = field(default_factory=set)  # ids of stopped honeypots
     _next_hp: int = 0
 
-    @property
-    def tick_count(self) -> int:
-        return self.core.clock
-
     def node(self, node_id: str) -> Node:
-        """Snapshot of a resident node, or the final one of a retired node."""
+        """Snapshot of a resident node; a retired honeypot has none."""
         i = self.node_index.get(node_id)
-        if i is not None:
-            return self._snapshot(i)
-        try:
-            return self.retired[node_id]
-        except KeyError:
-            raise NoSuchNode(f"no node with id {node_id!r}")
+        if i is None:
+            raise NoSuchNode(f"no resident node with id {node_id!r}")
+        return self._snapshot(i)
 
     def _snapshot(self, i: int) -> Node:
         return Node(
@@ -215,8 +207,7 @@ class WorldState:
         return [self._snapshot(i) for i in range(len(self.node_ids))]
 
     def _retire(self, i: int) -> None:
-        node_id = self.node_ids[i]
-        self.retired[node_id] = self._snapshot(i)
+        self.retired.add(self.node_ids[i])
         self.core.remove_node(i)
         del self.node_ids[i]
         del self.costs[i]
@@ -253,7 +244,7 @@ class WorldState:
         assert len(self.node_index) == n
         assert not any(core.kind(i) == codes.HONEYPOT and core.status(i) == codes.STOPPED
                        for i in range(n)), "stopped honeypot left resident"
-        assert self.retired.keys().isdisjoint(self.node_index), "retired node resident"
+        assert self.retired.isdisjoint(self.node_index), "retired node resident"
 
 
 def _world_params(w) -> tuple:
@@ -263,11 +254,10 @@ def _world_params(w) -> tuple:
             w.load_noise, w.hits_to_compromise)
 
 
-def init_world(config: ScenarioConfig, seed: int, backend: str | None = None) -> WorldState:
+def init_world(config: ScenarioConfig, seed: int) -> WorldState:
     """Instantiate the platform; identical (config, seed) pairs yield
     structurally identical states."""
     w = config.world
-    impl = _kernels.get_backend(backend)
 
     kinds, costs, node_ids = [], [], []
     decoys = []
@@ -303,14 +293,14 @@ def init_world(config: ScenarioConfig, seed: int, backend: str | None = None) ->
         campaign_ids.append(camp.id)
         campaign_seeds.append(derive_seed(seed, STREAM_CAMPAIGN_BASE + ci))
 
-    core = impl.CoreWorld(
+    core = _kernels.CoreWorld(
         kinds, [codes.RUNNING] * len(kinds), addresses, decoys,
         [1] * len(kinds), len(kinds), intensities, activations, known_sets,
         campaign_seeds, derive_seed(seed, STREAM_BENIGN),
         derive_seed(seed, STREAM_DETECT), _world_params(w))
 
     return WorldState(
-        config=config, seed=seed, backend_name=impl.IMPL, core=core,
+        config=config, backend_name=_kernels.BACKEND, core=core,
         node_ids=node_ids, node_index=node_index, costs=costs,
         pool=ResourcePool(capacity=w.capacity, used=used),
         campaign_ids=campaign_ids, _next_hp=w.honeypot.count)
@@ -384,8 +374,6 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
         # A stopped honeypot is retired, so a resident one is never stopped.
         if kind != codes.HONEYPOT:
             raise IllegalTransition(f"{action.target} is not a honeypot")
-        core.set_status(i, codes.STOPPED)
-        core.reset_progress(i)
         cost = world.costs[i]
         pool.used -= cost
         world._retire(i)

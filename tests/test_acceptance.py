@@ -180,7 +180,13 @@ class _FixedPolicy:
 def stub_cascade(availability, accepts, failsafe_accepted):
     catalog = build_catalog(10, 10)
     cfg = config_mod.ScenarioConfig()
-    guard = GuardrailSet.seal(build_ruleset(cfg.guardrails, cfg.cascade.thresholds))
+    # acceptance is steered via the sealed per-stage thresholds: confidence
+    # is 1.0 everywhere, so theta > 1 rejects and theta <= 1 accepts.
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    ruleset.stage_thresholds = {stage.label: (0.0 if accepts[i] else 1.1)
+                                for i, stage in enumerate(_STved)}
+    ruleset.stage_thresholds[StageId.FAIL_SAFE.label] = 0.0 if failsafe_accepted else 1.1
+    guard = GuardrailSet.seal(ruleset)
     proposals = {
         StageId.PATTERN_RECOGNITION: "deploy_dummy_files",
         StageId.ONLINE_LEARNING: "rotate_address",
@@ -197,11 +203,6 @@ def stub_cascade(availability, accepts, failsafe_accepted):
     gs = proposals[StageId.GAME_SEARCH]
     ctx.game_model = TabularToyModel([KEY], {KEY: [gs]},
                                      {(KEY, gs): ((1.0, KEY, 1.0),)})
-    # acceptance is steered via per-stage thresholds: confidence is 1.0
-    # everywhere, so theta > 1 rejects and theta <= 1 accepts.
-    ctx.thresholds = {stage: (0.0 if accepts[i] else 1.1)
-                      for i, stage in enumerate(_STved)}
-    ctx.thresholds[StageId.FAIL_SAFE] = 0.0 if failsafe_accepted else 1.1
     avail = {stage: availability[i] for i, stage in enumerate(_STved)}
     avail[StageId.FAIL_SAFE] = availability[4]
     ctx.availability = lambda stage, c: avail[stage]

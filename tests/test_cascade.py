@@ -12,7 +12,8 @@ from honeysim.cascade import (FailSafeProfile, OnlineLearner,
 from honeysim.config import ScenarioConfig
 from honeysim.constraints import EmconLevel, EnvConstraints
 from honeysim.errors import ModelIncomplete, OperatorTimeout
-from honeysim.guardrails import GuardrailSet, build_ruleset
+from honeysim.guardrails import (GuardrailSet, RulesetCheck, build_ruleset,
+                                 verify_ruleset)
 from honeysim.sensing import FeatureVector
 from oracles import TabularToyModel
 
@@ -20,11 +21,16 @@ KEY = StateKey(1, 1, 1, False)
 FV = FeatureVector(window_ticks=20)
 
 
-def make_guard(**kwargs):
+def make_guard(thresholds=None, **kwargs):
+    """Seal the default ruleset, with budget fields from kwargs and,
+    when given, per-stage thresholds keyed by StageId."""
     cfg = ScenarioConfig()
     ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
     for name, value in kwargs.items():
         setattr(ruleset.budget, name, value)
+    if thresholds is not None:
+        ruleset.stage_thresholds = {stage.label: theta
+                                    for stage, theta in thresholds.items()}
     return GuardrailSet.seal(ruleset)
 
 
@@ -207,20 +213,20 @@ def thresholds():
 
 def test_arbiter_below_threshold():
     v = arbiter_review(ProposedAction("noop", 0.5, StageId.PATTERN_RECOGNITION),
-                       env(), make_guard(), thresholds(), make_catalog())
+                       env(), make_guard(thresholds()), make_catalog())
     assert not v.allowed and v.reason == "below_threshold"
 
 
 def test_arbiter_guardrail_veto():
     v = arbiter_review(ProposedAction("cry_for_help", 0.9, StageId.ONLINE_LEARNING),
-                       env(emcon=EmconLevel.SILENT), make_guard(), thresholds(),
+                       env(emcon=EmconLevel.SILENT), make_guard(thresholds()),
                        make_catalog())
     assert not v.allowed and v.reason.startswith("guardrail:")
 
 
 def test_arbiter_accept():
     v = arbiter_review(ProposedAction("noop", 0.9, StageId.PATTERN_RECOGNITION),
-                       env(), make_guard(), thresholds(), make_catalog())
+                       env(), make_guard(thresholds()), make_catalog())
     assert v.allowed
 
 
@@ -271,15 +277,19 @@ def test_decide_operator_timeout_recorded():
     assert reasons[StageId.HUMAN_ESCALATION] == "operator_timeout"
 
 
-def test_decide_feedback_exactly_once():
-    ctx = make_ctx(policy_action="deploy_dummy_files")
-    decisions = [decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
-                 for _ in range(5)]
-    assert len(ctx.online.experience) == 5
-    for d, (key, action, stage) in zip(decisions, ctx.online.experience):
-        assert key == KEY
-        assert action == d.action
-        assert stage is d.provenance
+def test_decide_reads_sealed_thresholds():
+    # The arbiter has no threshold table of its own: raising the sealed
+    # ruleset's threshold above the learner's confidence rejects the
+    # stage, and the same edit is a tamper the digest check reports.
+    ctx = make_ctx(policy_action="rotate_address", confidence=0.9)
+    d = decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
+    assert d.provenance is StageId.ONLINE_LEARNING
+    ctx.guard.ruleset.stage_thresholds["online_learning"] = 0.95
+    d = decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
+    assert dict(d.rejected)[StageId.ONLINE_LEARNING] == "below_threshold"
+    assert d.provenance is not StageId.ONLINE_LEARNING
+    assert verify_ruleset(ctx.guard, ctx.guard.ruleset.canonical_bytes()) \
+        is RulesetCheck.TAMPERED
 
 
 def stub_ctx_with(availability_pattern, accept_pattern, failsafe_accepted=True):
@@ -304,15 +314,16 @@ def stub_ctx_with(availability_pattern, accept_pattern, failsafe_accepted=True):
     ctx.operator = OperatorPolicy(
         "approve_first" if True else "decline", 0)
     # escalation proposes rank()[0]; confidence fixed 1.0, so gate it
-    # through thresholds by overriding instead
-    ctx.thresholds = dict(ctx.thresholds)
-    ctx.thresholds[StageId.HUMAN_ESCALATION] = 0.5 if accepted[StageId.HUMAN_ESCALATION] else 1.1
+    # through the sealed thresholds instead
+    theta = thresholds()
+    theta[StageId.HUMAN_ESCALATION] = 0.5 if accepted[StageId.HUMAN_ESCALATION] else 1.1
     ctx.online.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
     gs_action = proposals[StageId.GAME_SEARCH]
     ctx.game_model = TabularToyModel(
         [KEY], {KEY: [gs_action]}, {(KEY, gs_action): ((1.0, KEY, 1.0),)})
-    ctx.thresholds[StageId.GAME_SEARCH] = 0.3 if accepted[StageId.GAME_SEARCH] else 1.1
-    ctx.thresholds[StageId.FAIL_SAFE] = 0.0 if failsafe_accepted else 1.1
+    theta[StageId.GAME_SEARCH] = 0.3 if accepted[StageId.GAME_SEARCH] else 1.1
+    theta[StageId.FAIL_SAFE] = 0.0 if failsafe_accepted else 1.1
+    ctx.guard = make_guard(theta)
     avail = {stage: availability_pattern[i] for i, stage in enumerate(proposals)}
     avail[StageId.FAIL_SAFE] = True
     ctx.availability = lambda stage, c: avail[stage]

@@ -9,8 +9,7 @@ from honeysim.errors import ConfigInvalid
 from honeysim.guardrails import (AUTONOMY_GATE, EMISSION_BLOCKED,
                                  IMPACT_EXCEEDED, GuardrailSet, ImpactBudget,
                                  RulesetCheck, build_ruleset, check,
-                                 load_ruleset, ruleset_digest, save_ruleset,
-                                 verify_ruleset)
+                                 ruleset_digest, verify_ruleset)
 
 
 def make_guard(max_impact=5.0, need=8.0):
@@ -142,39 +141,3 @@ def test_digest_is_hex_sha256():
     assert len(digest) == 64
     assert digest == digest.lower()
     assert all(c in "0123456789abcdef" for c in digest)
-
-
-def test_ruleset_file_round_trip(tmp_path):
-    cfg = ScenarioConfig()
-    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
-    path = tmp_path / "rules.json"
-    save_ruleset(ruleset, path)
-
-    digest_text = (tmp_path / "rules.json.sha256").read_text().strip()
-    assert digest_text == digest_text.lower()
-    assert len(digest_text) == 64
-
-    sealed = load_ruleset(path)
-    assert sealed.expected_digest == digest_text
-    assert sealed.budget.max_impact_per_action == ruleset.budget.max_impact_per_action
-    assert sealed.autonomy_gates == ruleset.autonomy_gates
-    assert sealed.ruleset.stage_thresholds == ruleset.stage_thresholds
-
-
-def test_ruleset_file_tamper_rejected(tmp_path):
-    cfg = ScenarioConfig()
-    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
-    path = tmp_path / "rules.json"
-    save_ruleset(ruleset, path)
-
-    raw = bytearray(path.read_bytes())
-    flip = raw.index(ord("5"))  # a digit inside the budget numbers
-    raw[flip] = ord("7")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ConfigInvalid, match="digest"):
-        load_ruleset(path)
-
-    save_ruleset(ruleset, path)
-    (tmp_path / "rules.json.sha256").write_text("0" * 64 + "\n")
-    with pytest.raises(ConfigInvalid, match="digest"):
-        load_ruleset(path)

@@ -1,5 +1,10 @@
 """Cross-backend equivalence: the compiled kernels must reproduce the
-pure-Python reference draw for draw and byte for byte."""
+pure-Python reference draw for draw and byte for byte.
+
+The backend is chosen once, when honeysim._kernels is imported. The
+whole-run tests swap its entry points with the `use_backend` fixture,
+so each side of a comparison runs on one backend throughout.
+"""
 
 import pathlib
 import random
@@ -8,17 +13,32 @@ import re
 import pytest
 
 from conftest import make_config, random_event
-from honeysim._kernels import get_backend, pure
+from honeysim import _kernels
+from honeysim._kernels import codes, pure
 from honeysim.harness import RandomPolicy, run_scenario
 from honeysim.world import init_world, step_world
 
 try:
-    accel = get_backend("compiled")
+    from honeysim._kernels import _accel as accel
 except ImportError:  # extension not built in this environment
     accel = None
 
 needs_accel = pytest.mark.skipif(accel is None,
                                  reason="compiled extension not built")
+
+ENTRY_POINTS = ("CoreWorld", "Stream", "tally", "mix64")
+PYX = pathlib.Path(pure.__file__).with_name("_accel.pyx")
+
+
+@pytest.fixture
+def use_backend(monkeypatch):
+    """Return a function that makes every kernel entry point, and the
+    reported backend name, those of the given kernel module."""
+    def use(impl):
+        for name in ENTRY_POINTS:
+            monkeypatch.setattr(_kernels, name, getattr(impl, name))
+        monkeypatch.setattr(_kernels, "BACKEND", impl.IMPL)
+    return use
 
 
 def _pyx_class_defs(source, cls):
@@ -33,10 +53,44 @@ def _pyx_class_defs(source, cls):
 def test_compiled_twin_defines_every_public_pure_method(cls):
     # Read from source, so the check holds where the extension is not built
     # and the parity tests below skip.
-    source = pathlib.Path(pure.__file__).with_name("_accel.pyx").read_text()
+    source = PYX.read_text()
     public = {name for name, member in vars(getattr(pure, cls)).items()
               if callable(member) and not name.startswith("_")}
     assert public - _pyx_class_defs(source, cls) == set()
+
+
+def test_compiled_twin_constants_match_codes():
+    # The compiled twin restates the integer codes as C constants, named
+    # after codes.py with a K_, S_, P_ or E_ prefix by group.
+    constants = re.findall(r"^cdef int [KSPE]_(\w+) = (-?\d+)\s*$",
+                           PYX.read_text(), re.M)
+    assert constants, "_accel.pyx declares no code constants"
+    assert {name: getattr(codes, name, None) for name, _ in constants} == \
+           {name: int(value) for name, value in constants}
+
+
+def test_backend_swap_reaches_every_entry_point(use_backend, monkeypatch):
+    # The whole-run parity tests below compare backends by swapping the
+    # attributes of honeysim._kernels. That only works while every caller
+    # reads them from the module at call time.
+    calls = dict.fromkeys(ENTRY_POINTS, 0)
+
+    def counted(name):
+        original = getattr(pure, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    spy = type("spy", (), {name: staticmethod(counted(name))
+                           for name in ENTRY_POINTS})
+    spy.IMPL = "spy"
+    use_backend(spy)
+    _report, lines = run_scenario(make_config(episode_ticks=40), 3, RandomPolicy())
+    assert all(calls.values()), calls
+    monkeypatch.undo()
+    assert lines == run_scenario(make_config(episode_ticks=40), 3, RandomPolicy())[1]
 
 
 @needs_accel
@@ -86,13 +140,16 @@ def varied_config(rng):
 
 
 @needs_accel
-def test_world_event_streams_identical_across_backends():
+def test_world_event_streams_identical_across_backends(use_backend):
     rng = random.Random(31337)
     for _ in range(10):
         cfg = varied_config(rng)
         seed = rng.getrandbits(63)
-        wp = init_world(cfg, seed, backend="pure")
-        wa = init_world(cfg, seed, backend="compiled")
+        use_backend(pure)
+        wp = init_world(cfg, seed)
+        use_backend(accel)
+        wa = init_world(cfg, seed)
+        assert (wp.backend_name, wa.backend_name) == ("pure", "compiled")
         for _ in range(150):
             assert step_world(wp) == step_world(wa)
         assert wp.nodes() == wa.nodes()
@@ -101,7 +158,7 @@ def test_world_event_streams_identical_across_backends():
 
 
 @needs_accel
-def test_backends_agree_under_interleaved_actions():
+def test_backends_agree_under_interleaved_actions(use_backend):
     # Covers the rarely-hit kernel branches: perimeter restriction,
     # rotation, quarantine, stop/start, decoy deployment.
     from honeysim.actions import ActionEffect
@@ -121,8 +178,10 @@ def test_backends_agree_under_interleaved_actions():
         "hits_to_compromise": 2,
     })
     seed = 90125
-    wp = init_world(cfg, seed, backend="pure")
-    wa = init_world(cfg, seed, backend="compiled")
+    use_backend(pure)
+    wp = init_world(cfg, seed)
+    use_backend(accel)
+    wa = init_world(cfg, seed)
     script = [
         ExecutedAction("rotate_address", ActionEffect.ROTATE_ADDRESS, "db-0"),
         ExecutedAction("restrict_comms_inbound", ActionEffect.RESTRICT_COMMS_INBOUND),
@@ -150,12 +209,14 @@ def test_backends_agree_under_interleaved_actions():
 
 
 @needs_accel
-def test_full_runs_byte_identical_across_backends():
+def test_full_runs_byte_identical_across_backends(use_backend):
     rng = random.Random(777)
     for _ in range(5):
         cfg = varied_config(rng)
         seed = rng.getrandbits(31)
-        rep_p, lines_p = run_scenario(cfg, seed, RandomPolicy(), backend="pure")
-        rep_a, lines_a = run_scenario(cfg, seed, RandomPolicy(), backend="compiled")
+        use_backend(pure)
+        rep_p, lines_p = run_scenario(cfg, seed, RandomPolicy())
+        use_backend(accel)
+        rep_a, lines_a = run_scenario(cfg, seed, RandomPolicy())
         assert lines_p == lines_a
         assert rep_p == rep_a

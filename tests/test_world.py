@@ -123,7 +123,7 @@ def test_stop_honeypot_frees_resources():
     outcome = apply_action(w, ExecutedAction("stop_honeypot",
                                              ActionEffect.STOP_HONEYPOT, "hp-0"))
     assert outcome.delta_resources == +10
-    assert w.node("hp-0").status is NodeStatus.STOPPED
+    assert "hp-0" in w.retired
     w.check_invariants()
 
 
@@ -135,8 +135,10 @@ def test_stop_honeypot_retires_it():
     assert len(w.node_ids) == w.core.n_nodes() == resident - 1
     assert "hp-0" not in w.node_ids
     assert "hp-0" not in [n.id for n in w.nodes()]
-    node = w.node("hp-0")
-    assert node.kind is NodeKind.HONEYPOT and node.status is NodeStatus.STOPPED
+    # only the id is kept: a retired honeypot has no snapshot
+    assert w.retired == {"hp-0"}
+    with pytest.raises(NoSuchNode):
+        w.node("hp-0")
     # the honeypot after it moved down one index and is still addressable
     assert w.node("hp-1").status is NodeStatus.RUNNING
     assert w.core.kind(w.node_index["hp-1"]) == NodeKind.HONEYPOT
@@ -166,7 +168,7 @@ def test_resident_nodes_stay_bounded_over_long_random_run(monkeypatch):
     def checked_step(world):
         seen.update(world.node_ids)
         assert len(world.node_ids) <= len(seen) - len(world.retired)
-        assert seen == set(world.node_ids) | world.retired.keys()
+        assert seen == set(world.node_ids) | world.retired
         world.check_invariants()
         resident.append(len(world.node_ids))
         return step_world(world)
