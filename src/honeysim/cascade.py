@@ -37,7 +37,10 @@ class StageId(IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.lower()
+        return _STAGE_LABELS[self]
+
+
+_STAGE_LABELS = {stage: stage.name.lower() for stage in StageId}
 
 
 class FailSafeProfile(Enum):
@@ -336,16 +339,19 @@ def decide(fv: FeatureVector, c: EnvConstraints, ctx: StageContext,
             failure = OPERATOR_TIMEOUT
         except ModelIncomplete:
             failure = MODEL_INCOMPLETE
-        remaining = replace(
-            remaining,
-            time_budget=max(remaining.time_budget - spent_time, 0),
-            power_budget=max(remaining.power_budget - spent_power, 0))
         if proposal is None:
             rejected.append((stage, failure))
-            continue
-        decision = review(proposal)
-        if decision is not None:
-            return decision
+        else:
+            decision = review(proposal)
+            if decision is not None:
+                return decision
+        # An accepted stage has returned; the budget left matters only
+        # to the stages after this one.
+        if spent_time or spent_power:
+            remaining = replace(
+                remaining,
+                time_budget=max(remaining.time_budget - spent_time, 0),
+                power_budget=max(remaining.power_budget - spent_power, 0))
 
     proposal = failsafe(profile, ctx.pattern_table)
     decision = review(proposal)

@@ -95,17 +95,20 @@ def cmd_oracle_reward(args):
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
-        params = RewardParams(data["a"], data["b"], data["c"],
-                              data.get("floor", 1))
-        inputs = RewardInputs(
-            honey_events=data["honey_events"],
-            security_events=data["security_events"],
-            delta_resources=data["delta_resources"],
-            total_resources=data["total_resources"],
-            justified_cfh=data["justified_cfh"],
-            cw=data["cw"],
-        )
+        try:
+            data = json.loads(line)
+            params = RewardParams(data["a"], data["b"], data["c"],
+                                  data.get("floor", 1))
+            inputs = RewardInputs(
+                honey_events=data["honey_events"],
+                security_events=data["security_events"],
+                delta_resources=data["delta_resources"],
+                total_resources=data["total_resources"],
+                justified_cfh=data["justified_cfh"],
+                cw=data["cw"],
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigInvalid(f"bad oracle-reward line {line!r}: {exc!r}") from exc
         print(repr(reward(params, inputs)))
     return 0
 

@@ -40,16 +40,25 @@ class Ruleset:
     stage_thresholds: dict = field(default_factory=dict)  # stage name -> theta
 
     def canonical_bytes(self) -> bytes:
+        """Sorted-key compact JSON of every sealed field, rebuilt from
+        the live fields on each call so that any edit changes it."""
         payload = {
             "budget": {
                 "max_impact_per_action": self.budget.max_impact_per_action,
                 "mission_need": self.budget.mission_need,
             },
-            "autonomy_gates": {level.label: gate.label
+            "autonomy_gates": {_EMCON_LABELS[level]: _AUTONOMY_LABELS[gate]
                                for level, gate in self.autonomy_gates.items()},
-            "stage_thresholds": dict(self.stage_thresholds),
+            "stage_thresholds": self.stage_thresholds,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return _ENCODER.encode(payload).encode("utf-8")
+
+
+# Both enums are IntEnums whose members compare equal across the two
+# types, so each has its own table.
+_EMCON_LABELS = {level: level.label for level in EmconLevel}
+_AUTONOMY_LABELS = {gate: gate.label for gate in AutonomyLevel}
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def ruleset_digest(rules_bytes: bytes) -> str:

@@ -8,6 +8,8 @@ the agent works purely from percepts. One run is the per-tick loop
     comms -> (each window boundary) reward sample + TD update
 
 and everything it does is recorded in a byte-deterministic trace.
+Each tick's events are tallied once, as they arrive; the percept is
+the rolling sum of the last `window` per-tick tallies.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
                      InsufficientResources, NoSuchNode, TraceCorrupt,
                      WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_ruleset
-from .sensing import Baseline, anomaly_score, collect, update_baseline
+from .sensing import Baseline, WindowTally, anomaly_score, update_baseline
 from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent,
                     WorldState, apply_action, derive_seed, init_world,
                     step_world)
@@ -306,16 +308,6 @@ _TARGETLESS = (ActionEffect.NOOP, ActionEffect.START_HONEYPOT,
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def _emcon_for_tick(schedule, tick: int) -> EmconLevel:
-    level = schedule[0].level
-    for entry in schedule:
-        if entry.tick <= tick:
-            level = entry.level
-        else:
-            break
-    return EmconLevel.from_name(level)
-
-
 def _stage_costs(config: ScenarioConfig) -> dict:
     sc = config.cascade.stage_costs
     costs = dict(DEFAULT_STAGE_COSTS)
@@ -420,9 +412,24 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             "config_digest": config.digest(),
         })
 
+    # The schedule starts at tick 0 and its ticks strictly increase, so
+    # each entry's constraints hold from its tick until the next entry.
+    env_cfg = config.env
+    env_from_tick = {
+        entry.tick: EnvConstraints(connectivity=env_cfg.connectivity,
+                                   time_budget=env_cfg.time_budget,
+                                   power_budget=env_cfg.power_budget,
+                                   safety_margin=env_cfg.safety_margin,
+                                   emcon_level=EmconLevel.from_name(entry.level))
+        for entry in env_cfg.emcon_schedule}
+    env = env_from_tick[0]
+
     accountant = Accountant(config.episode_ticks, window)
     baseline = Baseline()
-    buckets = []  # last `window` ticks of events, one list per tick
+    window_tally = WindowTally(window)
+    # last `window` ticks of events, one list per tick, operator replies
+    # included; read only to rank targets by suspicion
+    buckets: deque = deque(maxlen=window)
 
     agent_active = True
     current_tick = [0]
@@ -460,14 +467,8 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
 
     for t in range(config.episode_ticks):
         current_tick[0] = t
-        emcon = _emcon_for_tick(config.env.emcon_schedule, t)
-        env = EnvConstraints(
-            connectivity=config.env.connectivity,
-            time_budget=config.env.time_budget,
-            power_budget=config.env.power_budget,
-            safety_margin=config.env.safety_margin,
-            emcon_level=emcon,
-        )
+        env = env_from_tick.get(t, env)
+        emcon = env.emcon_level
 
         if config.guardrails.tamper_tick == t:
             ruleset.budget.max_impact_per_action += 1.0
@@ -479,23 +480,23 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                                         "reason": "ruleset_tampered"})
 
         events = step_world(world)
-        buckets.append(list(events))
-        if len(buckets) > window:
-            buckets.pop(0)
+        window_tally.push(events)
+        buckets.append(events)
         for ev in events:
             record("event", {"event": ev.to_dict()})
 
         key = None
         if agent_active:
-            window_events = [e for b in buckets for e in b]
-            fv = collect(window_events, window)
+            fv = window_tally.features()
             score = anomaly_score(baseline, fv) if baseline.sample_count >= 2 else 0.0
             baseline = update_baseline(baseline, fv)
             summary = WorldSummary(world.honeypots_active(), world.pool.available)
             key = discretize(fv, summary, bins, score)
             current_key_box[0] = key
-            record("percept", {"features": fv._asdict(), "anomaly": score,
-                               "state": key.encode()})
+            if writer is not None:  # the accountant reads no percept
+                writer.record("percept", t, {"features": fv._asdict(),
+                                             "anomaly": score,
+                                             "state": key.encode()})
 
             decision = decide(fv, env, ctx, profile)
             record("decision", {
@@ -512,6 +513,8 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             spec = catalog.get(decision.action)
             target = None
             if spec.effect not in _TARGETLESS:
+                window_events = [ev for b in buckets for ev in b] \
+                    if spec.effect in _RANKED else ()
                 target = resolve_target(spec.effect, world, window_events)
             available_before = world.pool.available
             applied, error, delta = False, None, 0
@@ -745,8 +748,13 @@ def save_qtable(qtable: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
+    """Read a table written by save_qtable; ConfigInvalid when the file
+    is not JSON or lacks a field of that layout."""
     with open(path, "r", encoding="utf-8") as fh:
-        return QTable.from_dict(json.load(fh))
+        try:
+            return QTable.from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigInvalid(f"{path} is not a Q table: {exc!r}") from exc
 
 
 def save_pattern_table(table: PatternTable, path) -> None:

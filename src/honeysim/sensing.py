@@ -8,6 +8,7 @@ world is built exclusively from observable event fields.
 from __future__ import annotations
 
 import math
+from collections import deque
 from enum import Enum
 from typing import NamedTuple
 
@@ -67,17 +68,64 @@ class FeatureVector(NamedTuple):
 N_FEATURES = 8
 
 
-def collect(events, window: int) -> FeatureVector:
-    """Tally a window of events into the agent's percept.
+def feature_vector(tallied, window: int) -> FeatureVector:
+    """The percept of a window whose events tally to `tallied`, a
+    9-tuple in the layout of _kernels.tally.
 
     honey_touches counts honeypot touches plus decoy-file accesses;
     system_load is the mean of the load samples seen (0 if none).
     """
     (ids_count, sev_sum, antimalware, unauthorized, honey, dummy_proc,
-     integrity, load_sum, load_count) = _kernels.tally(events)
+     integrity, load_sum, load_count) = tallied
     load = load_sum / load_count if load_count else 0.0
     return FeatureVector(ids_count, sev_sum, antimalware, unauthorized,
                          honey, dummy_proc, integrity, load, window)
+
+
+def collect(events, window: int) -> FeatureVector:
+    """Tally a window of events into the agent's percept."""
+    return feature_vector(_kernels.tally(events), window)
+
+
+# Positions of a tally that are integer counts; 7 is the float load_sum.
+_COUNT_FIELDS = (0, 1, 2, 3, 4, 5, 6, 8)
+_LOAD_SUM = 7
+_EMPTY_TALLY = (0, 0, 0, 0, 0, 0, 0, 0.0, 0)
+
+
+class WindowTally:
+    """The percept over the last `window` ticks, kept from one tally per
+    tick instead of re-tallying the whole window every tick.
+
+    Counts are running totals: push() adds the newest tick's tally and
+    subtracts the one that leaves the window. The load sum is re-added
+    left to right over the held ticks, so features() returns the float
+    collect() computes over the same events, bit for bit, as long as
+    each tick holds at most one load sample (CoreWorld.step emits one).
+    """
+
+    def __init__(self, window: int):
+        self.window = window
+        self.ticks: deque = deque()  # per-tick tallies, oldest first
+        # the window's tally; features() refreshes its load_sum
+        self.totals = list(_EMPTY_TALLY)
+
+    def push(self, events) -> None:
+        """Tally one tick's events and slide the window over them."""
+        tallied = _kernels.tally(events)
+        ticks = self.ticks
+        ticks.append(tallied)
+        dropped = ticks.popleft() if len(ticks) > self.window else _EMPTY_TALLY
+        totals = self.totals
+        for k in _COUNT_FIELDS:
+            totals[k] += tallied[k] - dropped[k]
+
+    def features(self) -> FeatureVector:
+        load_sum = 0.0
+        for tallied in self.ticks:
+            load_sum += tallied[_LOAD_SUM]
+        self.totals[_LOAD_SUM] = load_sum
+        return feature_vector(self.totals, self.window)
 
 
 class Baseline(NamedTuple):

@@ -17,8 +17,12 @@ FORMAT = "honeysim-trace"
 FORMAT_END = "honeysim-trace-end"
 VERSION = 1
 
+# One encoder for every line; json.dumps would build one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 class TraceWriter:

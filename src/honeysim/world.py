@@ -99,7 +99,12 @@ class EventKind(IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.lower()
+        return _EVENT_LABELS[self]
+
+
+_EVENT_LABELS = {kind: kind.name.lower() for kind in EventKind}
+# EventKind by kernel code (raises at import if the codes have a gap).
+_EVENT_KINDS = tuple(EventKind(code) for code in range(len(EventKind)))
 
 
 class WorldEvent(NamedTuple):
@@ -116,7 +121,7 @@ class WorldEvent(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "tick": self.tick,
-            "kind": self.kind.label,
+            "kind": _EVENT_LABELS[self.kind],
             "node": self.node,
             "severity": self.severity,
             "load": self.load,
@@ -311,7 +316,8 @@ def step_world(world: WorldState) -> list:
     tick = world.core.clock
     raw = world.core.step(world.pool.used, world.pool.capacity)
     ids = world.node_ids
-    return [WorldEvent(tick, EventKind(kind), ids[i], severity, load, bool(truth))
+    kinds = _EVENT_KINDS
+    return [WorldEvent(tick, kinds[kind], ids[i], severity, load, bool(truth))
             for kind, i, severity, load, truth in raw]
 
 

@@ -6,9 +6,9 @@ from honeysim.actions import build_catalog
 from honeysim.agent import QTable, StateKey
 from honeysim.cascade import (FailSafeProfile, OnlineLearner,
                               OperatorPolicy, PatternTable, ProposedAction,
-                              StageContext, StageId, arbiter_review, decide,
-                              escalate, failsafe, game_search, pattern_match,
-                              stage_available)
+                              StageContext, StageCost, StageId, arbiter_review,
+                              decide, escalate, failsafe, game_search,
+                              pattern_match, stage_available)
 from honeysim.config import ScenarioConfig
 from honeysim.constraints import EmconLevel, EnvConstraints
 from honeysim.errors import ModelIncomplete, OperatorTimeout
@@ -275,6 +275,36 @@ def test_decide_operator_timeout_recorded():
     reasons = dict(d.rejected)
     assert reasons[StageId.ONLINE_LEARNING] == "below_threshold"
     assert reasons[StageId.HUMAN_ESCALATION] == "operator_timeout"
+
+
+class SilentPolicy:
+    """An online stage that spends its cost and proposes nothing."""
+
+    def choose(self, key):
+        return None
+
+    def rank(self, key):
+        return ["noop"]
+
+
+def test_decide_deducts_spent_budget_before_next_stage():
+    # The online stage costs 1 time unit and proposes nothing. The budget
+    # equals the operator's latency, so only the online stage's deduction
+    # makes the operator time out.
+    costs = {StageId.PATTERN_RECOGNITION: StageCost(0, 0),
+             StageId.ONLINE_LEARNING: StageCost(1, 0),
+             StageId.HUMAN_ESCALATION: StageCost(1, 0),
+             StageId.GAME_SEARCH: StageCost(10, 10),
+             StageId.FAIL_SAFE: StageCost(0, 0)}
+    ctx = make_ctx(operator=OperatorPolicy("approve_first", 3), stage_costs=costs)
+    ctx.online = OnlineLearner(SilentPolicy())
+    d = decide(FV, env(time=3), ctx, FailSafeProfile.NO_ACTION)
+    reasons = dict(d.rejected)
+    assert reasons[StageId.ONLINE_LEARNING] == "no_proposal"
+    assert reasons[StageId.HUMAN_ESCALATION] == "operator_timeout"
+    # with one more unit the operator answers in time
+    d = decide(FV, env(time=4), ctx, FailSafeProfile.NO_ACTION)
+    assert d.provenance is StageId.HUMAN_ESCALATION
 
 
 def test_decide_reads_sealed_thresholds():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -141,3 +142,63 @@ def test_digest_is_hex_sha256():
     assert len(digest) == 64
     assert digest == digest.lower()
     assert all(c in "0123456789abcdef" for c in digest)
+
+
+
+def _set_gate(level, gate):
+    def mutate(r):
+        r.autonomy_gates[level] = gate
+    return mutate
+
+
+def _bump_threshold(name):
+    def mutate(r):
+        r.stage_thresholds[name] += 0.01
+    return mutate
+
+
+def _bump_budget(name):
+    def mutate(r):
+        setattr(r.budget, name, getattr(r.budget, name) + 0.5)
+    return mutate
+
+
+# One mutation per sealed field. Default gates: open delegated,
+# restricted previsioned, silent reflex.
+TAMPERS = {
+    "gate_open": _set_gate(EmconLevel.OPEN, AutonomyLevel.COLLABORATIVE),
+    "gate_restricted": _set_gate(EmconLevel.RESTRICTED, AutonomyLevel.REFLEX),
+    "gate_silent": _set_gate(EmconLevel.SILENT, AutonomyLevel.PREVISIONED),
+    "budget_max_impact": _bump_budget("max_impact_per_action"),
+    "budget_mission_need": _bump_budget("mission_need"),
+    "threshold_added": lambda r: r.stage_thresholds.update(extra=0.5),
+    "threshold_removed": lambda r: r.stage_thresholds.pop("game_search"),
+    **{f"threshold_{name}": _bump_threshold(name)
+       for name in ("pattern_recognition", "online_learning", "human_escalation",
+                    "game_search", "fail_safe")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERS))
+def test_every_sealed_field_is_tamper_checked(case):
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    g = GuardrailSet.seal(ruleset)
+    assert verify_ruleset(g, ruleset.canonical_bytes()) is RulesetCheck.OK
+    TAMPERS[case](ruleset)
+    assert verify_ruleset(g, ruleset.canonical_bytes()) is RulesetCheck.TAMPERED
+
+def test_canonical_bytes_are_sorted_compact_json():
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    ruleset.stage_thresholds["fail_safe"] = -0.0
+    ruleset.budget.mission_need = 1e-7
+    payload = {
+        "budget": {"max_impact_per_action": ruleset.budget.max_impact_per_action,
+                   "mission_need": ruleset.budget.mission_need},
+        "autonomy_gates": {level.name.lower(): gate.name.lower()
+                           for level, gate in ruleset.autonomy_gates.items()},
+        "stage_thresholds": dict(ruleset.stage_thresholds),
+    }
+    assert ruleset.canonical_bytes() == json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -2,6 +2,7 @@ import functools
 import json
 import subprocess
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
+from honeysim import harness
 from honeysim import trace as trace_mod
 from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
@@ -16,6 +18,8 @@ from honeysim.errors import EmptyCorpus, TraceCorrupt
 from honeysim.harness import (RandomPolicy, epsilon_for_episode,
                               experience_from_trace, load_qtable, offline_train,
                               replay, run_scenario, save_qtable, train_agent)
+from honeysim.sensing import collect
+from honeysim.world import EventKind, WorldEvent
 
 SHORT = {"episode_ticks": 120}
 
@@ -355,6 +359,43 @@ def test_operator_reply_lands_in_trace_when_escalation_runs():
     assert replay(lines) == report
 
 
+def test_rolling_window_features_equal_a_rebuild(monkeypatch):
+    # The learner's confidence sits below its threshold, so every
+    # decision goes to the operator and replies land in the buckets.
+    cfg = small_config(episode_ticks=3000, cascade={"online_confidence": 0.1})
+    seen = []
+    decide = harness.decide
+
+    def spy(fv, c, ctx, profile):
+        seen.append(fv)
+        return decide(fv, c, ctx, profile)
+
+    monkeypatch.setattr(harness, "decide", spy)
+    _, lines = run_scenario(cfg, 11, RandomPolicy())
+    _, records = trace_mod.parse(lines)
+
+    window = cfg.agent.window
+    buckets = deque(maxlen=window)  # the window as the trace shows it
+    rebuilt, replies, last_tick = [], 0, -1
+    for rec in records:
+        while last_tick < rec["tick"]:
+            buckets.append([])
+            last_tick += 1
+        if rec["kind"] == "event":
+            e = rec["event"]
+            kind = EventKind[e["kind"].upper()]
+            replies += kind is EventKind.OPERATOR_REPLY
+            buckets[-1].append(WorldEvent(e["tick"], kind, e["node"], e["severity"],
+                                          e["load"], e["truth_malicious"]))
+        elif rec["kind"] == "percept":
+            rebuilt.append(collect([ev for b in buckets for ev in b], window))
+    assert replies > 0
+    assert len(seen) == len(rebuilt) == cfg.episode_ticks
+    for got, want in zip(seen, rebuilt):
+        assert got == want
+        assert repr(got) == repr(want)
+
+
 def cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "honeysim.cli", *args],
                           capture_output=True, text=True, input=stdin)
@@ -414,3 +455,33 @@ def test_cli_oracle_reward_matches_library():
     out = cli("oracle-reward", stdin=json.dumps(payload) + "\n")
     assert out.returncode == 0
     assert float(out.stdout.strip()) == pytest.approx(3.9)
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("content", [
+    "{not json",
+    '{"alpha": 0.1, "gamma": 0.9, "entries": {}}',
+    '{"actions": ["noop"], "gamma": 0.9, "entries": {}}',
+    '{"actions": ["noop"], "alpha": 0.1, "gamma": 0.9}',
+], ids=["bad_json", "no_actions", "no_alpha", "no_entries"])
+def test_cli_malformed_qtable_exits_2(tmp_path, command, content):
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
+    policy = tmp_path / "q.json"
+    policy.write_text(content, encoding="utf-8")
+    extra = ["--num-seeds", "1"] if command == "eval" else []
+    out = cli(command, "--config", str(cfg_path), "--policy", str(policy), *extra)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("line", [
+    "{not json",
+    json.dumps({"a": 1.0, "b": 1.0, "c": 1.0, "honey_events": 4,
+                "security_events": 2, "delta_resources": -10,
+                "total_resources": 100, "justified_cfh": 2}),
+], ids=["bad_json", "no_cw"])
+def test_cli_oracle_reward_bad_line_exits_2(line):
+    out = cli("oracle-reward", stdin=line + "\n")
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import random_event
 from honeysim.errors import InsufficientBaseline
 from honeysim.sensing import (Baseline, DataSourceCategory, FeatureVector,
-                              anomaly_score, categorize_event, collect,
-                              update_baseline)
+                              WindowTally, anomaly_score, categorize_event,
+                              collect, update_baseline)
 from honeysim.world import EventKind, WorldEvent
 from oracles import tally_oracle, two_pass_moments
 
@@ -66,6 +66,27 @@ def test_collect_additive_over_disjoint_ranges(rng):
     if na + nb:
         weighted = (fa.system_load * na + fb.system_load * nb) / (na + nb)
         assert math.isclose(fab.system_load, weighted, rel_tol=1e-9)
+
+
+def test_window_tally_equals_collect_over_window(rng):
+    # One load sample at most per tick, as CoreWorld.step emits; any
+    # other kind, operator replies included, any number of times.
+    others = [k for k in EventKind if k is not EventKind.LOAD_SAMPLE]
+    window = 7
+    tally = WindowTally(window)
+    ticks = []
+    for t in range(200):
+        events = [ev(rng.choice(others), rng.randint(1, 5), node=f"n{rng.randint(0, 3)}",
+                     tick=t) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.8:
+            events.insert(rng.randint(0, len(events)),
+                          ev(EventKind.LOAD_SAMPLE, load=rng.random(), tick=t))
+        tally.push(events)
+        ticks.append(events)
+        rebuilt = collect([e for tick in ticks[-window:] for e in tick], window)
+        got = tally.features()
+        assert got == rebuilt
+        assert repr(got.system_load) == repr(rebuilt.system_load)
 
 
 def fv_from(values):

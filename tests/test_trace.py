@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from honeysim.errors import TraceCorrupt
@@ -100,3 +102,10 @@ def test_header_reward_parameters_checked(reward):
     w = TraceWriter({"episode_ticks": 3, "window": 2, "reward": reward})
     with pytest.raises(TraceCorrupt, match="header"):
         parse(w.finish())
+
+
+def test_dumps_is_sorted_compact_json():
+    record = {"kind": "message", "seq": 3, "tick": 7, "zero": -0.0,
+              "tiny": 1e-7, "text": "hé ☃ \U0001F41D \"q\" \\ \n",
+              "nested": [[1, [2.5, None]], {"b": True, "a": [], "é": "x"}]}
+    assert dumps(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
