@@ -14,7 +14,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EmptyWindow, NonFinite
+from .config import BinsConfig
+from .errors import NonFinite
 from .sensing import FeatureVector
 from .world import EventKind
 
@@ -94,20 +95,14 @@ class StateKey(NamedTuple):
         return cls(int(t), int(l), int(h), r == "1")
 
 
-@dataclass(frozen=True)
-class BinThresholds:
-    """Three ascending edges per axis; bin k covers [edge[k-1], edge[k])
-    and values past the top edge clamp into bin 3."""
-
-    threat: tuple = (0.5, 1.5, 3.0)
-    load: tuple = (0.25, 0.5, 0.75)
-    honeypots: tuple = (1, 2, 4)
-
-
 def discretize(fv: FeatureVector, summary: WorldSummary,
-               bins: BinThresholds = BinThresholds(),
+               bins: BinsConfig = BinsConfig(),
                anomaly: float = 0.0) -> StateKey:
-    """Deterministic 128-way discretization of the percept."""
+    """Deterministic 128-way discretization of the percept.
+
+    bins holds three ascending edges per axis; bin k covers
+    [edge[k-1], edge[k]) and values past the top edge clamp into bin 3.
+    """
     return StateKey(
         threat_bin=bisect_right(bins.threat, anomaly),
         load_bin=bisect_right(bins.load, fv.system_load),
@@ -188,8 +183,7 @@ _SECURITY_KIND = EventKind.IDS_ALERT.label
 
 
 def accumulate_reward_inputs(events, cfh_labels, pool_available: int,
-                             last_action_delta: int,
-                             window_ticks: int = 1) -> RewardInputs:
+                             last_action_delta: int) -> RewardInputs:
     """Harness-side tally of one accounting period.
 
     events are the period's event payloads (WorldEvent.to_dict() form)
@@ -197,8 +191,6 @@ def accumulate_reward_inputs(events, cfh_labels, pool_available: int,
     help sent in it. Ground truth is taken from the events; the agent
     never sees it.
     """
-    if window_ticks <= 0:
-        raise EmptyWindow("reward accounting period must cover at least one tick")
     honey = security = 0
     for ev in events:
         kind = ev["kind"]

@@ -19,9 +19,9 @@ from enum import Enum, IntEnum
 from . import guardrails as gr
 from .actions import ActionCatalog
 from .agent import StateKey
+from .config import OperatorConfig, StageCostsConfig
 from .constraints import EmconLevel, EnvConstraints
 from .errors import ModelIncomplete, OperatorTimeout
-from .sensing import FeatureVector
 
 
 class StageId(IntEnum):
@@ -67,20 +67,6 @@ class Decision:
     rejected: tuple  # ((StageId, reason), ...) in evaluation order
 
 
-@dataclass(frozen=True)
-class StageCost:
-    time: int = 0
-    power: int = 0
-
-
-DEFAULT_STAGE_COSTS = {
-    StageId.PATTERN_RECOGNITION: StageCost(0, 0),
-    StageId.ONLINE_LEARNING: StageCost(1, 5),
-    StageId.HUMAN_ESCALATION: StageCost(5, 1),
-    StageId.GAME_SEARCH: StageCost(10, 10),
-    StageId.FAIL_SAFE: StageCost(0, 0),
-}
-
 UNAVAILABLE = "unavailable"
 NO_PROPOSAL = "no_proposal"
 BELOW_THRESHOLD = "below_threshold"
@@ -89,16 +75,15 @@ MODEL_INCOMPLETE = "model_incomplete"
 
 
 def stage_available(stage: StageId, c: EnvConstraints,
-                    costs: dict = None) -> bool:
+                    costs: StageCostsConfig | None = None) -> bool:
     """Whether the environment can pay for a stage right now.
 
     Relaxing any constraint never removes a stage from the available
     set; the fail-safe and pattern lookup are always available.
     """
-    costs = costs or DEFAULT_STAGE_COSTS
     if stage is StageId.FAIL_SAFE or stage is StageId.PATTERN_RECOGNITION:
         return True
-    cost = costs[stage]
+    cost = getattr(costs or StageCostsConfig(), stage.label)
     if stage is StageId.HUMAN_ESCALATION:
         return (c.connectivity and c.time_budget >= cost.time
                 and c.emcon_level is not EmconLevel.SILENT)
@@ -144,17 +129,8 @@ def pattern_match(table: PatternTable, key: StateKey):
     return ProposedAction(action, confidence, StageId.PATTERN_RECOGNITION)
 
 
-@dataclass(frozen=True)
-class OperatorPolicy:
-    """Scripted stand-in for a human operator."""
-
-    behavior: str = "approve_first"  # or "decline"
-    latency: int = 1
-
-
-def escalate(operator: OperatorPolicy, fv: FeatureVector, options,
-             time_budget: int):
-    """Offer ranked options to the scripted operator.
+def escalate(operator: OperatorConfig, options, time_budget: int):
+    """Offer ranked options to the scripted stand-in for a human operator.
 
     The reply consumes its latency from the decision's time budget;
     a latency above the remaining budget is a timeout.
@@ -278,29 +254,28 @@ class StageContext:
     guard: gr.GuardrailSet
     online: OnlineLearner
     pattern_table: PatternTable = field(default_factory=PatternTable)
-    operator: OperatorPolicy = field(default_factory=OperatorPolicy)
+    operator: OperatorConfig = field(default_factory=OperatorConfig)
     game_model: object | None = None
     game_horizon: int = 2
     escalation_options: int = 3
-    stage_costs: dict = field(default_factory=lambda: dict(DEFAULT_STAGE_COSTS))
-    discretize: object = None  # FeatureVector -> StateKey
+    stage_costs: StageCostsConfig = field(default_factory=StageCostsConfig)
     availability: object = None  # test hook; defaults to stage_available
-    on_operator_reply: object = None  # callback(replied: bool)
+    on_operator_reply: object = None  # callback(), once per operator reply
     # Arbiter audit trail for the most recent decide() call:
     # (stage, action, reason) per rejected proposal.
     audit: list = field(default_factory=list)
 
 
-def decide(fv: FeatureVector, c: EnvConstraints, ctx: StageContext,
+def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
            profile: FailSafeProfile) -> Decision:
-    """Run the cascade to the first accepted proposal.
+    """Run the cascade for the percept's state key to the first
+    accepted proposal.
 
     Total by construction: every skipped or rejected stage is recorded
     with its reason, and the fail-safe path cannot fail (a vetoed
     fail-safe proposal degrades to a no-op with fail-safe provenance).
     """
     available = ctx.availability or (lambda s, env: stage_available(s, env, ctx.stage_costs))
-    key = ctx.discretize(fv)
     remaining = c
     rejected = []
     ctx.audit.clear()
@@ -318,7 +293,7 @@ def decide(fv: FeatureVector, c: EnvConstraints, ctx: StageContext,
         if not available(stage, remaining):
             rejected.append((stage, UNAVAILABLE))
             continue
-        cost = ctx.stage_costs[stage]
+        cost = getattr(ctx.stage_costs, stage.label)
         spent_time, spent_power = cost.time, cost.power
         proposal = None
         failure = NO_PROPOSAL
@@ -329,10 +304,10 @@ def decide(fv: FeatureVector, c: EnvConstraints, ctx: StageContext,
                 proposal = ctx.online.propose(key)
             elif stage is StageId.HUMAN_ESCALATION:
                 options = ctx.online.rank(key)[:ctx.escalation_options]
-                proposal = escalate(ctx.operator, fv, options, remaining.time_budget)
+                proposal = escalate(ctx.operator, options, remaining.time_budget)
                 spent_time = max(spent_time, ctx.operator.latency)
                 if ctx.on_operator_reply is not None:
-                    ctx.on_operator_reply(proposal is not None)
+                    ctx.on_operator_reply()
             else:
                 proposal = game_search(ctx.game_model, key, ctx.game_horizon)
         except OperatorTimeout:

@@ -1,4 +1,4 @@
-"""Outbound messaging under emissions control, plus the trust ledger.
+"""Outbound messaging under emissions control.
 
 Peers are scripted stubs; what matters here is whether a message may
 leave the agent at the current EMCON level. Whether a sent cry for help
@@ -7,12 +7,11 @@ was justified needs ground truth, so the harness's accountant decides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .actions import AutonomyLevel
 from .constraints import EmconLevel
-from .errors import UnknownPeer
 from .guardrails import AUTONOMY_GATE, EMISSION_BLOCKED, GuardrailSet
 
 
@@ -66,53 +65,3 @@ def send(msg: Message, emcon: EmconLevel, g: GuardrailSet) -> SendRecord:
     if autonomy > g.autonomy_gates[emcon]:
         return SendRecord(msg, sent=False, reason=AUTONOMY_GATE)
     return SendRecord(msg, sent=True)
-
-
-@dataclass(frozen=True)
-class TrustRecord:
-    peer: str
-    state: str = "trusted"  # "trusted" | "broken"; broken is absorbing
-    violations: int = 0
-
-
-def make_ledger(peers) -> dict:
-    return {peer: TrustRecord(peer) for peer in peers}
-
-
-def record_violation(ledger: dict, peer: str, observed: str,
-                     threshold: int = 3) -> dict:
-    """Count a violation; the peer breaks at the threshold and stays
-    broken until explicitly re-created."""
-    record = ledger.get(peer)
-    if record is None:
-        raise UnknownPeer(f"peer {peer!r} is not in the ledger")
-    violations = record.violations + 1
-    state = "broken" if (violations >= threshold or record.state == "broken") \
-        else "trusted"
-    ledger[peer] = replace(record, violations=violations, state=state)
-    return ledger
-
-
-@dataclass(frozen=True)
-class CloneRequest:
-    """A logged request to clone a peer. Fulfilment has no mechanism
-    here; the request itself is the whole protocol."""
-
-    peer: str
-    tick: int
-
-
-@dataclass
-class MessageLog:
-    """Append-only log of send attempts, single writer per agent."""
-
-    records: list = field(default_factory=list)
-    clone_requests: list = field(default_factory=list)
-
-    def append(self, record: SendRecord) -> None:
-        self.records.append(record)
-
-    def request_clone(self, peer: str, tick: int) -> CloneRequest:
-        request = CloneRequest(peer, tick)
-        self.clone_requests.append(request)
-        return request

@@ -41,14 +41,6 @@ class WindowOutOfRange(HoneysimError):
     """A cry-for-help evidence window lies outside the ticks the accountant holds."""
 
 
-class UnknownPeer(HoneysimError):
-    """A trust-ledger operation referenced a peer that is not registered."""
-
-
-class EmptyWindow(HoneysimError):
-    """Reward accounting was asked to cover a zero-tick period."""
-
-
 class EmptyCorpus(HoneysimError):
     """Offline pattern training received no experience triples."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .actions import ActionSpec, ActionEffect, AutonomyLevel
@@ -138,22 +138,15 @@ def verify_ruleset(g: GuardrailSet, current_rules: bytes) -> RulesetCheck:
 
 
 def build_ruleset(guard_config, thresholds_config) -> Ruleset:
-    """Assemble the live ruleset from scenario configuration."""
-    gates = {
-        EmconLevel.OPEN: AutonomyLevel.from_name(guard_config.autonomy_gates.open),
-        EmconLevel.RESTRICTED: AutonomyLevel.from_name(guard_config.autonomy_gates.restricted),
-        EmconLevel.SILENT: AutonomyLevel.from_name(guard_config.autonomy_gates.silent),
-    }
-    thresholds = {
-        "pattern_recognition": thresholds_config.pattern_recognition,
-        "online_learning": thresholds_config.online_learning,
-        "human_escalation": thresholds_config.human_escalation,
-        "game_search": thresholds_config.game_search,
-        "fail_safe": thresholds_config.fail_safe,
-    }
+    """Assemble the live ruleset from scenario configuration. The
+    config's gate and threshold field names are the EMCON and stage
+    labels."""
+    gates = {level: AutonomyLevel.from_name(getattr(guard_config.autonomy_gates,
+                                                    level.label))
+             for level in EmconLevel}
     return Ruleset(
         budget=ImpactBudget(guard_config.max_impact_per_action,
                             guard_config.mission_need),
         autonomy_gates=gates,
-        stage_thresholds=thresholds,
+        stage_thresholds=asdict(thresholds_config),
     )

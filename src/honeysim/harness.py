@@ -22,12 +22,11 @@ from . import trace as trace_mod
 from . import _kernels
 from ._kernels import codes
 from .actions import ActionCatalog, ActionEffect, build_catalog
-from .agent import (BinThresholds, QTable, RewardInputs, RewardParams,
-                    StateKey, WorldSummary, accumulate_reward_inputs,
-                    discretize, q_update, reward, reward_terms, select_action)
-from .cascade import (DEFAULT_STAGE_COSTS, FailSafeProfile, OnlineLearner,
-                      OperatorPolicy, PatternTable, QValueModel, StageContext,
-                      StageCost, StageId, decide)
+from .agent import (QTable, RewardInputs, RewardParams, StateKey,
+                    WorldSummary, accumulate_reward_inputs, discretize,
+                    q_update, reward, reward_terms, select_action)
+from .cascade import (FailSafeProfile, OnlineLearner, PatternTable,
+                      QValueModel, StageContext, decide)
 from .comms import Message, MessageKind, send
 from .config import ScenarioConfig
 from .constraints import EmconLevel, EnvConstraints
@@ -211,8 +210,7 @@ class Accountant:
             available = self.last_executed["available_before"]
             delta = self.last_executed["delta_resources"]
         inputs = accumulate_reward_inputs(self.period_events, self.period_cfh,
-                                          available, delta,
-                                          window_ticks=self.window)
+                                          available, delta)
         self.period_events = []
         self.period_cfh = []
         self.last_executed = None
@@ -308,20 +306,6 @@ _TARGETLESS = (ActionEffect.NOOP, ActionEffect.START_HONEYPOT,
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def _stage_costs(config: ScenarioConfig) -> dict:
-    sc = config.cascade.stage_costs
-    costs = dict(DEFAULT_STAGE_COSTS)
-    costs[StageId.PATTERN_RECOGNITION] = StageCost(sc.pattern_recognition.time,
-                                                   sc.pattern_recognition.power)
-    costs[StageId.ONLINE_LEARNING] = StageCost(sc.online_learning.time,
-                                               sc.online_learning.power)
-    costs[StageId.HUMAN_ESCALATION] = StageCost(sc.human_escalation.time,
-                                                sc.human_escalation.power)
-    costs[StageId.GAME_SEARCH] = StageCost(sc.game_search.time,
-                                           sc.game_search.power)
-    return costs
-
-
 def make_catalog(config: ScenarioConfig) -> ActionCatalog:
     real_cost = max(config.world.database.cost, config.world.application.cost,
                     config.world.web.cost)
@@ -336,6 +320,10 @@ def _bind_policy(policy, catalog: ActionCatalog, stream):
             or policy == "random":
         return _BoundRandomPolicy(catalog.selectable_ids, stream), "random"
     if isinstance(policy, QPolicy):
+        unknown = sorted(set(policy.qtable.actions) - set(catalog.selectable_ids))
+        if unknown:
+            raise ConfigInvalid(f"Q table names actions outside the scenario's "
+                                f"selectable set: {unknown}")
         policy.bind(stream)
         return policy, "q"
     if hasattr(policy, "choose") and hasattr(policy, "rank"):
@@ -365,9 +353,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     window = config.agent.window
     rp = config.agent.reward
     params = RewardParams(rp.a, rp.b, rp.c, rp.denominator_floor)
-    bins = BinThresholds(tuple(config.agent.bins.threat),
-                         tuple(config.agent.bins.load),
-                         tuple(config.agent.bins.honeypots))
 
     agent_stream = _kernels.Stream(derive_seed(seed, STREAM_AGENT))
     policy_obj, policy_label = _bind_policy(policy, catalog, agent_stream)
@@ -385,19 +370,16 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         else QTable(catalog.selectable_ids)
     profile = FailSafeProfile.from_name(config.cascade.failsafe_profile)
 
-    current_key_box = [StateKey(0, 0, 0, False)]
     ctx = StageContext(
         catalog=catalog,
         guard=guard,
         online=online,
         pattern_table=pattern_table,
-        operator=OperatorPolicy(config.cascade.operator.behavior,
-                                config.cascade.operator.latency),
+        operator=config.cascade.operator,
         game_model=QValueModel(qtable_for_model),
         game_horizon=config.cascade.game_horizon,
         escalation_options=config.cascade.escalation_options,
-        stage_costs=_stage_costs(config),
-        discretize=lambda _fv: current_key_box[0],
+        stage_costs=config.cascade.stage_costs,
     )
 
     writer = None
@@ -439,7 +421,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         if writer is not None:
             writer.record(kind, current_tick[0], payload)
 
-    def operator_replied(replied):
+    def operator_replied():
         ev = WorldEvent(current_tick[0], EventKind.OPERATOR_REPLY, "operator",
                         0, 0.0, False)
         buckets[-1].append(ev)
@@ -491,14 +473,13 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             score = anomaly_score(baseline, fv) if baseline.sample_count >= 2 else 0.0
             baseline = update_baseline(baseline, fv)
             summary = WorldSummary(world.honeypots_active(), world.pool.available)
-            key = discretize(fv, summary, bins, score)
-            current_key_box[0] = key
+            key = discretize(fv, summary, config.agent.bins, score)
             if writer is not None:  # the accountant reads no percept
                 writer.record("percept", t, {"features": fv._asdict(),
                                              "anomaly": score,
                                              "state": key.encode()})
 
-            decision = decide(fv, env, ctx, profile)
+            decision = decide(key, env, ctx, profile)
             record("decision", {
                 "action": decision.action,
                 "provenance": decision.provenance.label,

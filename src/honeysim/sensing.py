@@ -1,5 +1,5 @@
-"""Percept construction: event categorization, the feature vector,
-and a z-score anomaly detector over running baseline moments.
+"""Percept construction: the feature vector and a z-score anomaly
+detector over running baseline moments.
 
 Nothing in this module reads truth_malicious; the agent's view of the
 world is built exclusively from observable event fields.
@@ -9,43 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from enum import Enum
 from typing import NamedTuple
 
 from . import _kernels
 from .errors import InsufficientBaseline
-from .world import EventKind
 
 VARIANCE_FLOOR = 1e-6
-
-
-class DataSourceCategory(Enum):
-    NETWORK_TRAFFIC = "network_traffic"
-    EVENT_LOGS = "event_logs"
-    HARDWARE_SENSOR = "hardware_sensor"
-    OS_SENSOR = "os_sensor"
-    HIGH_LEVEL_INPUT = "high_level_input"
-
-
-# Total mapping over event kinds. NETWORK_TRAFFIC is reserved for
-# packet-level sources, which the desk-scale simulation does not emit.
-_CATEGORY_BY_KIND = {
-    EventKind.IDS_ALERT: DataSourceCategory.EVENT_LOGS,
-    EventKind.ANTI_MALWARE_ALERT: DataSourceCategory.EVENT_LOGS,
-    EventKind.UNAUTHORIZED_ACCESS: DataSourceCategory.EVENT_LOGS,
-    EventKind.HONEY_TOUCH: DataSourceCategory.OS_SENSOR,
-    EventKind.DUMMY_FILE_ACCESS: DataSourceCategory.OS_SENSOR,
-    EventKind.DUMMY_PROCESS_ALERT: DataSourceCategory.OS_SENSOR,
-    EventKind.FILE_INTEGRITY_VIOLATION: DataSourceCategory.EVENT_LOGS,
-    EventKind.LOAD_SAMPLE: DataSourceCategory.HARDWARE_SENSOR,
-    EventKind.LOG_LINE: DataSourceCategory.EVENT_LOGS,
-    EventKind.OPERATOR_REPLY: DataSourceCategory.HIGH_LEVEL_INPUT,
-}
-
-
-def categorize_event(event) -> DataSourceCategory:
-    """Total, pure mapping from an event to its data-source category."""
-    return _CATEGORY_BY_KIND[event.kind]
 
 
 class FeatureVector(NamedTuple):

@@ -163,7 +163,6 @@ _STved = [StageId.PATTERN_RECOGNITION, StageId.ONLINE_LEARNING,
           StageId.HUMAN_ESCALATION, StageId.GAME_SEARCH]
 
 KEY = StateKey(1, 1, 1, False)
-FV = FeatureVector(window_ticks=20)
 
 
 class _FixedPolicy:
@@ -196,7 +195,6 @@ def stub_cascade(availability, accepts, failsafe_accepted):
     ctx = StageContext(
         catalog=catalog, guard=guard,
         online=OnlineLearner(_FixedPolicy(proposals[StageId.ONLINE_LEARNING]), 1.0),
-        discretize=lambda fv: KEY,
     )
     ctx.pattern_table = PatternTable({KEY: (proposals[StageId.PATTERN_RECOGNITION], 1.0)})
     ctx.online.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
@@ -215,7 +213,7 @@ def test_criterion_4_cascade_totality_and_minimality():
         for accepts in itertools.product([False, True], repeat=4):
             for fs_ok in (False, True):
                 ctx, proposals = stub_cascade(availability, accepts, fs_ok)
-                d = decide(FV, EnvConstraints(), ctx, FailSafeProfile.NO_ACTION)
+                d = decide(KEY, EnvConstraints(), ctx, FailSafeProfile.NO_ACTION)
                 checked += 1
                 assert d is not None  # totality
                 winners = [stage for i, stage in enumerate(_STved)

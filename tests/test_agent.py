@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import random_event
 from honeysim._kernels import pure
-from honeysim.agent import (BinThresholds, QTable, RewardInputs, RewardParams,
-                            StateKey, WorldSummary, accumulate_reward_inputs,
-                            discretize, q_update, reward, select_action)
-from honeysim.errors import EmptyWindow, NonFinite
+from honeysim.agent import (QTable, RewardInputs, RewardParams, StateKey,
+                            WorldSummary, accumulate_reward_inputs, discretize,
+                            q_update, reward, select_action)
+from honeysim.config import BinsConfig
+from honeysim.errors import NonFinite
 from honeysim.sensing import FeatureVector
 from honeysim.world import EventKind, WorldEvent
 from oracles import reward_oracle
@@ -89,7 +90,7 @@ def test_discretize_clamps_to_top_bin():
 
 
 def test_discretize_honey_touch_flag_and_edges():
-    bins = BinThresholds()
+    bins = BinsConfig()
     fv = FeatureVector(honey_touches=1, system_load=0.25, window_ticks=20)
     key = discretize(fv, WorldSummary(1, 50), bins)
     assert key.recent_honey_touch
@@ -188,8 +189,7 @@ def test_accumulate_direct_counts():
               he(EventKind.HONEY_TOUCH),
               WorldEvent(0, EventKind.IDS_ALERT, "db-0", 3, 0.0, True).to_dict()]
     x = accumulate_reward_inputs(window, ["justified", "cry_wolf", "justified"],
-                                 pool_available=50, last_action_delta=-10,
-                                 window_ticks=20)
+                                 pool_available=50, last_action_delta=-10)
     assert x.honey_events == 3
     assert x.security_events == 1
     assert x.delta_resources == -10
@@ -203,26 +203,20 @@ def test_accumulate_ignores_benign_alerts():
         he(EventKind.DUMMY_FILE_ACCESS),
         he(EventKind.DUMMY_PROCESS_ALERT),
     ]
-    x = accumulate_reward_inputs(window, [], 10, 0, window_ticks=20)
+    x = accumulate_reward_inputs(window, [], 10, 0)
     assert x.security_events == 0
     assert x.honey_events == 2
 
 
 def test_accumulate_matches_random_tally(rng):
     window = [random_event(rng) for _ in range(200)]
-    x = accumulate_reward_inputs([e.to_dict() for e in window], [], 33, 4,
-                                 window_ticks=20)
+    x = accumulate_reward_inputs([e.to_dict() for e in window], [], 33, 4)
     honey = sum(1 for e in window if e.kind in (
         EventKind.HONEY_TOUCH, EventKind.DUMMY_FILE_ACCESS,
         EventKind.DUMMY_PROCESS_ALERT))
     sec = sum(1 for e in window
               if e.kind is EventKind.IDS_ALERT and e.truth_malicious)
     assert (x.honey_events, x.security_events) == (honey, sec)
-
-
-def test_accumulate_rejects_empty_period():
-    with pytest.raises(EmptyWindow):
-        accumulate_reward_inputs([], [], 10, 0, window_ticks=0)
 
 
 def test_reward_inputs_validation():

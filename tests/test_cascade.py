@@ -4,21 +4,19 @@ import pytest
 
 from honeysim.actions import build_catalog
 from honeysim.agent import QTable, StateKey
-from honeysim.cascade import (FailSafeProfile, OnlineLearner,
-                              OperatorPolicy, PatternTable, ProposedAction,
-                              StageContext, StageCost, StageId, arbiter_review,
-                              decide, escalate, failsafe, game_search,
-                              pattern_match, stage_available)
-from honeysim.config import ScenarioConfig
+from honeysim.cascade import (FailSafeProfile, OnlineLearner, PatternTable,
+                              ProposedAction, StageContext, StageId,
+                              arbiter_review, decide, escalate, failsafe,
+                              game_search, pattern_match, stage_available)
+from honeysim.config import (OperatorConfig, ScenarioConfig, StageCostConfig,
+                             StageCostsConfig)
 from honeysim.constraints import EmconLevel, EnvConstraints
 from honeysim.errors import ModelIncomplete, OperatorTimeout
 from honeysim.guardrails import (GuardrailSet, RulesetCheck, build_ruleset,
                                  verify_ruleset)
-from honeysim.sensing import FeatureVector
 from oracles import TabularToyModel
 
 KEY = StateKey(1, 1, 1, False)
-FV = FeatureVector(window_ticks=20)
 
 
 def make_guard(thresholds=None, **kwargs):
@@ -57,7 +55,6 @@ def make_ctx(policy_action="deploy_dummy_files", confidence=0.9, **overrides):
         guard=make_guard(),
         online=OnlineLearner(FixedPolicy(policy_action), confidence),
         game_model=None,
-        discretize=lambda fv: KEY,
     )
     from honeysim.cascade import QValueModel
     ctx.game_model = QValueModel(qtable)
@@ -136,17 +133,17 @@ def test_pattern_table_round_trip():
 # -- escalation --------------------------------------------------------------
 
 def test_escalate_approve_first():
-    p = escalate(OperatorPolicy("approve_first", 1), FV, ["a", "b"], time_budget=10)
+    p = escalate(OperatorConfig("approve_first", 1), ["a", "b"], time_budget=10)
     assert p == ProposedAction("a", 1.0, StageId.HUMAN_ESCALATION)
 
 
 def test_escalate_decline():
-    assert escalate(OperatorPolicy("decline", 1), FV, ["a"], time_budget=10) is None
+    assert escalate(OperatorConfig("decline", 1), ["a"], time_budget=10) is None
 
 
 def test_escalate_timeout():
     with pytest.raises(OperatorTimeout):
-        escalate(OperatorPolicy("approve_first", 3), FV, ["a"], time_budget=2)
+        escalate(OperatorConfig("approve_first", 3), ["a"], time_budget=2)
 
 
 # -- game search -------------------------------------------------------------
@@ -235,7 +232,7 @@ def test_arbiter_accept():
 def test_decide_pattern_hit_wins():
     ctx = make_ctx()
     ctx.pattern_table = PatternTable({KEY: ("quarantine_node", 0.99)})
-    d = decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
     assert d.action == "quarantine_node"
     assert d.provenance is StageId.PATTERN_RECOGNITION
     assert d.rejected == ()
@@ -243,7 +240,7 @@ def test_decide_pattern_hit_wins():
 
 def test_decide_falls_through_to_online():
     ctx = make_ctx(policy_action="rotate_address")
-    d = decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
     assert d.action == "rotate_address"
     assert d.provenance is StageId.ONLINE_LEARNING
     assert d.rejected == ((StageId.PATTERN_RECOGNITION, "no_proposal"),)
@@ -253,7 +250,7 @@ def test_decide_forced_to_failsafe_records_all_rejections():
     # No pattern, no budget for the learner or the game search, no
     # connectivity for escalation.
     ctx = make_ctx()
-    d = decide(FV, env(connectivity=False, time=0, power=0), ctx,
+    d = decide(KEY, env(connectivity=False, time=0, power=0), ctx,
                FailSafeProfile.NO_ACTION)
     assert d.action == "noop"
     assert d.provenance is StageId.FAIL_SAFE
@@ -266,10 +263,10 @@ def test_decide_forced_to_failsafe_records_all_rejections():
 
 
 def test_decide_operator_timeout_recorded():
-    ctx = make_ctx(operator=OperatorPolicy("approve_first", 9))
+    ctx = make_ctx(operator=OperatorConfig("approve_first", 9))
     ctx.online = OnlineLearner(FixedPolicy("noop"), confidence=0.1)  # below theta
     ctx.pattern_table = PatternTable()
-    d = decide(FV, env(time=9), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(time=9), ctx, FailSafeProfile.NO_ACTION)
     # online learner is attempted first (its cost 1 leaves budget 8),
     # rejected below threshold, then the operator times out.
     reasons = dict(d.rejected)
@@ -291,19 +288,16 @@ def test_decide_deducts_spent_budget_before_next_stage():
     # The online stage costs 1 time unit and proposes nothing. The budget
     # equals the operator's latency, so only the online stage's deduction
     # makes the operator time out.
-    costs = {StageId.PATTERN_RECOGNITION: StageCost(0, 0),
-             StageId.ONLINE_LEARNING: StageCost(1, 0),
-             StageId.HUMAN_ESCALATION: StageCost(1, 0),
-             StageId.GAME_SEARCH: StageCost(10, 10),
-             StageId.FAIL_SAFE: StageCost(0, 0)}
-    ctx = make_ctx(operator=OperatorPolicy("approve_first", 3), stage_costs=costs)
+    costs = StageCostsConfig(online_learning=StageCostConfig(1, 0),
+                             human_escalation=StageCostConfig(1, 0))
+    ctx = make_ctx(operator=OperatorConfig("approve_first", 3), stage_costs=costs)
     ctx.online = OnlineLearner(SilentPolicy())
-    d = decide(FV, env(time=3), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(time=3), ctx, FailSafeProfile.NO_ACTION)
     reasons = dict(d.rejected)
     assert reasons[StageId.ONLINE_LEARNING] == "no_proposal"
     assert reasons[StageId.HUMAN_ESCALATION] == "operator_timeout"
     # with one more unit the operator answers in time
-    d = decide(FV, env(time=4), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(time=4), ctx, FailSafeProfile.NO_ACTION)
     assert d.provenance is StageId.HUMAN_ESCALATION
 
 
@@ -312,10 +306,10 @@ def test_decide_reads_sealed_thresholds():
     # ruleset's threshold above the learner's confidence rejects the
     # stage, and the same edit is a tamper the digest check reports.
     ctx = make_ctx(policy_action="rotate_address", confidence=0.9)
-    d = decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
     assert d.provenance is StageId.ONLINE_LEARNING
     ctx.guard.ruleset.stage_thresholds["online_learning"] = 0.95
-    d = decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
     assert dict(d.rejected)[StageId.ONLINE_LEARNING] == "below_threshold"
     assert d.provenance is not StageId.ONLINE_LEARNING
     assert verify_ruleset(ctx.guard, ctx.guard.ruleset.canonical_bytes()) \
@@ -341,7 +335,7 @@ def stub_ctx_with(availability_pattern, accept_pattern, failsafe_accepted=True):
                conf[StageId.PATTERN_RECOGNITION])})
     ctx.online = OnlineLearner(FixedPolicy(proposals[StageId.ONLINE_LEARNING]),
                                conf[StageId.ONLINE_LEARNING])
-    ctx.operator = OperatorPolicy(
+    ctx.operator = OperatorConfig(
         "approve_first" if True else "decline", 0)
     # escalation proposes rank()[0]; confidence fixed 1.0, so gate it
     # through the sealed thresholds instead
@@ -366,7 +360,7 @@ def stub_ctx_with(availability_pattern, accept_pattern, failsafe_accepted=True):
                                      (False, False, False, False)])
 def test_decide_minimality_over_stub_grid(availability, accepts):
     ctx, proposals, accepted, avail = stub_ctx_with(availability, accepts)
-    d = decide(FV, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
     runnable = [stage for stage in proposals if avail[stage] and accepted[stage]]
     if runnable:
         assert d.provenance == min(runnable)

@@ -2,9 +2,8 @@ import pytest
 
 from honeysim.config import ScenarioConfig
 from honeysim.constraints import EmconLevel
-from honeysim.comms import (CloneRequest, Message, MessageKind, MessageLog,
-                            make_ledger, record_violation, send)
-from honeysim.errors import UnknownPeer, WindowOutOfRange
+from honeysim.comms import Message, MessageKind, send
+from honeysim.errors import WindowOutOfRange
 from honeysim.guardrails import GuardrailSet, build_ruleset
 from honeysim.harness import Accountant
 from honeysim.world import EventKind, WorldEvent
@@ -111,33 +110,3 @@ def test_classification_partitions_random_messages(rng):
 def test_cfh_requires_nonempty_evidence():
     with pytest.raises(ValueError):
         Message(MessageKind.CRY_FOR_HELP, 5, evidence_start=6, evidence_end=5)
-
-
-def test_trust_ledger_threshold():
-    ledger = make_ledger(["ops", "peer-1"])
-    ledger = record_violation(ledger, "ops", "missed_heartbeat", threshold=3)
-    ledger = record_violation(ledger, "ops", "bad_signature", threshold=3)
-    assert ledger["ops"].state == "trusted"
-    assert ledger["ops"].violations == 2
-    ledger = record_violation(ledger, "ops", "false_blocklist", threshold=3)
-    assert ledger["ops"].state == "broken"
-    # broken is absorbing
-    ledger = record_violation(ledger, "ops", "missed_heartbeat", threshold=99)
-    assert ledger["ops"].state == "broken"
-    assert ledger["peer-1"].state == "trusted"
-
-
-def test_trust_ledger_unknown_peer():
-    with pytest.raises(UnknownPeer):
-        record_violation(make_ledger(["ops"]), "ghost", "bad_signature")
-
-
-def test_broken_peer_clone_request_is_logged_only():
-    ledger = make_ledger(["peer-1"])
-    log = MessageLog()
-    for _ in range(3):
-        ledger = record_violation(ledger, "peer-1", "missed_heartbeat", threshold=3)
-    assert ledger["peer-1"].state == "broken"
-    log.request_clone("peer-1", tick=42)
-    assert log.clone_requests == [CloneRequest("peer-1", 42)]
-    assert log.records == []  # nothing transmitted; request is log-only

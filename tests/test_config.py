@@ -29,6 +29,11 @@ def test_probability_range_checked():
         config_mod.from_mapping({"world": {"p_detect": 1.5}})
 
 
+def test_empty_reward_window_rejected():
+    with pytest.raises(ConfigInvalid, match="agent.window"):
+        config_mod.from_mapping({"agent": {"window": 0}})
+
+
 def test_gate_monotonicity_checked():
     with pytest.raises(ConfigInvalid, match="monotone"):
         config_mod.from_mapping({"guardrails": {"autonomy_gates": {

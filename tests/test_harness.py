@@ -364,13 +364,13 @@ def test_rolling_window_features_equal_a_rebuild(monkeypatch):
     # decision goes to the operator and replies land in the buckets.
     cfg = small_config(episode_ticks=3000, cascade={"online_confidence": 0.1})
     seen = []
-    decide = harness.decide
+    discretize = harness.discretize
 
-    def spy(fv, c, ctx, profile):
+    def spy(fv, summary, bins, anomaly):
         seen.append(fv)
-        return decide(fv, c, ctx, profile)
+        return discretize(fv, summary, bins, anomaly)
 
-    monkeypatch.setattr(harness, "decide", spy)
+    monkeypatch.setattr(harness, "discretize", spy)
     _, lines = run_scenario(cfg, 11, RandomPolicy())
     _, records = trace_mod.parse(lines)
 
@@ -472,6 +472,26 @@ def test_cli_malformed_qtable_exits_2(tmp_path, command, content):
     extra = ["--num-seeds", "1"] if command == "eval" else []
     out = cli(command, "--config", str(cfg_path), "--policy", str(policy), *extra)
     assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("action", ["bogus_action", "start_real_vm",
+                                    "terminate_self"])
+def test_cli_qtable_action_outside_selectable_set_exits_2(tmp_path, action):
+    # The table prefers `action` in every state, so a run that accepted it
+    # would propose it at each tick: an unknown id, a disabled action and
+    # one no policy may select.
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text("episode_ticks: 10\n", encoding="utf-8")
+    states = [StateKey(t, l, h, r).encode() for t in range(4) for l in range(4)
+              for h in range(4) for r in (False, True)]
+    policy = tmp_path / "q.json"
+    policy.write_text(json.dumps({
+        "actions": ["noop", action], "alpha": 0.1, "gamma": 0.9,
+        "entries": {f"{s}|{action}": 1.0 for s in states}}), encoding="utf-8")
+    out = cli("run", "--config", str(cfg_path), "--policy", str(policy))
+    assert out.returncode == 2, out.stderr
+    assert action in out.stderr
     assert "Traceback" not in out.stderr
 
 

@@ -7,26 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import random_event
 from honeysim.errors import InsufficientBaseline
-from honeysim.sensing import (Baseline, DataSourceCategory, FeatureVector,
-                              WindowTally, anomaly_score, categorize_event,
-                              collect, update_baseline)
+from honeysim.sensing import (Baseline, FeatureVector, WindowTally,
+                              anomaly_score, collect, update_baseline)
 from honeysim.world import EventKind, WorldEvent
 from oracles import tally_oracle, two_pass_moments
 
 
 def ev(kind, severity=0, load=0.0, node="n0", tick=0, truth=False):
     return WorldEvent(tick, kind, node, severity, load, truth)
-
-
-def test_categorize_paper_examples():
-    assert categorize_event(ev(EventKind.IDS_ALERT, 3)) is DataSourceCategory.EVENT_LOGS
-    assert categorize_event(ev(EventKind.LOAD_SAMPLE, load=0.5)) is DataSourceCategory.HARDWARE_SENSOR
-    assert categorize_event(ev(EventKind.OPERATOR_REPLY)) is DataSourceCategory.HIGH_LEVEL_INPUT
-
-
-def test_categorize_is_total():
-    for kind in EventKind:
-        assert isinstance(categorize_event(ev(kind)), DataSourceCategory)
 
 
 def test_collect_empty_window():

@@ -47,6 +47,10 @@ def test_bad_header_detected():
         parse([dumps({"format": "something-else"})] + lines[1:])
     with pytest.raises(TraceCorrupt):
         parse(["not json"] + lines[1:])
+    w = TraceWriter({"episode_ticks": 3, "window": 0,
+                     "reward": {"a": 1, "b": 1, "c": 1, "floor": 1}})
+    with pytest.raises(TraceCorrupt, match="header"):
+        parse(w.finish())
 
 
 def test_unknown_record_kind_detected():
