@@ -321,13 +321,12 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
                    f"agent.actions.{action}.autonomy must be one of {AUTONOMY_LEVELS}")
 
     c = config.cascade
-    for name in ("pattern_recognition", "online_learning", "human_escalation",
-                 "game_search", "fail_safe"):
-        _check_prob(getattr(c.thresholds, name), f"cascade.thresholds.{name}")
-        cost = getattr(c.stage_costs, name, None)
-        if cost is not None:
-            _check(cost.time >= 0 and cost.power >= 0,
-                   f"cascade.stage_costs.{name} must be non-negative")
+    for f in dataclasses.fields(c.thresholds):
+        _check_prob(getattr(c.thresholds, f.name), f"cascade.thresholds.{f.name}")
+    for f in dataclasses.fields(c.stage_costs):
+        cost = getattr(c.stage_costs, f.name)
+        _check(cost.time >= 0 and cost.power >= 0,
+               f"cascade.stage_costs.{f.name} must be non-negative")
     _check_prob(c.online_confidence, "cascade.online_confidence")
     _check(c.failsafe_profile in FAILSAFE_PROFILES,
            f"cascade.failsafe_profile must be one of {FAILSAFE_PROFILES}")
