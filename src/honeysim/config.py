@@ -108,6 +108,8 @@ class StageCostConfig:
     power: int = 0
 
 
+# The field names of StageCostsConfig and ThresholdsConfig are the
+# cascade's stage labels (StageId.label); the cascade reads them by label.
 @dataclass
 class StageCostsConfig:
     pattern_recognition: StageCostConfig = field(default_factory=StageCostConfig)
@@ -143,6 +145,7 @@ class CascadeConfig:
     pattern_table: str | None = None
 
 
+# Field names are the EMCON level labels (EmconLevel.label).
 @dataclass
 class AutonomyGatesConfig:
     open: str = "delegated"
@@ -164,8 +167,6 @@ class GuardrailConfig:
 class CommsConfig:
     heartbeat_every: int = 0
     alert_after_actions: bool = False
-    violation_threshold: int = 3
-    peers: tuple = ("ops",)
 
 
 @dataclass
@@ -179,7 +180,6 @@ class EnvConfig:
     connectivity: bool = True
     time_budget: int = 10
     power_budget: int = 10
-    safety_margin: float = 0.9
     emcon_schedule: tuple = field(default_factory=lambda: (EmconEntry(),))
 
 
@@ -352,13 +352,10 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         _check(g.tamper_tick >= 0, "guardrails.tamper_tick must be >= 0")
 
     _check(config.comms.heartbeat_every >= 0, "comms.heartbeat_every must be >= 0")
-    _check(config.comms.violation_threshold >= 1,
-           "comms.violation_threshold must be >= 1")
 
     e = config.env
     _check(e.time_budget >= 0, "env.time_budget must be >= 0")
     _check(e.power_budget >= 0, "env.power_budget must be >= 0")
-    _check(0.0 <= e.safety_margin <= 1.0, "env.safety_margin must be in [0, 1]")
     _check(len(e.emcon_schedule) >= 1, "env.emcon_schedule must not be empty")
     _check(e.emcon_schedule[0].tick == 0, "env.emcon_schedule must start at tick 0")
     last = -1

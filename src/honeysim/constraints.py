@@ -29,5 +29,4 @@ class EnvConstraints:
     connectivity: bool = True
     time_budget: int = 10
     power_budget: int = 10
-    safety_margin: float = 1.0
     emcon_level: EmconLevel = EmconLevel.OPEN

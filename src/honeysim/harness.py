@@ -401,7 +401,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         entry.tick: EnvConstraints(connectivity=env_cfg.connectivity,
                                    time_budget=env_cfg.time_budget,
                                    power_budget=env_cfg.power_budget,
-                                   safety_margin=env_cfg.safety_margin,
                                    emcon_level=EmconLevel.from_name(entry.level))
         for entry in env_cfg.emcon_schedule}
     env = env_from_tick[0]

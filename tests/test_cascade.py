@@ -66,7 +66,7 @@ def make_ctx(policy_action="deploy_dummy_files", confidence=0.9, **overrides):
 # -- stage availability ------------------------------------------------------
 
 def env(connectivity=True, time=10, power=10, emcon=EmconLevel.OPEN):
-    return EnvConstraints(connectivity, time, power, 0.9, emcon)
+    return EnvConstraints(connectivity, time, power, emcon)
 
 
 def test_escalation_requires_connectivity():

@@ -1,7 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
+import yaml
 
+from honeysim import cli
 from honeysim import config as config_mod
 from honeysim.errors import ConfigInvalid
 
@@ -89,3 +92,44 @@ def test_reference_scenario_loads():
                   + cfg.world.web.count)
     assert total_real == 9
     assert len(cfg.world.campaigns) == 1
+
+
+def _yaml_leaves(data, prefix=""):
+    # Lists (campaigns, emcon_schedule, bin edges) and the actions map
+    # are single fields of the scenario.
+    for key, value in data.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict) and key != "actions":
+            yield from _yaml_leaves(value, path + ".")
+        else:
+            yield path
+
+
+def _config_leaves(obj, prefix=""):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        path = f"{prefix}{f.name}"
+        if dataclasses.is_dataclass(value):
+            yield from _config_leaves(value, path + ".")
+        else:
+            yield path
+
+
+def test_reference_scenario_documents_every_field():
+    raw = yaml.safe_load((REPO / "configs" / "reference.yaml").read_text(encoding="utf-8"))
+    assert sorted(_yaml_leaves(raw)) == sorted(_config_leaves(config_mod.ScenarioConfig()))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("comms", "peers", ["ops"]),
+    ("comms", "violation_threshold", 3),
+    ("env", "safety_margin", 0.9),
+])
+def test_keys_nothing_reads_are_rejected(tmp_path, capsys, section, key, value):
+    with pytest.raises(ConfigInvalid, match=key):
+        config_mod.from_mapping({section: {key: value}})
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({"episode_ticks": 5, section: {key: value}}),
+                    encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err

@@ -19,16 +19,16 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                          "reference.yaml")
 
 RANDOM_SEED_DIGESTS = {
-    0: "a4edc226c0c7b880d76fbe950244059552b34b53290dc8b10c603e465d289956",
-    1: "3a26f442ff273880f5b58bc8fa374812a17c2bf898f62063903663b94a5ef10c",
-    2: "19738fddb99d61615a1a6059dc2d1337a9ddd68a97921c946c3e8dd6f5560e48",
-    3: "a7d622f6a20a0d0d7a2c528f29552ef2f7dde374c50233565167ce49ea084a5c",
-    4: "959d67422970048b2fda4756da2725af7cd41c898ed41fbc59d73fb4fa1eed90",
+    0: "a860eba138f24bba11597576b4f069e0eaf06e8f45aa3b6bf2f35e2afadaf8e0",
+    1: "4557802037f8ac1a4463ef0d0f40ccfa169e6a9c9871509473704104c2d90c4e",
+    2: "f886f6922c2efa9d432adb24645ad766d25ca4a20c4d20872a3bc957eada6d46",
+    3: "89df19c66230d341eecec2c904b7f5223250002d77a8df8df780e15dab228585",
+    4: "6be9f43d020f67154c559342366d917bd0e3854ba2b6b07404857871053f5fd4",
 }
-LONG_RANDOM_DIGEST = "a5b1c48511458c142d64121b425e7260db1f414c0c4db449118288b9c19286ac"
-GREEDY_Q_DIGEST = "4f0123e0c3f67d0a8d5a6f1b5780a5d6d0fbf925c934175693fa37a76c0b3b3c"
-TAMPER_AT_ZERO_DIGEST = "5a55f35d13f5b97fc54e9f6491b71c92964cebd053c0c27ce57386bc43bea94c"
-CRY_NOOP_DIGEST = "17dcd8a220f51543e37ccfa0440105294d7d035713a6f07126486d1488e8487f"
+LONG_RANDOM_DIGEST = "18ec831f62445a962a0a738d408fcd3b7d29577f3cc7af1ca7a5dfd50665f057"
+GREEDY_Q_DIGEST = "ce707f952cd54b831eb8a487a945ddb30b0b977a3209728dfd1ed4158245c04e"
+TAMPER_AT_ZERO_DIGEST = "e3ea667545a3c554866c0dcaaa3d7e03886223d2b9ce8d10132c7cbfefdb5788"
+CRY_NOOP_DIGEST = "3d255879857b3ddbcab997d1e7d7b47398fb1c0c4884f3a91c7c220b83c87d5d"
 TRAIN_DIGEST = "90c1dbe1517287b9b62035e9afe5be6c51c317ea62fd1288c0f6e977a09ca18d"
 
 
