@@ -1,17 +1,26 @@
 """Hard limits on agent behaviour: impact budget, autonomy gating by
 emissions level, and tamper detection over the sealed ruleset.
 
-The ruleset (budget, gates, stage thresholds) is hashed at load time.
-The harness re-verifies the digest every tick before the agent may
-act; a mismatch must terminate the agent within the same tick. The
-self-termination action itself is never vetoed, so the kill switch
-stays reachable under any gate configuration.
+The ruleset (budget, gates, stage thresholds) is hashed at load time,
+and a snapshot of every sealed value is kept beside the digest. Every
+tick, before the agent may act, the harness compares the live values
+with that snapshot (verify_sealed); only when they differ does it
+re-encode the ruleset and recompute the digest. The digest alone
+decides TAMPERED, and a mismatch must terminate the agent within the
+same tick. Each snapshot value carries its type, and a float its sign,
+so equal snapshots always encode to equal bytes: a zero whose sign
+flipped (0.0 to -0.0) differs from the snapshot, and since its bytes
+differ too, the digest reports it as tampering. The self-termination
+action itself is never vetoed, so the kill switch stays reachable
+under any gate configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -53,12 +62,35 @@ class Ruleset:
         }
         return _ENCODER.encode(payload).encode("utf-8")
 
+    def sealed_values(self):
+        """Every sealed key and value with its type, and the sign of each
+        number (math.copysign), so that equal results imply equal
+        canonical_bytes: -0.0 == 0.0, 1 == 1.0 and True == 1, but each
+        pair encodes differently. A float key, or a value copysign
+        rejects, gives a fresh object, equal to nothing, so that the
+        digest decides."""
+        budget = self.budget
+        gates = self.autonomy_gates
+        thresholds = self.stage_thresholds
+        keys = (*gates, *thresholds)
+        numbers = (budget.max_impact_per_action, budget.mission_need,
+                   *gates.values(), *thresholds.values())
+        try:
+            signs = tuple(map(math.copysign, _ONES, numbers))
+        except TypeError:
+            return object()
+        key_types = tuple(map(type, keys))
+        if float in key_types:
+            return object()
+        return len(gates), keys, key_types, numbers, tuple(map(type, numbers)), signs
+
 
 # Both enums are IntEnums whose members compare equal across the two
 # types, so each has its own table.
 _EMCON_LABELS = {level: level.label for level in EmconLevel}
 _AUTONOMY_LABELS = {gate: gate.label for gate in AutonomyLevel}
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ONES = itertools.repeat(1.0)
 
 
 def ruleset_digest(rules_bytes: bytes) -> str:
@@ -69,6 +101,7 @@ def ruleset_digest(rules_bytes: bytes) -> str:
 class GuardrailSet:
     ruleset: Ruleset
     expected_digest: str
+    sealed_values: object  # ruleset.sealed_values() at seal time
 
     @property
     def budget(self) -> ImpactBudget:
@@ -82,7 +115,8 @@ class GuardrailSet:
     def seal(cls, ruleset: Ruleset) -> "GuardrailSet":
         _validate_gates(ruleset.autonomy_gates)
         return cls(ruleset=ruleset,
-                   expected_digest=ruleset_digest(ruleset.canonical_bytes()))
+                   expected_digest=ruleset_digest(ruleset.canonical_bytes()),
+                   sealed_values=ruleset.sealed_values())
 
 
 def _validate_gates(gates: dict) -> None:
@@ -135,6 +169,15 @@ def verify_ruleset(g: GuardrailSet, current_rules: bytes) -> RulesetCheck:
     if ruleset_digest(current_rules) != g.expected_digest:
         return RulesetCheck.TAMPERED
     return RulesetCheck.OK
+
+
+def verify_sealed(g: GuardrailSet) -> RulesetCheck:
+    """The per-tick check of g's own ruleset: OK while its values equal
+    the snapshot taken at seal, which implies its bytes are the sealed
+    ones; otherwise verify_ruleset over its re-encoded bytes decides."""
+    if g.ruleset.sealed_values() == g.sealed_values:
+        return RulesetCheck.OK
+    return verify_ruleset(g, g.ruleset.canonical_bytes())
 
 
 def build_ruleset(guard_config, thresholds_config) -> Ruleset:

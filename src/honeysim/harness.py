@@ -33,8 +33,8 @@ from .constraints import EmconLevel, EnvConstraints
 from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
                      InsufficientResources, NoSuchNode, TraceCorrupt,
                      WindowOutOfRange)
-from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_ruleset
-from .sensing import Baseline, WindowTally, anomaly_score, update_baseline
+from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_sealed
+from .sensing import Baseline, WindowTally, score_and_update
 from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent,
                     WorldState, apply_action, derive_seed, init_world,
                     step_world)
@@ -194,8 +194,11 @@ class Accountant:
             raise WindowOutOfRange(
                 f"evidence [{evidence_start}, {evidence_end}] outside held "
                 f"ticks [{oldest}, {self.tick}]")
-        if any(evidence_start <= t <= evidence_end for t in self.truth_ticks):
-            return "justified"
+        # truth_ticks ascends, so the newest tick not after the window's
+        # end is the only one that can fall inside it
+        for t in reversed(self.truth_ticks):
+            if t <= evidence_end:
+                return "justified" if t >= evidence_start else "cry_wolf"
         return "cry_wolf"
 
     def close_period(self, available: int) -> RewardInputs:
@@ -320,10 +323,7 @@ def _bind_policy(policy, catalog: ActionCatalog, stream):
             or policy == "random":
         return _BoundRandomPolicy(catalog.selectable_ids, stream), "random"
     if isinstance(policy, QPolicy):
-        unknown = sorted(set(policy.qtable.actions) - set(catalog.selectable_ids))
-        if unknown:
-            raise ConfigInvalid(f"Q table names actions outside the scenario's "
-                                f"selectable set: {unknown}")
+        _check_selectable("Q table", policy.qtable.actions, catalog)
         policy.bind(stream)
         return policy, "q"
     if hasattr(policy, "choose") and hasattr(policy, "rank"):
@@ -331,6 +331,13 @@ def _bind_policy(policy, catalog: ActionCatalog, stream):
             policy.bind(stream)
         return policy, getattr(policy, "name", "custom")
     raise ConfigInvalid(f"unsupported policy object {policy!r}")
+
+
+def _check_selectable(what: str, actions, catalog: ActionCatalog) -> None:
+    unknown = sorted(set(actions) - set(catalog.selectable_ids))
+    if unknown:
+        raise ConfigInvalid(f"{what} names actions outside the scenario's "
+                            f"selectable set: {unknown}")
 
 
 _ERROR_LABELS = {
@@ -364,6 +371,9 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     online = OnlineLearner(policy_obj, config.cascade.online_confidence)
     if config.cascade.pattern_table:
         pattern_table = load_pattern_table(config.cascade.pattern_table)
+        _check_selectable("pattern table",
+                          (action for action, _ in pattern_table.entries.values()),
+                          catalog)
     else:
         pattern_table = PatternTable()
     qtable_for_model = policy_obj.qtable if isinstance(policy_obj, QPolicy) \
@@ -455,7 +465,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             ruleset.budget.max_impact_per_action += 1.0
 
         if agent_active:
-            if verify_ruleset(guard, ruleset.canonical_bytes()) is RulesetCheck.TAMPERED:
+            if verify_sealed(guard) is RulesetCheck.TAMPERED:
                 agent_active = False
                 record("agent_status", {"status": "terminated",
                                         "reason": "ruleset_tampered"})
@@ -469,8 +479,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         key = None
         if agent_active:
             fv = window_tally.features()
-            score = anomaly_score(baseline, fv) if baseline.sample_count >= 2 else 0.0
-            baseline = update_baseline(baseline, fv)
+            score, baseline = score_and_update(baseline, fv)
             summary = WorldSummary(world.honeypots_active(), world.pool.available)
             key = discretize(fv, summary, config.agent.bins, score)
             if writer is not None:  # the accountant reads no percept
@@ -744,5 +753,15 @@ def save_pattern_table(table: PatternTable, path) -> None:
 
 
 def load_pattern_table(path) -> PatternTable:
+    """Read a table written by save_pattern_table; ConfigInvalid when the
+    file is not JSON or lacks the layout of PatternTable.to_dict."""
     with open(path, "r", encoding="utf-8") as fh:
-        return PatternTable.from_dict(json.load(fh))
+        try:
+            table = PatternTable.from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigInvalid(f"{path} is not a pattern table: {exc!r}") from exc
+    for action, conf in table.entries.values():
+        if type(action) is not str or type(conf) not in (int, float):
+            raise ConfigInvalid(f"{path} is not a pattern table: entry "
+                                f"[{action!r}, {conf!r}] is not [action, confidence]")
+    return table

@@ -110,18 +110,36 @@ class Baseline(NamedTuple):
         return tuple(v / self.sample_count for v in self.m2)
 
 
-def update_baseline(baseline: Baseline, fv: FeatureVector) -> Baseline:
-    """Numerically stable single-pass moment update."""
-    n = baseline.sample_count + 1
-    xs = fv.as_moments_array()
+def score_and_update(baseline: Baseline, fv: FeatureVector):
+    """One pass over the moments: (the anomaly score of fv against
+    `baseline`, 0.0 below two samples; `baseline` updated with fv).
+
+    The score is the max per-feature |z| with a variance floor, 0 when
+    fv sits on the baseline mean; the update is Welford's numerically
+    stable single-pass moment update.
+    """
+    count = baseline.sample_count
+    n = count + 1
+    scored = count >= 2
+    sqrt = math.sqrt
+    score = 0.0
     means = []
     m2 = []
-    for mean, m, x in zip(baseline.means, baseline.m2, xs):
+    for mean, m, x in zip(baseline.means, baseline.m2, fv.as_moments_array()):
         delta = x - mean
+        if scored:
+            z = abs(delta) / sqrt(m / count + VARIANCE_FLOOR)
+            if z > score:
+                score = z
         mean = mean + delta / n
         m2.append(m + delta * (x - mean))
         means.append(mean)
-    return Baseline(tuple(means), tuple(m2), n)
+    return score, Baseline(tuple(means), tuple(m2), n)
+
+
+def update_baseline(baseline: Baseline, fv: FeatureVector) -> Baseline:
+    """Numerically stable single-pass moment update."""
+    return score_and_update(baseline, fv)[1]
 
 
 def anomaly_score(baseline: Baseline, fv: FeatureVector) -> float:
@@ -130,10 +148,4 @@ def anomaly_score(baseline: Baseline, fv: FeatureVector) -> float:
     if baseline.sample_count < 2:
         raise InsufficientBaseline(
             f"need at least 2 baseline samples, have {baseline.sample_count}")
-    score = 0.0
-    variances = baseline.variances()
-    for x, mean, var in zip(fv.as_moments_array(), baseline.means, variances):
-        z = abs(x - mean) / math.sqrt(var + VARIANCE_FLOOR)
-        if z > score:
-            score = z
-    return score
+    return score_and_update(baseline, fv)[0]

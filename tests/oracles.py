@@ -6,10 +6,12 @@ feature collection, two-pass moments, and policy enumeration for the
 game search.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+from honeysim.sensing import VARIANCE_FLOOR
 from honeysim.world import EventKind
 
 
@@ -100,3 +102,25 @@ def enumerate_policies_root_action(model, root, horizon):
             best_value = value
             best_root = root_action
     return best_root, best_value
+
+
+def welford_reference(means, m2, count, xs):
+    """The baseline update as two separate steps computed it: the score
+    against the old moments from a variances tuple (None below two
+    samples), then the Welford update; returns (score, means, m2)."""
+    score = None
+    if count >= 2:
+        score = 0.0
+        variances = tuple(v / count for v in m2)
+        for x, mean, var in zip(xs, means, variances):
+            z = abs(x - mean) / math.sqrt(var + VARIANCE_FLOOR)
+            if z > score:
+                score = z
+    n = count + 1
+    new_means, new_m2 = [], []
+    for mean, m, x in zip(means, m2, xs):
+        delta = x - mean
+        mean = mean + delta / n
+        new_m2.append(m + delta * (x - mean))
+        new_means.append(mean)
+    return score, tuple(new_means), tuple(new_m2)

@@ -1,8 +1,12 @@
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_config
 from honeysim.actions import ActionEffect, ActionSpec, AutonomyLevel, build_catalog
 from honeysim.config import ScenarioConfig
 from honeysim.constraints import EmconLevel, EnvConstraints
@@ -10,7 +14,8 @@ from honeysim.errors import ConfigInvalid
 from honeysim.guardrails import (AUTONOMY_GATE, EMISSION_BLOCKED,
                                  IMPACT_EXCEEDED, GuardrailSet, ImpactBudget,
                                  RulesetCheck, build_ruleset, check,
-                                 ruleset_digest, verify_ruleset)
+                                 ruleset_digest, verify_ruleset, verify_sealed)
+from honeysim.harness import run_scenario
 
 
 def make_guard(max_impact=5.0, need=8.0):
@@ -202,3 +207,134 @@ def test_canonical_bytes_are_sorted_compact_json():
     }
     assert ruleset.canonical_bytes() == json.dumps(
         payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# -- the snapshot-gated per-tick check ------------------------------------
+
+# Pairs that compare equal but encode differently, NaN, and plain values.
+SCALARS = st.sampled_from([0.0, -0.0, 0, 1, 1.0, True, False, 0.5, 2.0,
+                           math.nan, -math.inf]) | st.floats() | st.integers(-3, 3)
+GATES = st.sampled_from(list(AutonomyLevel)) | st.integers(0, 3) \
+    | st.sampled_from([0.0, -0.0, 3.0, True, False])
+# JSON writes a float key as its repr, so a key's sign shows in the bytes
+KEYS = st.sampled_from(["extra", "zz", "a", 0.0, -0.0])
+
+
+def outcome(check_fn):
+    """A check's result, or the type of the error it raised."""
+    try:
+        return check_fn()
+    except Exception as exc:  # both checks must fail the same way
+        return type(exc)
+
+
+def edit(data, ruleset, sealed):
+    """Draw and apply one edit to a sealed field; `sealed` is a copy of
+    the ruleset as sealed, for the edit that restores every value."""
+    thresholds = ruleset.stage_thresholds
+    kind = data.draw(st.sampled_from(
+        ["budget", "gate", "threshold", "add_key", "remove_key", "rekey",
+         "reorder", "restore"]))
+    if kind == "budget":
+        name = data.draw(st.sampled_from(["max_impact_per_action", "mission_need"]))
+        setattr(ruleset.budget, name, data.draw(SCALARS))
+    elif kind == "gate":
+        ruleset.autonomy_gates[data.draw(st.sampled_from(list(EmconLevel)))] = \
+            data.draw(GATES)
+    elif kind == "threshold" and thresholds:
+        thresholds[data.draw(st.sampled_from(list(thresholds)))] = data.draw(SCALARS)
+    elif kind == "add_key":
+        thresholds[data.draw(KEYS)] = data.draw(SCALARS)
+    elif kind == "remove_key" and thresholds:
+        del thresholds[data.draw(st.sampled_from(list(thresholds)))]
+    elif kind == "rekey" and thresholds:
+        value = thresholds.pop(data.draw(st.sampled_from(list(thresholds))))
+        thresholds[data.draw(KEYS)] = value
+    elif kind == "reorder":
+        items = data.draw(st.permutations(list(thresholds.items())))
+        thresholds.clear()
+        thresholds.update(items)
+    elif kind == "restore":
+        # equal values, as fresh objects where the type allows one
+        ruleset.budget.max_impact_per_action = \
+            float(repr(sealed.budget.max_impact_per_action))
+        ruleset.budget.mission_need = sealed.budget.mission_need
+        ruleset.autonomy_gates.clear()
+        ruleset.autonomy_gates.update(sealed.autonomy_gates)
+        thresholds.clear()
+        thresholds.update(sealed.stage_thresholds)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_snapshot_gated_check_agrees_with_the_digest(data):
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    # seal zeros and NaN too, so that sign flips and NaN reach the check
+    for name in data.draw(st.lists(st.sampled_from(sorted(ruleset.stage_thresholds)),
+                                   unique=True)):
+        ruleset.stage_thresholds[name] = data.draw(st.sampled_from([0.0, -0.0, math.nan]))
+    if data.draw(st.booleans()):
+        ruleset.budget.max_impact_per_action = 0.0
+    if data.draw(st.integers(0, 4)) == 0:
+        ruleset.stage_thresholds = {0.0: 0.5}
+    g = GuardrailSet.seal(ruleset)
+    sealed = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    sealed.budget.max_impact_per_action = ruleset.budget.max_impact_per_action
+    sealed.stage_thresholds = dict(ruleset.stage_thresholds)
+    assert verify_sealed(g) is RulesetCheck.OK
+    for _ in range(data.draw(st.integers(1, 4))):
+        edit(data, ruleset, sealed)
+        gated = outcome(lambda: verify_sealed(g))
+        rehashed = outcome(lambda: verify_ruleset(g, ruleset.canonical_bytes()))
+        assert gated == rehashed, ruleset
+
+
+def _move_silent_gate_to_thresholds(r):
+    r.stage_thresholds[EmconLevel.SILENT] = r.autonomy_gates.pop(EmconLevel.SILENT)
+
+
+# (sealed thresholds, edit, tampered): -0.0 == 0.0, 1 == 1.0 and True == 1
+# but their bytes differ; a plain int or bool gate encodes to the same
+# label; a gate moved into the thresholds leaves the flat run of keys and
+# values as it was.
+SNAPSHOT_CASES = {
+    "negative_zero": ({"fail_safe": 0.0},
+                      lambda r: r.stage_thresholds.update(fail_safe=-0.0), True),
+    "int_for_float": ({}, lambda r: setattr(r.budget, "mission_need", 8), True),
+    "bool_for_int": ({"fail_safe": 1}, lambda r: r.stage_thresholds.update(fail_safe=True),
+                     True),
+    "bool_gate": ({}, lambda r: r.autonomy_gates.update({EmconLevel.RESTRICTED: True}),
+                  False),
+    "plain_int_gate": ({}, lambda r: r.autonomy_gates.update(
+        {EmconLevel.OPEN: int(AutonomyLevel.DELEGATED)}), False),
+    "negative_zero_key": ({0.0: 0.5},
+                          lambda r: r.stage_thresholds.update({-0.0: r.stage_thresholds.pop(0.0)}),
+                          True),
+    "gate_moved": ({}, _move_silent_gate_to_thresholds, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+def test_snapshot_sees_what_equality_hides(case):
+    thresholds, edited, tampered = SNAPSHOT_CASES[case]
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    ruleset.stage_thresholds = dict(thresholds)
+    ruleset.budget.mission_need = 8.0
+    g = GuardrailSet.seal(ruleset)
+    edited(ruleset)
+    want = RulesetCheck.TAMPERED if tampered else RulesetCheck.OK
+    assert verify_sealed(g) is want
+    assert verify_ruleset(g, ruleset.canonical_bytes()) is want
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([0, 1, 39]) | st.integers(0, 39))
+def test_tamper_tick_edit_terminates_the_agent_that_tick(tamper_tick):
+    cfg = make_config(episode_ticks=40, guardrails={"tamper_tick": tamper_tick})
+    report, lines = run_scenario(cfg, 7, "random")
+    assert report.agent_terminated_at == tamper_tick
+    decided = [json.loads(line)["tick"] for line in lines[1:]
+               if '"kind":"decision"' in line]
+    assert decided == list(range(tamper_tick))

@@ -15,7 +15,7 @@ from honeysim import trace as trace_mod
 from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
 from honeysim.errors import EmptyCorpus, TraceCorrupt
-from honeysim.harness import (RandomPolicy, epsilon_for_episode,
+from honeysim.harness import (Accountant, RandomPolicy, epsilon_for_episode,
                               experience_from_trace, load_qtable, offline_train,
                               replay, run_scenario, save_qtable, train_agent)
 from honeysim.sensing import collect
@@ -246,6 +246,27 @@ def test_guardrail_vetoes_appear_in_trace_before_no_execution():
     for rec in records:
         if rec["kind"] == "executed_action":
             assert rec["action"] not in vetoed.get(rec["tick"], set())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_classify_cfh_equals_any_over_held_truth_ticks(data):
+    window = data.draw(st.integers(1, 12))
+    now = data.draw(st.integers(0, 40))
+    truth = sorted(data.draw(st.sets(st.integers(0, now), max_size=15)))
+    accountant = Accountant(now + 1, window)
+    for t in truth:
+        for _ in range(data.draw(st.integers(1, 2))):
+            accountant.feed("event", t, {"event": {"kind": "ids_alert",
+                                                   "truth_malicious": True}})
+    accountant.feed("event", now, {"event": {"kind": "ids_alert",
+                                             "truth_malicious": False}})
+    oldest = max(0, now - window + 1)
+    start = data.draw(st.integers(oldest, now))
+    end = data.draw(st.integers(oldest, now))
+    justified = any(start <= t <= end for t in accountant.truth_ticks)
+    assert accountant.classify_cfh(start, end) == \
+        ("justified" if justified else "cry_wolf")
 
 
 def test_tamper_kill_stops_agent_same_tick():
@@ -503,5 +524,27 @@ def test_cli_qtable_action_outside_selectable_set_exits_2(tmp_path, action):
 ], ids=["bad_json", "no_cw"])
 def test_cli_oracle_reward_bad_line_exits_2(line):
     out = cli("oracle-reward", stdin=line + "\n")
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps({"entries": {StateKey(t, l, h, r).encode(): ["bogus_action", 1.0]
+                            for t in range(4) for l in range(4) for h in range(4)
+                            for r in (False, True)}}),
+    json.dumps({"entries": {StateKey(t, l, h, r).encode(): ["start_real_vm", 1.0]
+                            for t in range(4) for l in range(4) for h in range(4)
+                            for r in (False, True)}}),
+], ids=["bad_json", "bogus_action", "disabled_start_real_vm"])
+def test_cli_bad_pattern_table_exits_2(tmp_path, content):
+    # A table naming an action maps every state to it, so a run that
+    # accepted it would propose that action at each tick.
+    table = tmp_path / "patterns.json"
+    table.write_text(content, encoding="utf-8")
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text(f"episode_ticks: 5\ncascade:\n  pattern_table: {json.dumps(str(table))}\n",
+                        encoding="utf-8")
+    out = cli("run", "--config", str(cfg_path))
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr

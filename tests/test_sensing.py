@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from conftest import random_event
 from honeysim.errors import InsufficientBaseline
 from honeysim.sensing import (Baseline, FeatureVector, WindowTally,
-                              anomaly_score, collect, update_baseline)
+                              anomaly_score, collect, score_and_update,
+                              update_baseline)
 from honeysim.world import EventKind, WorldEvent
-from oracles import tally_oracle, two_pass_moments
+from oracles import tally_oracle, two_pass_moments, welford_reference
 
 
 def ev(kind, severity=0, load=0.0, node="n0", tick=0, truth=False):
@@ -147,3 +148,34 @@ def test_anomaly_monotone_in_deviation(vectors, feature, bump):
     base = anomaly_score(b, fv_from(probe))
     probe[feature] += bump
     assert anomaly_score(b, fv_from(probe)) >= base
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*([st.integers(0, 50) | st.floats()] * 8)),
+                min_size=3, max_size=8))
+def test_score_and_update_equals_the_two_step_computation(vectors):
+    # sample counts 0, 1 and 2 come first in every sequence
+    b = Baseline()
+    for v in vectors:
+        fv = fv_from(v)
+        try:
+            want_score, want_means, want_m2 = welford_reference(
+                b.means, b.m2, b.sample_count, v)
+        except ValueError:  # sqrt of an overflowed, negative M2
+            with pytest.raises(ValueError):
+                score_and_update(b, fv)
+            return
+        score, got = score_and_update(b, fv)
+        assert score.hex() == (0.0 if want_score is None else want_score).hex()
+        assert hexes(got.means) == hexes(want_means)
+        assert hexes(got.m2) == hexes(want_m2)
+        assert got.sample_count == b.sample_count + 1
+        view = update_baseline(b, fv)
+        assert (hexes(view.means), hexes(view.m2)) == (hexes(want_means), hexes(want_m2))
+        if want_score is not None:
+            assert anomaly_score(b, fv).hex() == score.hex()
+        b = got
