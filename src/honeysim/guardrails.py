@@ -48,41 +48,53 @@ class Ruleset:
     autonomy_gates: dict  # EmconLevel -> AutonomyLevel
     stage_thresholds: dict = field(default_factory=dict)  # stage name -> theta
 
-    def canonical_bytes(self) -> bytes:
-        """Sorted-key compact JSON of every sealed field, rebuilt from
-        the live fields on each call so that any edit changes it."""
-        payload = {
+    def sealed_fields(self) -> dict:
+        """Every sealed field by its name in canonical_bytes, each a
+        mapping of names to numbers. canonical_bytes and sealed_values
+        both walk this, so they always cover the same fields."""
+        budget = self.budget
+        return {
             "budget": {
-                "max_impact_per_action": self.budget.max_impact_per_action,
-                "mission_need": self.budget.mission_need,
+                "max_impact_per_action": budget.max_impact_per_action,
+                "mission_need": budget.mission_need,
             },
-            "autonomy_gates": {_EMCON_LABELS[level]: _AUTONOMY_LABELS[gate]
-                               for level, gate in self.autonomy_gates.items()},
+            "autonomy_gates": self.autonomy_gates,
             "stage_thresholds": self.stage_thresholds,
         }
+
+    def canonical_bytes(self) -> bytes:
+        """Sorted-key compact JSON of every sealed field, rebuilt from
+        the live fields on each call so that any edit changes it. Gates
+        encode as their EMCON and autonomy labels."""
+        payload = self.sealed_fields()
+        payload["autonomy_gates"] = {
+            _EMCON_LABELS[level]: _AUTONOMY_LABELS[gate]
+            for level, gate in payload["autonomy_gates"].items()}
         return _ENCODER.encode(payload).encode("utf-8")
 
     def sealed_values(self):
         """Every sealed key and value with its type, and the sign of each
         number (math.copysign), so that equal results imply equal
         canonical_bytes: -0.0 == 0.0, 1 == 1.0 and True == 1, but each
-        pair encodes differently. A float key, or a value copysign
-        rejects, gives a fresh object, equal to nothing, so that the
-        digest decides."""
-        budget = self.budget
-        gates = self.autonomy_gates
-        thresholds = self.stage_thresholds
-        keys = (*gates, *thresholds)
-        numbers = (budget.max_impact_per_action, budget.mission_need,
-                   *gates.values(), *thresholds.values())
+        pair encodes differently. A float key, or a field or value the
+        walk cannot take (copysign rejects a string, and overflows on
+        an int too large for a float), gives a fresh object, equal to
+        nothing, so that the digest decides."""
+        fields = tuple(self.sealed_fields().values())
+        keys = []
+        numbers = []
         try:
+            for mapping in fields:
+                keys += mapping
+                numbers += mapping.values()
             signs = tuple(map(math.copysign, _ONES, numbers))
-        except TypeError:
+        except (AttributeError, TypeError, OverflowError):
             return object()
         key_types = tuple(map(type, keys))
         if float in key_types:
             return object()
-        return len(gates), keys, key_types, numbers, tuple(map(type, numbers)), signs
+        return (tuple(map(len, fields)), keys, key_types, numbers,
+                tuple(map(type, numbers)), signs)
 
 
 # Both enums are IntEnums whose members compare equal across the two

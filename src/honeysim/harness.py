@@ -194,11 +194,8 @@ class Accountant:
             raise WindowOutOfRange(
                 f"evidence [{evidence_start}, {evidence_end}] outside held "
                 f"ticks [{oldest}, {self.tick}]")
-        # truth_ticks ascends, so the newest tick not after the window's
-        # end is the only one that can fall inside it
-        for t in reversed(self.truth_ticks):
-            if t <= evidence_end:
-                return "justified" if t >= evidence_start else "cry_wolf"
+        if any(evidence_start <= t <= evidence_end for t in self.truth_ticks):
+            return "justified"
         return "cry_wolf"
 
     def close_period(self, available: int) -> RewardInputs:

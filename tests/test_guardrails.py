@@ -193,6 +193,17 @@ def test_every_sealed_field_is_tamper_checked(case):
     TAMPERS[case](ruleset)
     assert verify_ruleset(g, ruleset.canonical_bytes()) is RulesetCheck.TAMPERED
 
+
+@pytest.mark.parametrize("case", sorted(TAMPERS))
+def test_every_sealed_field_is_tamper_checked_per_tick(case):
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    g = GuardrailSet.seal(ruleset)
+    assert verify_sealed(g) is RulesetCheck.OK
+    TAMPERS[case](ruleset)
+    assert verify_sealed(g) is RulesetCheck.TAMPERED
+
+
 def test_canonical_bytes_are_sorted_compact_json():
     cfg = ScenarioConfig()
     ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
@@ -211,9 +222,12 @@ def test_canonical_bytes_are_sorted_compact_json():
 
 # -- the snapshot-gated per-tick check ------------------------------------
 
-# Pairs that compare equal but encode differently, NaN, and plain values.
+# Pairs that compare equal but encode differently, NaN, an int too large
+# for a float, and plain values.
+HUGE = 10 ** 400
 SCALARS = st.sampled_from([0.0, -0.0, 0, 1, 1.0, True, False, 0.5, 2.0,
-                           math.nan, -math.inf]) | st.floats() | st.integers(-3, 3)
+                           math.nan, -math.inf, HUGE, HUGE + 1, -HUGE]) \
+    | st.floats() | st.integers(-3, 3)
 GATES = st.sampled_from(list(AutonomyLevel)) | st.integers(0, 3) \
     | st.sampled_from([0.0, -0.0, 3.0, True, False])
 # JSON writes a float key as its repr, so a key's sign shows in the bytes
@@ -270,17 +284,22 @@ def edit(data, ruleset, sealed):
 def test_snapshot_gated_check_agrees_with_the_digest(data):
     cfg = ScenarioConfig()
     ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
-    # seal zeros and NaN too, so that sign flips and NaN reach the check
+    # seal zeros, NaN and a huge int too, so that sign flips, NaN and
+    # values with no float form reach the check
     for name in data.draw(st.lists(st.sampled_from(sorted(ruleset.stage_thresholds)),
                                    unique=True)):
-        ruleset.stage_thresholds[name] = data.draw(st.sampled_from([0.0, -0.0, math.nan]))
+        ruleset.stage_thresholds[name] = data.draw(
+            st.sampled_from([0.0, -0.0, math.nan, HUGE]))
     if data.draw(st.booleans()):
         ruleset.budget.max_impact_per_action = 0.0
+    if data.draw(st.booleans()):
+        ruleset.budget.mission_need = HUGE
     if data.draw(st.integers(0, 4)) == 0:
         ruleset.stage_thresholds = {0.0: 0.5}
     g = GuardrailSet.seal(ruleset)
     sealed = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
     sealed.budget.max_impact_per_action = ruleset.budget.max_impact_per_action
+    sealed.budget.mission_need = ruleset.budget.mission_need
     sealed.stage_thresholds = dict(ruleset.stage_thresholds)
     assert verify_sealed(g) is RulesetCheck.OK
     for _ in range(data.draw(st.integers(1, 4))):
@@ -297,7 +316,8 @@ def _move_silent_gate_to_thresholds(r):
 # (sealed thresholds, edit, tampered): -0.0 == 0.0, 1 == 1.0 and True == 1
 # but their bytes differ; a plain int or bool gate encodes to the same
 # label; a gate moved into the thresholds leaves the flat run of keys and
-# values as it was.
+# values as it was; an int too large for a float has no sign to take, so
+# the digest decides each tick.
 SNAPSHOT_CASES = {
     "negative_zero": ({"fail_safe": 0.0},
                       lambda r: r.stage_thresholds.update(fail_safe=-0.0), True),
@@ -312,6 +332,10 @@ SNAPSHOT_CASES = {
                           lambda r: r.stage_thresholds.update({-0.0: r.stage_thresholds.pop(0.0)}),
                           True),
     "gate_moved": ({}, _move_silent_gate_to_thresholds, True),
+    "huge_int_kept": ({"fail_safe": HUGE},
+                      lambda r: r.stage_thresholds.update(fail_safe=int(str(HUGE))), False),
+    "huge_int_bumped": ({"fail_safe": HUGE},
+                        lambda r: r.stage_thresholds.update(fail_safe=HUGE + 1), True),
 }
 
 

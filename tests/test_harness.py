@@ -15,7 +15,7 @@ from honeysim import trace as trace_mod
 from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
 from honeysim.errors import EmptyCorpus, TraceCorrupt
-from honeysim.harness import (Accountant, RandomPolicy, epsilon_for_episode,
+from honeysim.harness import (RandomPolicy, epsilon_for_episode,
                               experience_from_trace, load_qtable, offline_train,
                               replay, run_scenario, save_qtable, train_agent)
 from honeysim.sensing import collect
@@ -246,27 +246,6 @@ def test_guardrail_vetoes_appear_in_trace_before_no_execution():
     for rec in records:
         if rec["kind"] == "executed_action":
             assert rec["action"] not in vetoed.get(rec["tick"], set())
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_classify_cfh_equals_any_over_held_truth_ticks(data):
-    window = data.draw(st.integers(1, 12))
-    now = data.draw(st.integers(0, 40))
-    truth = sorted(data.draw(st.sets(st.integers(0, now), max_size=15)))
-    accountant = Accountant(now + 1, window)
-    for t in truth:
-        for _ in range(data.draw(st.integers(1, 2))):
-            accountant.feed("event", t, {"event": {"kind": "ids_alert",
-                                                   "truth_malicious": True}})
-    accountant.feed("event", now, {"event": {"kind": "ids_alert",
-                                             "truth_malicious": False}})
-    oldest = max(0, now - window + 1)
-    start = data.draw(st.integers(oldest, now))
-    end = data.draw(st.integers(oldest, now))
-    justified = any(start <= t <= end for t in accountant.truth_ticks)
-    assert accountant.classify_cfh(start, end) == \
-        ("justified" if justified else "cry_wolf")
 
 
 def test_tamper_kill_stops_agent_same_tick():
@@ -548,3 +527,18 @@ def test_cli_bad_pattern_table_exits_2(tmp_path, content):
     out = cli("run", "--config", str(cfg_path))
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_cli_int_mission_need_too_large_for_a_float_runs(tmp_path):
+    # The ruleset encodes a big int exactly; the per-tick check falls back
+    # to the digest for it, and nothing else reads mission_need.
+    reports = []
+    for need in (8.0, 10 ** 400):
+        cfg_path = tmp_path / "s.yaml"
+        cfg_path.write_text(f"episode_ticks: 5\nguardrails:\n  mission_need: {need}\n",
+                            encoding="utf-8")
+        out = cli("run", "--config", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+        reports.append(json.loads(out.stdout))
+    assert reports[1] == reports[0]
+    assert reports[1]["agent_terminated_at"] is None
