@@ -10,9 +10,11 @@ decides TAMPERED, and a mismatch must terminate the agent within the
 same tick. Each snapshot value carries its type, and a float its sign,
 so equal snapshots always encode to equal bytes: a zero whose sign
 flipped (0.0 to -0.0) differs from the snapshot, and since its bytes
-differ too, the digest reports it as tampering. The self-termination
-action itself is never vetoed, so the kill switch stays reachable
-under any gate configuration.
+differ too, the digest reports it as tampering. A ruleset holding a
+value with no signed float form (an int too large for a float) gets a
+snapshot equal to nothing, so the digest decides every tick. The
+self-termination action itself is never vetoed, so the kill switch
+stays reachable under any gate configuration.
 """
 
 from __future__ import annotations
