@@ -188,9 +188,6 @@ cdef class CoreWorld:
     def set_integrity(self, i, ok):
         self.integrity[<size_t>i] = 1 if ok else 0
 
-    def attack_progress(self, i):
-        return self.progress[<size_t>i]
-
     def reset_progress(self, i):
         self.progress[<size_t>i] = 0
 
@@ -219,9 +216,6 @@ cdef class CoreWorld:
         self.integrity.erase(self.integrity.begin() + idx)
         self.progress.erase(self.progress.begin() + idx)
         self.owners.erase(self.owners.begin() + idx)
-
-    def n_campaigns(self):
-        return self.c_intensity.size()
 
     def campaign_phase(self, ci):
         return self.c_phase[ci]

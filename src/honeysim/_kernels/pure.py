@@ -130,9 +130,6 @@ class CoreWorld:
     def set_integrity(self, i, ok):
         self.integrity[i] = 1 if ok else 0
 
-    def attack_progress(self, i):
-        return self.progress[i]
-
     def reset_progress(self, i):
         self.progress[i] = 0
 
@@ -158,9 +155,6 @@ class CoreWorld:
         del self.integrity[i]
         del self.progress[i]
         del self.owners[i]
-
-    def n_campaigns(self):
-        return len(self.c_intensity)
 
     def campaign_phase(self, ci):
         return self.c_phase[ci]

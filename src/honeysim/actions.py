@@ -1,12 +1,10 @@
 """The agent's action catalog.
 
-Each entry carries the fields the rest of the system keys off:
-the physical effect, the nominal resource delta (negative when the
-action needs resources, positive when it frees them), an impact
-score in guardrail currency, an emission cost, and the autonomy
-level required to run it. Actual resource deltas are reported by
-the world when an action is applied; the catalog values are the
-nominal ones used for invariant checks and planning.
+Each entry carries the fields the rest of the system keys off: the
+physical effect, an impact score in guardrail currency, an emission
+cost, and the autonomy level required to run it. An action's resource
+delta is not a catalog field: the world reports it when the action is
+applied, from the cost of the node kind it starts or stops.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ class ActionEffect(Enum):
 class ActionSpec:
     id: str
     effect: ActionEffect
-    resource_delta: int
     impact: float
     emission_cost: int
     autonomy_level: AutonomyLevel
@@ -65,25 +62,25 @@ class ActionSpec:
     enabled: bool = True
 
 
-def _default_entries(hp_cost: int, real_cost: int):
+def _default_entries():
     A = AutonomyLevel
     E = ActionEffect
     return [
-        ActionSpec("cry_for_help", E.CRY_FOR_HELP, 0, 0.0, 1, A.COLLABORATIVE),
-        ActionSpec("deploy_dummy_files", E.DEPLOY_DUMMY_FILES, 0, 1.0, 0, A.REFLEX),
-        ActionSpec("noop", E.NOOP, 0, 0.0, 0, A.REFLEX),
-        ActionSpec("quarantine_file", E.QUARANTINE_FILE, 0, 1.0, 0, A.REFLEX),
-        ActionSpec("quarantine_node", E.QUARANTINE_NODE, 0, 4.0, 0, A.PREVISIONED),
-        ActionSpec("restore_known_good", E.RESTORE_KNOWN_GOOD, 0, 2.0, 0, A.PREVISIONED),
-        ActionSpec("restrict_comms_inbound", E.RESTRICT_COMMS_INBOUND, 0, 3.0, 0, A.PREVISIONED),
-        ActionSpec("restrict_comms_outbound", E.RESTRICT_COMMS_OUTBOUND, 0, 3.0, 0, A.PREVISIONED),
-        ActionSpec("rotate_address", E.ROTATE_ADDRESS, 0, 1.0, 0, A.REFLEX),
-        ActionSpec("share_blocklist", E.SHARE_BLOCKLIST, 0, 0.0, 1, A.COLLABORATIVE),
-        ActionSpec("start_honeypot", E.START_HONEYPOT, -hp_cost, 1.0, 0, A.PREVISIONED),
-        ActionSpec("start_real_vm", E.START_REAL_VM, -real_cost, 2.0, 0, A.COLLABORATIVE, enabled=False),
-        ActionSpec("stop_honeypot", E.STOP_HONEYPOT, hp_cost, 1.0, 0, A.PREVISIONED),
-        ActionSpec("stop_real_vm", E.STOP_REAL_VM, real_cost, 6.0, 0, A.COLLABORATIVE, enabled=False),
-        ActionSpec("terminate_self", E.TERMINATE_SELF, 0, 0.0, 0, A.REFLEX, selectable=False),
+        ActionSpec("cry_for_help", E.CRY_FOR_HELP, 0.0, 1, A.COLLABORATIVE),
+        ActionSpec("deploy_dummy_files", E.DEPLOY_DUMMY_FILES, 1.0, 0, A.REFLEX),
+        ActionSpec("noop", E.NOOP, 0.0, 0, A.REFLEX),
+        ActionSpec("quarantine_file", E.QUARANTINE_FILE, 1.0, 0, A.REFLEX),
+        ActionSpec("quarantine_node", E.QUARANTINE_NODE, 4.0, 0, A.PREVISIONED),
+        ActionSpec("restore_known_good", E.RESTORE_KNOWN_GOOD, 2.0, 0, A.PREVISIONED),
+        ActionSpec("restrict_comms_inbound", E.RESTRICT_COMMS_INBOUND, 3.0, 0, A.PREVISIONED),
+        ActionSpec("restrict_comms_outbound", E.RESTRICT_COMMS_OUTBOUND, 3.0, 0, A.PREVISIONED),
+        ActionSpec("rotate_address", E.ROTATE_ADDRESS, 1.0, 0, A.REFLEX),
+        ActionSpec("share_blocklist", E.SHARE_BLOCKLIST, 0.0, 1, A.COLLABORATIVE),
+        ActionSpec("start_honeypot", E.START_HONEYPOT, 1.0, 0, A.PREVISIONED),
+        ActionSpec("start_real_vm", E.START_REAL_VM, 2.0, 0, A.COLLABORATIVE, enabled=False),
+        ActionSpec("stop_honeypot", E.STOP_HONEYPOT, 1.0, 0, A.PREVISIONED),
+        ActionSpec("stop_real_vm", E.STOP_REAL_VM, 6.0, 0, A.COLLABORATIVE, enabled=False),
+        ActionSpec("terminate_self", E.TERMINATE_SELF, 0.0, 0, A.REFLEX, selectable=False),
     ]
 
 
@@ -95,16 +92,12 @@ class ActionCatalog:
         if len(self._by_id) != len(entries):
             raise ConfigInvalid("duplicate action ids in catalog")
         self.ids = tuple(sorted(self._by_id))
-        self.enabled_ids = tuple(i for i in self.ids if self._by_id[i].enabled)
-        self.selectable_ids = tuple(i for i in self.enabled_ids
-                                    if self._by_id[i].selectable)
+        self.selectable_ids = tuple(
+            i for i in self.ids if self._by_id[i].enabled and self._by_id[i].selectable)
         _validate_entries(self._by_id)
 
     def get(self, action_id: str) -> ActionSpec:
         return self._by_id[action_id]
-
-    def __contains__(self, action_id: str) -> bool:
-        return action_id in self._by_id
 
     def __iter__(self):
         return (self._by_id[i] for i in self.ids)
@@ -119,16 +112,13 @@ def _validate_entries(by_id):
         spec = by_id.get(msg_action)
         if spec is not None and spec.emission_cost <= 0:
             raise ConfigInvalid(f"{msg_action} must have a positive emission cost")
-    start_hp = by_id.get("start_honeypot")
-    if start_hp is not None and start_hp.resource_delta >= 0:
-        raise ConfigInvalid("start_honeypot must have a negative resource delta")
 
 
-def build_catalog(hp_cost: int, real_cost: int, overrides: dict | None = None) -> ActionCatalog:
+def build_catalog(overrides: dict | None = None) -> ActionCatalog:
     """Build the catalog, applying per-action config overrides."""
     entries = []
     overrides = dict(overrides or {})
-    for spec in _default_entries(hp_cost, real_cost):
+    for spec in _default_entries():
         ov = overrides.pop(spec.id, None)
         if ov is not None:
             changes = {}
@@ -138,8 +128,6 @@ def build_catalog(hp_cost: int, real_cost: int, overrides: dict | None = None) -
                 changes["emission_cost"] = int(ov.emission_cost)
             if ov.autonomy is not None:
                 changes["autonomy_level"] = AutonomyLevel.from_name(ov.autonomy)
-            if ov.resource_delta is not None:
-                changes["resource_delta"] = int(ov.resource_delta)
             if ov.enabled is not None:
                 changes["enabled"] = bool(ov.enabled)
             spec = replace(spec, **changes)

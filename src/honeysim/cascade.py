@@ -202,18 +202,16 @@ class QValueModel:
         return ((1.0, state, self.qtable.get(state, action)),)
 
 
-def failsafe(profile: FailSafeProfile, table: PatternTable | None = None,
-             noop_action: str = "noop",
-             terminate_action: str = "terminate_self") -> ProposedAction:
+def failsafe(profile: FailSafeProfile, table: PatternTable | None = None) -> ProposedAction:
     """The preloaded terminal behaviour; always yields a proposal."""
     if profile is FailSafeProfile.TERMINATE:
-        return ProposedAction(terminate_action, 1.0, StageId.FAIL_SAFE)
+        return ProposedAction("terminate_self", 1.0, StageId.FAIL_SAFE)
     if profile is FailSafeProfile.LOW_THRESHOLD_ACT and table is not None:
         best = table.best_entry()
         if best is not None:
             neg_conf, action, _key = best
             return ProposedAction(action, -neg_conf, StageId.FAIL_SAFE)
-    return ProposedAction(noop_action, 1.0, StageId.FAIL_SAFE)
+    return ProposedAction("noop", 1.0, StageId.FAIL_SAFE)
 
 
 def arbiter_review(p: ProposedAction, c: EnvConstraints, guard: gr.GuardrailSet,
@@ -229,30 +227,18 @@ def arbiter_review(p: ProposedAction, c: EnvConstraints, guard: gr.GuardrailSet,
     return gr.Verdict(True)
 
 
-class OnlineLearner:
-    """Stage handle around the live policy."""
-
-    def __init__(self, policy, confidence: float = 0.9):
-        self.policy = policy
-        self.confidence = confidence
-
-    def propose(self, key: StateKey):
-        action = self.policy.choose(key)
-        if action is None:
-            return None
-        return ProposedAction(action, self.confidence, StageId.ONLINE_LEARNING)
-
-    def rank(self, key: StateKey):
-        return self.policy.rank(key)
-
-
 @dataclass
 class StageContext:
-    """Initialized stage handles plus the shared review machinery."""
+    """Initialized stage handles plus the shared review machinery.
+
+    The online stage proposes policy.choose(key) at online_confidence;
+    escalation offers the operator the head of policy.rank(key).
+    """
 
     catalog: ActionCatalog
     guard: gr.GuardrailSet
-    online: OnlineLearner
+    policy: object
+    online_confidence: float = 0.9
     pattern_table: PatternTable = field(default_factory=PatternTable)
     operator: OperatorConfig = field(default_factory=OperatorConfig)
     game_model: object | None = None
@@ -301,9 +287,12 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
             if stage is StageId.PATTERN_RECOGNITION:
                 proposal = pattern_match(ctx.pattern_table, key)
             elif stage is StageId.ONLINE_LEARNING:
-                proposal = ctx.online.propose(key)
+                action = ctx.policy.choose(key)
+                if action is not None:
+                    proposal = ProposedAction(action, ctx.online_confidence,
+                                              StageId.ONLINE_LEARNING)
             elif stage is StageId.HUMAN_ESCALATION:
-                options = ctx.online.rank(key)[:ctx.escalation_options]
+                options = ctx.policy.rank(key)[:ctx.escalation_options]
                 proposal = escalate(ctx.operator, options, remaining.time_budget)
                 spent_time = max(spent_time, ctx.operator.latency)
                 if ctx.on_operator_reply is not None:

@@ -1,8 +1,9 @@
 """Outbound messaging under emissions control.
 
-Peers are scripted stubs; what matters here is whether a message may
-leave the agent at the current EMCON level. Whether a sent cry for help
-was justified needs ground truth, so the harness's accountant decides it.
+What matters here is only whether a message may leave the agent at the
+current EMCON level and autonomy gate; no peer receives it. Whether a
+sent cry for help was justified needs ground truth, so the harness's
+accountant decides it.
 """
 
 from __future__ import annotations
@@ -40,28 +41,26 @@ class Message:
             raise ValueError("cry_for_help needs a non-empty evidence window")
 
 
-# Emission cost and required autonomy per message kind. A zero-cost
-# message kind does not exist: transmitting is what EMCON regulates.
-MESSAGE_SPECS = {
-    MessageKind.CRY_FOR_HELP: (1, AutonomyLevel.COLLABORATIVE),
-    MessageKind.ALERT: (1, AutonomyLevel.PREVISIONED),
-    MessageKind.SHARE_BLOCKLIST: (1, AutonomyLevel.COLLABORATIVE),
-    MessageKind.HEARTBEAT: (1, AutonomyLevel.REFLEX),
+# Required autonomy per message kind. Every message is an emission, so
+# Silent suppresses each kind whatever its autonomy.
+MESSAGE_AUTONOMY = {
+    MessageKind.CRY_FOR_HELP: AutonomyLevel.COLLABORATIVE,
+    MessageKind.ALERT: AutonomyLevel.PREVISIONED,
+    MessageKind.SHARE_BLOCKLIST: AutonomyLevel.COLLABORATIVE,
+    MessageKind.HEARTBEAT: AutonomyLevel.REFLEX,
 }
 
 
 @dataclass(frozen=True)
 class SendRecord:
-    message: Message
     sent: bool
     reason: str | None = None
 
 
 def send(msg: Message, emcon: EmconLevel, g: GuardrailSet) -> SendRecord:
     """Gate one outbound message; Silent suppresses every emission."""
-    emission_cost, autonomy = MESSAGE_SPECS[msg.kind]
-    if emcon is EmconLevel.SILENT and emission_cost > 0:
-        return SendRecord(msg, sent=False, reason=EMISSION_BLOCKED)
-    if autonomy > g.autonomy_gates[emcon]:
-        return SendRecord(msg, sent=False, reason=AUTONOMY_GATE)
-    return SendRecord(msg, sent=True)
+    if emcon is EmconLevel.SILENT:
+        return SendRecord(sent=False, reason=EMISSION_BLOCKED)
+    if MESSAGE_AUTONOMY[msg.kind] > g.ruleset.autonomy_gates[emcon]:
+        return SendRecord(sent=False, reason=AUTONOMY_GATE)
+    return SendRecord(sent=True)

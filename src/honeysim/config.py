@@ -89,7 +89,6 @@ class ActionOverride:
     impact: float | None = None
     emission_cost: int | None = None
     autonomy: str | None = None
-    resource_delta: int | None = None
     enabled: bool | None = None
 
 
@@ -382,6 +381,8 @@ def load_file(path) -> ScenarioConfig:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"{path}: not valid YAML: {exc}") from exc
+        except ValueError as exc:  # a scalar Python cannot convert
+            raise ConfigInvalid(f"{path}: a value YAML cannot convert: {exc}") from exc
     if data is None:
         data = {}
     return from_mapping(data)

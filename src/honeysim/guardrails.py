@@ -117,14 +117,6 @@ class GuardrailSet:
     expected_digest: str
     sealed_values: object  # ruleset.sealed_values() at seal time
 
-    @property
-    def budget(self) -> ImpactBudget:
-        return self.ruleset.budget
-
-    @property
-    def autonomy_gates(self) -> dict:
-        return self.ruleset.autonomy_gates
-
     @classmethod
     def seal(cls, ruleset: Ruleset) -> "GuardrailSet":
         _validate_gates(ruleset.autonomy_gates)
@@ -163,9 +155,9 @@ def check(action: ActionSpec, c: EnvConstraints, g: GuardrailSet) -> Verdict:
     """
     if action.effect is ActionEffect.TERMINATE_SELF:
         return ALLOW
-    if action.impact > g.budget.max_impact_per_action:
+    if action.impact > g.ruleset.budget.max_impact_per_action:
         return Verdict(False, IMPACT_EXCEEDED)
-    if action.autonomy_level > g.autonomy_gates[c.emcon_level]:
+    if action.autonomy_level > g.ruleset.autonomy_gates[c.emcon_level]:
         return Verdict(False, AUTONOMY_GATE)
     if action.emission_cost > 0 and c.emcon_level is EmconLevel.SILENT:
         return Verdict(False, EMISSION_BLOCKED)

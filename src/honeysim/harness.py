@@ -15,6 +15,7 @@ the rolling sum of the last `window` per-tick tallies.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -25,8 +26,8 @@ from .actions import ActionCatalog, ActionEffect, build_catalog
 from .agent import (QTable, RewardInputs, RewardParams, StateKey,
                     WorldSummary, accumulate_reward_inputs, discretize,
                     q_update, reward, reward_terms, select_action)
-from .cascade import (FailSafeProfile, OnlineLearner, PatternTable,
-                      QValueModel, StageContext, decide)
+from .cascade import (FailSafeProfile, PatternTable, QValueModel,
+                      StageContext, decide)
 from .comms import Message, MessageKind, send
 from .config import ScenarioConfig
 from .constraints import EmconLevel, EnvConstraints
@@ -100,23 +101,10 @@ class MetricsReport:
     agent_terminated_at: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "cumulative_reward": self.cumulative_reward,
-            "honey_term_total": self.honey_term_total,
-            "resource_term_total": self.resource_term_total,
-            "cfh_term_total": self.cfh_term_total,
-            "real_server_compromises": self.real_server_compromises,
-            "honeypot_engagements": self.honeypot_engagements,
-            "cfh_justified": self.cfh_justified,
-            "cfh_cry_wolf": self.cfh_cry_wolf,
-            "cfh_precision": self.cfh_precision,
-            "messages_sent": self.messages_sent,
-            "messages_suppressed": self.messages_suppressed,
-            "stage_histogram": dict(sorted(self.stage_histogram.items())),
-            "vetoes_by_reason": dict(sorted(self.vetoes_by_reason.items())),
-            "agent_terminated_at": self.agent_terminated_at,
-        }
+        out = asdict(self)
+        for name in ("stage_histogram", "vetoes_by_reason"):
+            out[name] = dict(sorted(out[name].items()))
+        return out
 
 
 _HONEY_TOUCH = EventKind.HONEY_TOUCH.label
@@ -307,10 +295,7 @@ _TARGETLESS = (ActionEffect.NOOP, ActionEffect.START_HONEYPOT,
 # scenario execution
 
 def make_catalog(config: ScenarioConfig) -> ActionCatalog:
-    real_cost = max(config.world.database.cost, config.world.application.cost,
-                    config.world.web.cost)
-    return build_catalog(config.world.honeypot.cost, real_cost,
-                         config.agent.actions)
+    return build_catalog(config.agent.actions)
 
 
 def _bind_policy(policy, catalog: ActionCatalog, stream):
@@ -365,7 +350,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
 
     ruleset = build_ruleset(config.guardrails, config.cascade.thresholds)
     guard = GuardrailSet.seal(ruleset)
-    online = OnlineLearner(policy_obj, config.cascade.online_confidence)
     if config.cascade.pattern_table:
         pattern_table = load_pattern_table(config.cascade.pattern_table)
         _check_selectable("pattern table",
@@ -380,7 +364,8 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     ctx = StageContext(
         catalog=catalog,
         guard=guard,
-        online=online,
+        policy=policy_obj,
+        online_confidence=config.cascade.online_confidence,
         pattern_table=pattern_table,
         operator=config.cascade.operator,
         game_model=QValueModel(qtable_for_model),
@@ -735,12 +720,25 @@ def save_qtable(qtable: QTable, path) -> None:
 
 def load_qtable(path) -> QTable:
     """Read a table written by save_qtable; ConfigInvalid when the file
-    is not JSON or lacks a field of that layout."""
+    is not JSON, lacks a field of that layout, or holds a field of
+    another type: actions must be a list of strings, and alpha, gamma
+    and every entry value finite numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return QTable.from_dict(json.load(fh))
+            data = json.load(fh)
+            table = QTable.from_dict(data)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigInvalid(f"{path} is not a Q table: {exc!r}") from exc
+    actions = data["actions"]
+    if type(actions) is not list or any(type(a) is not str for a in actions):
+        raise ConfigInvalid(f"{path} is not a Q table: actions {actions!r} "
+                            f"is not a list of action ids")
+    for name, value in (("alpha", table.alpha), ("gamma", table.gamma),
+                        *data["entries"].items()):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigInvalid(f"{path} is not a Q table: {name} = {value!r} "
+                                f"is not a finite number")
+    return table
 
 
 def save_pattern_table(table: PatternTable, path) -> None:

@@ -17,8 +17,8 @@ Critical invariants:
     UnauthorizedAccess event; traces can recount compromises from
     event records alone.
   * A stopped honeypot can never run again, so stopping one retires
-    it: it leaves the kernel arrays, node_ids and costs, and only its
-    id is kept in WorldState.retired. Nothing that scans or draws from
+    it: it leaves the kernel arrays and node_ids, and only its id is
+    kept in WorldState.retired. Nothing that scans or draws from
     the nodes selects a Stopped honeypot, so retiring it changes no
     draw and no event; per-tick cost and memory follow the resident
     nodes, not the number of honeypots ever started.
@@ -181,8 +181,7 @@ class WorldState:
     backend_name: str
     core: object
     node_ids: list = field(default_factory=list)
-    node_index: dict = field(default_factory=dict)
-    costs: list = field(default_factory=list)
+    kind_costs: tuple = ()  # a node's cost, by its kind code
     pool: ResourcePool = None
     campaign_ids: list = field(default_factory=list)
     retired: set = field(default_factory=set)  # ids of stopped honeypots
@@ -190,18 +189,18 @@ class WorldState:
 
     def node(self, node_id: str) -> Node:
         """Snapshot of a resident node; a retired honeypot has none."""
-        i = self.node_index.get(node_id)
-        if i is None:
+        if node_id not in self.node_ids:
             raise NoSuchNode(f"no resident node with id {node_id!r}")
-        return self._snapshot(i)
+        return self._snapshot(self.node_ids.index(node_id))
 
     def _snapshot(self, i: int) -> Node:
+        kind = self.core.kind(i)
         return Node(
             id=self.node_ids[i],
-            kind=NodeKind(self.core.kind(i)),
+            kind=NodeKind(kind),
             status=NodeStatus(self.core.status(i)),
             address=self.core.address(i),
-            cost=self.costs[i],
+            cost=self.kind_costs[kind],
             integrity_ok=self.core.integrity_ok(i),
             decoy_files=self.core.decoy_count(i),
         )
@@ -215,8 +214,6 @@ class WorldState:
         self.retired.add(self.node_ids[i])
         self.core.remove_node(i)
         del self.node_ids[i]
-        del self.costs[i]
-        self.node_index = {nid: k for k, nid in enumerate(self.node_ids)}
 
     def campaign_phase(self, campaign_id: str) -> CampaignPhase:
         ci = self.campaign_ids.index(campaign_id)
@@ -235,7 +232,7 @@ class WorldState:
     def check_invariants(self) -> None:
         """Raise AssertionError when a structural invariant is broken."""
         core = self.core
-        expected = sum(self.costs[i] for i in range(core.n_nodes())
+        expected = sum(self.kind_costs[core.kind(i)] for i in range(core.n_nodes())
                        if core.status(i) != codes.STOPPED)
         assert self.pool.used == expected, (
             f"pool.used={self.pool.used} but non-stopped costs sum to {expected}")
@@ -244,12 +241,10 @@ class WorldState:
                    if core.status(i) == codes.RUNNING]
         assert len(running) == len(set(running)), "duplicate running addresses"
         n = core.n_nodes()
-        assert len(self.node_ids) == len(self.costs) == n
-        assert all(self.node_index[nid] == i for i, nid in enumerate(self.node_ids))
-        assert len(self.node_index) == n
+        assert len(self.node_ids) == len(set(self.node_ids)) == n
         assert not any(core.kind(i) == codes.HONEYPOT and core.status(i) == codes.STOPPED
                        for i in range(n)), "stopped honeypot left resident"
-        assert self.retired.isdisjoint(self.node_index), "retired node resident"
+        assert self.retired.isdisjoint(self.node_ids), "retired node resident"
 
 
 def _world_params(w) -> tuple:
@@ -264,34 +259,33 @@ def init_world(config: ScenarioConfig, seed: int) -> WorldState:
     structurally identical states."""
     w = config.world
 
-    kinds, costs, node_ids = [], [], []
-    decoys = []
-    for kind in (NodeKind.DATABASE, NodeKind.APPLICATION, NodeKind.WEB,
-                 NodeKind.HONEYPOT):
+    # Kind codes run 0..3 in declaration order, so a kind's code indexes
+    # its cost in kind_costs.
+    kinds, node_ids, decoys, kind_costs = [], [], [], []
+    for kind in NodeKind:
         group_name, prefix = _KIND_TO_GROUP[kind]
         group = getattr(w, group_name)
+        kind_costs.append(group.cost)
         for k in range(group.count):
             node_ids.append(f"{prefix}-{k}")
             kinds.append(int(kind))
-            costs.append(group.cost)
             decoys.append(w.honeypot_decoys if kind is NodeKind.HONEYPOT else 0)
 
-    used = sum(costs)
+    used = sum(kind_costs[kind] for kind in kinds)
     if used > w.capacity:
         raise ConfigInvalid(
             f"initial running nodes need {used} units but capacity is {w.capacity}")
 
-    node_index = {node_id: i for i, node_id in enumerate(node_ids)}
     addresses = list(range(len(node_ids)))
 
     known_sets, intensities, activations, campaign_ids, campaign_seeds = [], [], [], [], []
     for ci, camp in enumerate(w.campaigns):
         tokens = set()
         for node_id in camp.known_nodes:
-            if node_id not in node_index:
+            if node_id not in node_ids:
                 raise ConfigInvalid(
                     f"campaign {camp.id!r} references unknown node {node_id!r}")
-            tokens.add(addresses[node_index[node_id]])
+            tokens.add(addresses[node_ids.index(node_id)])
         known_sets.append(tokens)
         intensities.append(camp.intensity)
         activations.append(camp.activation_tick)
@@ -306,7 +300,7 @@ def init_world(config: ScenarioConfig, seed: int) -> WorldState:
 
     return WorldState(
         config=config, backend_name=_kernels.BACKEND, core=core,
-        node_ids=node_ids, node_index=node_index, costs=costs,
+        node_ids=node_ids, kind_costs=tuple(kind_costs),
         pool=ResourcePool(capacity=w.capacity, used=used),
         campaign_ids=campaign_ids, _next_hp=w.honeypot.count)
 
@@ -324,13 +318,13 @@ def step_world(world: WorldState) -> list:
 def _require_target(world: WorldState, action: ExecutedAction) -> int:
     if action.target is None:
         raise NoSuchNode(f"{action.action_id} requires a target node")
-    i = world.node_index.get(action.target)
-    if i is None:
+    try:
+        return world.node_ids.index(action.target)
+    except ValueError:
         # Every targeted effect is illegal on a stopped honeypot.
         if action.target in world.retired:
-            raise IllegalTransition(f"{action.target} is a stopped honeypot")
-        raise NoSuchNode(f"no node with id {action.target!r}")
-    return i
+            raise IllegalTransition(f"{action.target} is a stopped honeypot") from None
+        raise NoSuchNode(f"no node with id {action.target!r}") from None
 
 
 def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
@@ -360,8 +354,6 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
         world._next_hp += 1
         core.add_node(codes.HONEYPOT, codes.RUNNING, w.honeypot_decoys)
         world.node_ids.append(node_id)
-        world.node_index[node_id] = len(world.node_ids) - 1
-        world.costs.append(cost)
         pool.used += cost
         return ActionOutcome(delta_resources=-cost, node=node_id)
 
@@ -380,7 +372,7 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
         # A stopped honeypot is retired, so a resident one is never stopped.
         if kind != codes.HONEYPOT:
             raise IllegalTransition(f"{action.target} is not a honeypot")
-        cost = world.costs[i]
+        cost = world.kind_costs[kind]
         pool.used -= cost
         world._retire(i)
         return ActionOutcome(delta_resources=cost, node=action.target)
@@ -390,7 +382,7 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
             raise IllegalTransition(f"{action.target} is a honeypot")
         if status != codes.STOPPED:
             raise IllegalTransition(f"{action.target} is not stopped")
-        cost = world.costs[i]
+        cost = world.kind_costs[kind]
         if cost > pool.available:
             raise InsufficientResources(
                 f"restart needs {cost} units, only {pool.available} available")
@@ -405,8 +397,9 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
             raise IllegalTransition(f"{action.target} is already stopped")
         core.set_status(i, codes.STOPPED)
         core.reset_progress(i)
-        pool.used -= world.costs[i]
-        return ActionOutcome(delta_resources=world.costs[i], node=action.target)
+        cost = world.kind_costs[kind]
+        pool.used -= cost
+        return ActionOutcome(delta_resources=cost, node=action.target)
 
     if effect is ActionEffect.DEPLOY_DUMMY_FILES:
         if status == codes.STOPPED or status == codes.QUARANTINED:

@@ -18,7 +18,7 @@ from conftest import make_config, random_event
 from honeysim import config as config_mod
 from honeysim import trace as trace_mod
 from honeysim.agent import RewardInputs, RewardParams, StateKey, reward
-from honeysim.cascade import (FailSafeProfile, OnlineLearner, PatternTable,
+from honeysim.cascade import (FailSafeProfile, PatternTable,
                               StageContext, StageId, _best_value, decide,
                               game_search)
 from honeysim.actions import AutonomyLevel, build_catalog
@@ -177,7 +177,7 @@ class _FixedPolicy:
 
 
 def stub_cascade(availability, accepts, failsafe_accepted):
-    catalog = build_catalog(10, 10)
+    catalog = build_catalog()
     cfg = config_mod.ScenarioConfig()
     # acceptance is steered via the sealed per-stage thresholds: confidence
     # is 1.0 everywhere, so theta > 1 rejects and theta <= 1 accepts.
@@ -194,10 +194,11 @@ def stub_cascade(availability, accepts, failsafe_accepted):
     }
     ctx = StageContext(
         catalog=catalog, guard=guard,
-        online=OnlineLearner(_FixedPolicy(proposals[StageId.ONLINE_LEARNING]), 1.0),
+        policy=_FixedPolicy(proposals[StageId.ONLINE_LEARNING]),
+        online_confidence=1.0,
     )
     ctx.pattern_table = PatternTable({KEY: (proposals[StageId.PATTERN_RECOGNITION], 1.0)})
-    ctx.online.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
+    ctx.policy.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
     gs = proposals[StageId.GAME_SEARCH]
     ctx.game_model = TabularToyModel([KEY], {KEY: [gs]},
                                      {(KEY, gs): ((1.0, KEY, 1.0),)})

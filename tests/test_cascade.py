@@ -4,7 +4,7 @@ import pytest
 
 from honeysim.actions import build_catalog
 from honeysim.agent import QTable, StateKey
-from honeysim.cascade import (FailSafeProfile, OnlineLearner, PatternTable,
+from honeysim.cascade import (FailSafeProfile, PatternTable,
                               ProposedAction, StageContext, StageId,
                               arbiter_review, decide, escalate, failsafe,
                               game_search, pattern_match, stage_available)
@@ -33,7 +33,7 @@ def make_guard(thresholds=None, **kwargs):
 
 
 def make_catalog():
-    return build_catalog(hp_cost=10, real_cost=10, overrides=None)
+    return build_catalog()
 
 
 class FixedPolicy:
@@ -53,7 +53,8 @@ def make_ctx(policy_action="deploy_dummy_files", confidence=0.9, **overrides):
     ctx = StageContext(
         catalog=catalog,
         guard=make_guard(),
-        online=OnlineLearner(FixedPolicy(policy_action), confidence),
+        policy=FixedPolicy(policy_action),
+        online_confidence=confidence,
         game_model=None,
     )
     from honeysim.cascade import QValueModel
@@ -264,7 +265,8 @@ def test_decide_forced_to_failsafe_records_all_rejections():
 
 def test_decide_operator_timeout_recorded():
     ctx = make_ctx(operator=OperatorConfig("approve_first", 9))
-    ctx.online = OnlineLearner(FixedPolicy("noop"), confidence=0.1)  # below theta
+    ctx.policy = FixedPolicy("noop")
+    ctx.online_confidence = 0.1  # below theta
     ctx.pattern_table = PatternTable()
     d = decide(KEY, env(time=9), ctx, FailSafeProfile.NO_ACTION)
     # online learner is attempted first (its cost 1 leaves budget 8),
@@ -291,7 +293,7 @@ def test_decide_deducts_spent_budget_before_next_stage():
     costs = StageCostsConfig(online_learning=StageCostConfig(1, 0),
                              human_escalation=StageCostConfig(1, 0))
     ctx = make_ctx(operator=OperatorConfig("approve_first", 3), stage_costs=costs)
-    ctx.online = OnlineLearner(SilentPolicy())
+    ctx.policy = SilentPolicy()
     d = decide(KEY, env(time=3), ctx, FailSafeProfile.NO_ACTION)
     reasons = dict(d.rejected)
     assert reasons[StageId.ONLINE_LEARNING] == "no_proposal"
@@ -333,15 +335,15 @@ def stub_ctx_with(availability_pattern, accept_pattern, failsafe_accepted=True):
     ctx.pattern_table = PatternTable(
         {KEY: (proposals[StageId.PATTERN_RECOGNITION],
                conf[StageId.PATTERN_RECOGNITION])})
-    ctx.online = OnlineLearner(FixedPolicy(proposals[StageId.ONLINE_LEARNING]),
-                               conf[StageId.ONLINE_LEARNING])
+    ctx.policy = FixedPolicy(proposals[StageId.ONLINE_LEARNING])
+    ctx.online_confidence = conf[StageId.ONLINE_LEARNING]
     ctx.operator = OperatorConfig(
         "approve_first" if True else "decline", 0)
     # escalation proposes rank()[0]; confidence fixed 1.0, so gate it
     # through the sealed thresholds instead
     theta = thresholds()
     theta[StageId.HUMAN_ESCALATION] = 0.5 if accepted[StageId.HUMAN_ESCALATION] else 1.1
-    ctx.online.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
+    ctx.policy.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
     gs_action = proposals[StageId.GAME_SEARCH]
     ctx.game_model = TabularToyModel(
         [KEY], {KEY: [gs_action]}, {(KEY, gs_action): ((1.0, KEY, 1.0),)})

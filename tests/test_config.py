@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,25 @@ def test_invalid_yaml_rejected(tmp_path):
         config_mod.load_file(path)
 
 
+@pytest.mark.parametrize("value", [
+    pytest.param("9" * 5001, marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this Python converts integers of any length"), id="huge_int"),
+    pytest.param("2024-13-45", id="impossible_date"),
+])
+def test_unconvertible_yaml_value_exits_2(tmp_path, capsys, value):
+    # YAML resolves the scalar's type, then Python cannot build the value.
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"episode_ticks: 5\nguardrails:\n  mission_need: {value}\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigInvalid):
+        config_mod.load_file(path)
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 def test_reference_scenario_loads():
     cfg = config_mod.load_file(REPO / "configs" / "reference.yaml")
     assert cfg.episode_ticks == 2000
@@ -133,3 +153,15 @@ def test_keys_nothing_reads_are_rejected(tmp_path, capsys, section, key, value):
                     encoding="utf-8")
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_action_resource_delta_is_rejected(tmp_path, capsys):
+    # An action's resource delta comes from the world, so the catalog
+    # has no such knob to override.
+    data = {"agent": {"actions": {"start_honeypot": {"resource_delta": -999999}}}}
+    with pytest.raises(ConfigInvalid, match="resource_delta"):
+        config_mod.from_mapping(data)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({"episode_ticks": 5, **data}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "resource_delta" in capsys.readouterr().err

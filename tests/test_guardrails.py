@@ -32,7 +32,7 @@ def env(emcon=EmconLevel.OPEN):
 
 def spec(impact=0.0, emission=0, autonomy=AutonomyLevel.REFLEX,
          effect=ActionEffect.NOOP, action_id="probe"):
-    return ActionSpec(action_id, effect, 0, impact, emission, autonomy)
+    return ActionSpec(action_id, effect, impact, emission, autonomy)
 
 
 def test_impact_over_budget_vetoed():
@@ -41,7 +41,7 @@ def test_impact_over_budget_vetoed():
 
 
 def test_emission_blocked_at_silent():
-    catalog = build_catalog(10, 10)
+    catalog = build_catalog()
     v = check(catalog.get("cry_for_help"), env(EmconLevel.SILENT), make_guard())
     assert not v.allowed
     # Collaborative-level messaging already trips the autonomy gate at
@@ -74,7 +74,7 @@ def test_check_order_impact_first():
 
 
 def test_terminate_self_never_vetoed():
-    catalog = build_catalog(10, 10)
+    catalog = build_catalog()
     term = catalog.get("terminate_self")
     for emcon in EmconLevel:
         for max_impact in (0.0, 5.0):
@@ -84,7 +84,7 @@ def test_terminate_self_never_vetoed():
 
 def test_gate_allowed_sets_downward_closed():
     # For every action: allowed EMCON levels form a prefix toward Open.
-    catalog = build_catalog(10, 10)
+    catalog = build_catalog()
     g = make_guard()
     for action in catalog:
         allowed = [check(action, env(e), g).allowed for e in EmconLevel]

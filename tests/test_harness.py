@@ -463,7 +463,12 @@ def test_cli_oracle_reward_matches_library():
     '{"alpha": 0.1, "gamma": 0.9, "entries": {}}',
     '{"actions": ["noop"], "gamma": 0.9, "entries": {}}',
     '{"actions": ["noop"], "alpha": 0.1, "gamma": 0.9}',
-], ids=["bad_json", "no_actions", "no_alpha", "no_entries"])
+    '{"actions": [["noop"]], "alpha": 0.1, "gamma": 0.9, "entries": {}}',
+    '{"actions": ["noop"], "alpha": "x", "gamma": 0.9, "entries": {}}',
+    '{"actions": ["noop"], "alpha": 0.1, "gamma": 0.9, '
+    '"entries": {"0,0,0,0|noop": "abc"}}',
+], ids=["bad_json", "no_actions", "no_alpha", "no_entries", "list_action",
+        "text_alpha", "text_entry"])
 def test_cli_malformed_qtable_exits_2(tmp_path, command, content):
     cfg_path = tmp_path / "s.yaml"
     cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")

@@ -59,6 +59,18 @@ def test_compiled_twin_defines_every_public_pure_method(cls):
     assert public - _pyx_class_defs(source, cls) == set()
 
 
+def test_every_public_kernel_method_is_called():
+    # A kernel method that nothing outside the kernels calls is dead code
+    # kept twice, once in each backend.
+    package = pathlib.Path(pure.__file__).parent.parent
+    sources = [path for path in package.rglob("*.py") if "_kernels" not in path.parts]
+    sources += pathlib.Path(__file__).parent.glob("*.py")
+    text = "\n".join(path.read_text(encoding="utf-8") for path in sources)
+    public = {name for name, member in vars(pure.CoreWorld).items()
+              if callable(member) and not name.startswith("_")}
+    assert {name for name in public if not re.search(rf"\.{name}\(", text)} == set()
+
+
 def test_compiled_twin_constants_match_codes():
     # The compiled twin restates the integer codes as C constants, named
     # after codes.py with a K_, S_, P_ or E_ prefix by group.

@@ -141,7 +141,7 @@ def test_stop_honeypot_retires_it():
         w.node("hp-0")
     # the honeypot after it moved down one index and is still addressable
     assert w.node("hp-1").status is NodeStatus.RUNNING
-    assert w.core.kind(w.node_index["hp-1"]) == NodeKind.HONEYPOT
+    assert w.core.kind(w.node_ids.index("hp-1")) == NodeKind.HONEYPOT
     with pytest.raises(IllegalTransition):
         apply_action(w, stop)
     with pytest.raises(IllegalTransition):
