@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -271,20 +272,61 @@ def _check(cond, msg):
         raise ConfigInvalid(msg)
 
 
+def _is_finite_number(value) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+# What each annotated field type accepts, by the annotation's text (the
+# dataclasses above are defined under `from __future__ import annotations`).
+# A bool is an int to Python, but not to a scenario.
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_finite_number, "a finite number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple": (lambda v: type(v) is tuple, "a list"),
+}
+
+
+def _check_types(obj, path: str) -> None:
+    """Reject a value whose type is not its field's; `X | None` also
+    takes null. Nested sections, list items and action overrides are
+    checked in turn."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        sub = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(value):
+            _check_types(value, sub)
+            continue
+        want, _, optional = f.type.partition(" | ")
+        if want in _FIELD_TYPES and not (optional == "None" and value is None):
+            accepts, what = _FIELD_TYPES[want]
+            _check(accepts(value), f"{sub} must be {what}, got {value!r}")
+        if type(value) is tuple:  # campaigns, emcon_schedule
+            for i, item in enumerate(value):
+                if dataclasses.is_dataclass(item):
+                    _check_types(item, f"{sub}[{i}]")
+        elif type(value) is dict:  # agent.actions
+            for key, item in value.items():
+                if dataclasses.is_dataclass(item):
+                    _check_types(item, f"{sub}.{key}")
+
+
 def _check_prob(value, name):
-    _check(isinstance(value, (int, float)) and 0.0 <= value <= 1.0,
+    _check(0.0 <= value <= 1.0,
            f"{name} must be a probability in [0, 1], got {value!r}")
 
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
+    _check_types(config, "")
     w = config.world
     for group in ("database", "application", "web", "honeypot"):
         g = getattr(w, group)
-        _check(isinstance(g.count, int) and g.count >= 0,
+        _check(g.count >= 0,
                f"world.{group}.count must be a non-negative integer")
-        _check(isinstance(g.cost, int) and g.cost >= 0,
+        _check(g.cost >= 0,
                f"world.{group}.cost must be a non-negative integer")
-    _check(isinstance(w.capacity, int) and w.capacity >= 0,
+    _check(w.capacity >= 0,
            "world.capacity must be a non-negative integer")
     _check(w.hits_to_compromise >= 1, "world.hits_to_compromise must be >= 1")
     _check(w.honeypot_decoys >= 0, "world.honeypot_decoys must be >= 0")
@@ -312,7 +354,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     _check_prob(a.learning.epsilon_end, "agent.learning.epsilon_end")
     for name in ("threat", "load", "honeypots"):
         bins = getattr(a.bins, name)
-        _check(len(bins) == 3 and list(bins) == sorted(bins),
+        _check(len(bins) == 3 and all(map(_is_finite_number, bins))
+               and list(bins) == sorted(bins),
                f"agent.bins.{name} must be three ascending thresholds")
     for action, ov in a.actions.items():
         if ov.autonomy is not None:
@@ -366,7 +409,7 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         last = entry.tick
 
     _check(config.episode_ticks >= 1, "episode_ticks must be >= 1")
-    _check(isinstance(config.seed, int) and config.seed >= 0,
+    _check(config.seed >= 0,
            "seed must be a non-negative integer")
     return config
 

@@ -165,3 +165,46 @@ def test_action_resource_delta_is_rejected(tmp_path, capsys):
     path.write_text(yaml.safe_dump({"episode_ticks": 5, **data}), encoding="utf-8")
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
     assert "resource_delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("agent.window", "x"),
+    ("env.time_budget", "x"),
+    ("episode_ticks", 2.5),
+    ("world.honeypot_decoys", 1.5),
+    ("world.honeypot.cost", True),
+    ("cascade.game_horizon", "2"),
+    ("world.load_noise", "x"),
+    ("world.p_detect", True),
+    ("guardrails.mission_need", float("inf")),
+    ("comms.alert_after_actions", 1),
+    pytest.param("world.campaigns", [{"id": 7}], id="campaign-id-int"),
+    pytest.param("world.campaigns", [{"id": "apt-0", "known_nodes": 5}],
+                 id="known-nodes-int"),
+    pytest.param("agent.bins.threat", ["a", "b", "c"], id="bins-text"),
+])
+def test_scalar_of_the_wrong_type_exits_2(tmp_path, capsys, path, value):
+    # int fields take an int that is not a bool, float fields a finite
+    # int or float, bool fields a bool and string fields a str.
+    data = yaml.safe_load((REPO / "configs" / "reference.yaml").read_text(encoding="utf-8"))
+    data["episode_ticks"] = 300
+    *sections, key = path.split(".")
+    section = data
+    for name in sections:
+        section = section[name]
+    section[key] = value
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert cli.main(["run", "--config", str(scenario), "--seed", "1",
+                     "--trace-out", str(tmp_path / "run.trace")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path.split(".")[-1] in err
+    assert "Traceback" not in err
+
+
+def test_int_in_a_float_field_is_kept_as_written():
+    # The type check converts nothing, so every scenario that was valid
+    # before it keeps its config digest.
+    cfg = config_mod.from_mapping({"guardrails": {"mission_need": 8}})
+    assert type(cfg.guardrails.mission_need) is int
+    assert '"mission_need":8,' in cfg.canonical_json()
