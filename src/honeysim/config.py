@@ -4,24 +4,34 @@ Every tunable constant in the simulator lives here rather than in
 code. A scenario file is YAML; unknown keys are rejected so a typo
 cannot silently fall back to a default. A (config, seed) pair fully
 determines a run.
+
+The dataclass annotations below are the schema: each field's type, the
+item type of each list and map, and, as a `Literal`, the choice set of
+each closed set of names. `from_mapping` builds a scenario and checks
+every value's type in one walk over them. They are evaluated when each
+class is made, not postponed, so the walk reads them as types.
 """
 
-from __future__ import annotations
-
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
+from typing import Literal
 
 import yaml
 
 from .errors import ConfigInvalid
+from .trace import MAX_EXACT_INT
 
-EMCON_LEVELS = ("open", "restricted", "silent")
-AUTONOMY_LEVELS = ("reflex", "previsioned", "collaborative", "delegated")
-FAILSAFE_PROFILES = ("no_action", "low_threshold_act", "terminate")
-OPERATOR_BEHAVIORS = ("approve_first", "decline")
+Emcon = Literal["open", "restricted", "silent"]
+# Ordered from least to most autonomous; the gates' ranks follow it.
+Autonomy = Literal["reflex", "previsioned", "collaborative", "delegated"]
+FailsafeProfile = Literal["no_action", "low_threshold_act", "terminate"]
+OperatorBehavior = Literal["approve_first", "decline"]
 
 
 @dataclass
@@ -36,7 +46,7 @@ class CampaignConfig:
     intensity: float = 0.6
     activation_tick: int = 0
     # Node ids whose initial addresses the campaign starts out knowing.
-    known_nodes: tuple = ()
+    known_nodes: tuple[str, ...] = ()
 
 
 @dataclass
@@ -48,7 +58,7 @@ class WorldConfig:
     honeypot: NodeGroupConfig = field(default_factory=lambda: NodeGroupConfig(count=1))
     honeypot_decoys: int = 2
     dummy_files_per_deploy: int = 3
-    campaigns: tuple = field(default_factory=lambda: (CampaignConfig(),))
+    campaigns: tuple[CampaignConfig, ...] = field(default_factory=lambda: (CampaignConfig(),))
     p_detect: float = 0.7
     p_decoy_touch: float = 0.5
     p_dummy_process: float = 0.3
@@ -80,16 +90,16 @@ class LearningConfig:
 
 @dataclass
 class BinsConfig:
-    threat: tuple = (0.5, 1.5, 3.0)
-    load: tuple = (0.25, 0.5, 0.75)
-    honeypots: tuple = (1, 2, 4)
+    threat: tuple[float, ...] = (0.5, 1.5, 3.0)
+    load: tuple[float, ...] = (0.25, 0.5, 0.75)
+    honeypots: tuple[float, ...] = (1, 2, 4)
 
 
 @dataclass
 class ActionOverride:
     impact: float | None = None
     emission_cost: int | None = None
-    autonomy: str | None = None
+    autonomy: Autonomy | None = None
     enabled: bool | None = None
 
 
@@ -99,7 +109,7 @@ class AgentConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
     learning: LearningConfig = field(default_factory=LearningConfig)
     bins: BinsConfig = field(default_factory=BinsConfig)
-    actions: dict = field(default_factory=dict)
+    actions: dict[str, ActionOverride] = field(default_factory=dict)
 
 
 @dataclass
@@ -129,7 +139,7 @@ class ThresholdsConfig:
 
 @dataclass
 class OperatorConfig:
-    behavior: str = "approve_first"
+    behavior: OperatorBehavior = "approve_first"
     latency: int = 1
 
 
@@ -138,7 +148,7 @@ class CascadeConfig:
     thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
     stage_costs: StageCostsConfig = field(default_factory=StageCostsConfig)
     online_confidence: float = 0.9
-    failsafe_profile: str = "no_action"
+    failsafe_profile: FailsafeProfile = "no_action"
     operator: OperatorConfig = field(default_factory=OperatorConfig)
     game_horizon: int = 2
     escalation_options: int = 3
@@ -148,9 +158,9 @@ class CascadeConfig:
 # Field names are the EMCON level labels (EmconLevel.label).
 @dataclass
 class AutonomyGatesConfig:
-    open: str = "delegated"
-    restricted: str = "previsioned"
-    silent: str = "reflex"
+    open: Autonomy = "delegated"
+    restricted: Autonomy = "previsioned"
+    silent: Autonomy = "reflex"
 
 
 @dataclass
@@ -172,7 +182,7 @@ class CommsConfig:
 @dataclass
 class EmconEntry:
     tick: int = 0
-    level: str = "open"
+    level: Emcon = "open"
 
 
 @dataclass
@@ -180,7 +190,7 @@ class EnvConfig:
     connectivity: bool = True
     time_budget: int = 10
     power_budget: int = 10
-    emcon_schedule: tuple = field(default_factory=lambda: (EmconEntry(),))
+    emcon_schedule: tuple[EmconEntry, ...] = field(default_factory=lambda: (EmconEntry(),))
 
 
 @dataclass
@@ -206,12 +216,6 @@ class ScenarioConfig:
 
 # -- strict construction ----------------------------------------------------
 
-_TUPLE_ITEM_TYPES = {
-    ("WorldConfig", "campaigns"): CampaignConfig,
-    ("EnvConfig", "emcon_schedule"): EmconEntry,
-}
-
-
 def _as_plain(obj):
     if dataclasses.is_dataclass(obj):
         return {f.name: _as_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -220,51 +224,6 @@ def _as_plain(obj):
     if isinstance(obj, dict):
         return {k: _as_plain(v) for k, v in obj.items()}
     return obj
-
-
-def _build(cls, data, path):
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigInvalid(f"{path}: expected a mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ConfigInvalid(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        f = fields[name]
-        sub = f"{path}.{name}" if path else name
-        item_cls = _TUPLE_ITEM_TYPES.get((cls.__name__, name))
-        if item_cls is not None:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigInvalid(f"{sub}: expected a list")
-            kwargs[name] = tuple(_build(item_cls, v, f"{sub}[{i}]")
-                                 for i, v in enumerate(value))
-        elif dataclasses.is_dataclass(_field_default_type(f)):
-            kwargs[name] = _build(_field_default_type(f), value, sub)
-        elif name == "actions":
-            if not isinstance(value, dict):
-                raise ConfigInvalid(f"{sub}: expected a mapping of action overrides")
-            kwargs[name] = {k: _build(ActionOverride, v, f"{sub}.{k}")
-                            for k, v in value.items()}
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from exc
-
-
-def _field_default_type(f):
-    # Nested sections are recognised by their default_factory product.
-    if f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-        probe = f.default_factory()
-        if dataclasses.is_dataclass(probe):
-            return type(probe)
-    return None
 
 
 def _check(cond, msg):
@@ -276,40 +235,66 @@ def _is_finite_number(value) -> bool:
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-# What each annotated field type accepts, by the annotation's text (the
-# dataclasses above are defined under `from __future__ import annotations`).
-# A bool is an int to Python, but not to a scenario.
-_FIELD_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (_is_finite_number, "a finite number"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (lambda v: type(v) is str, "a string"),
-    "tuple": (lambda v: type(v) is tuple, "a list"),
+# What each scalar type accepts. A bool is an int to Python, but not to
+# a scenario. An int must be one the trace holds exactly; a float field
+# takes a finite float or any int, kept as written.
+_SCALARS = {
+    int: (lambda v: type(v) is int and -MAX_EXACT_INT <= v <= MAX_EXACT_INT,
+          f"an integer within ±{MAX_EXACT_INT}"),
+    float: (_is_finite_number, "a finite number"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    str: (lambda v: type(v) is str, "a string"),
 }
+_UNIONS = (typing.Union, types.UnionType)
 
 
-def _check_types(obj, path: str) -> None:
-    """Reject a value whose type is not its field's; `X | None` also
-    takes null. Nested sections, list items and action overrides are
-    checked in turn."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        sub = f"{path}.{f.name}" if path else f.name
-        if dataclasses.is_dataclass(value):
-            _check_types(value, sub)
-            continue
-        want, _, optional = f.type.partition(" | ")
-        if want in _FIELD_TYPES and not (optional == "None" and value is None):
-            accepts, what = _FIELD_TYPES[want]
-            _check(accepts(value), f"{sub} must be {what}, got {value!r}")
-        if type(value) is tuple:  # campaigns, emcon_schedule
-            for i, item in enumerate(value):
-                if dataclasses.is_dataclass(item):
-                    _check_types(item, f"{sub}[{i}]")
-        elif type(value) is dict:  # agent.actions
-            for key, item in value.items():
-                if dataclasses.is_dataclass(item):
-                    _check_types(item, f"{sub}.{key}")
+_field_types = functools.cache(typing.get_type_hints)  # per section class
+
+
+def _build(tp, data, path: str):
+    """Build a value of type `tp` from `data`, the scenario value at
+    `path`, checking its type on the way down. Nothing is converted but
+    lists to tuples, so a valid value keeps its config digest."""
+    if dataclasses.is_dataclass(tp):  # a section, from a mapping
+        where = path or "scenario"
+        if data is None:
+            data = {}
+        if type(data) is not dict:
+            raise ConfigInvalid(f"{where}: expected a mapping, got {type(data).__name__}")
+        hints = _field_types(tp)
+        unknown = data.keys() - hints.keys()
+        if unknown:
+            raise ConfigInvalid(f"{where}: unknown keys {sorted(unknown, key=str)}")
+        prefix = f"{path}." if path else ""
+        return tp(**{name: _build(hints[name], value, prefix + name)
+                     for name, value in data.items()})
+    origin = typing.get_origin(tp)
+    if origin is tuple:  # tuple[X, ...], from a list
+        if type(data) not in (list, tuple):
+            raise ConfigInvalid(f"{path} must be a list, got {data!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_build(item, v, f"{path}[{i}]") for i, v in enumerate(data))
+    if origin is dict:  # dict[str, X], from a mapping
+        if type(data) is not dict:
+            raise ConfigInvalid(f"{path} must be a mapping, got {data!r}")
+        item = typing.get_args(tp)[1]
+        built = {}
+        for key, value in data.items():
+            if type(key) is not str:
+                raise ConfigInvalid(f"{path}: key {key!r} must be a string")
+            built[key] = _build(item, value, f"{path}.{key}")
+        return built
+    if origin in _UNIONS:  # X | None
+        return None if data is None else _build(typing.get_args(tp)[0], data, path)
+    if origin is Literal:  # a closed set of names
+        names = typing.get_args(tp)
+        if type(data) is not str or data not in names:
+            raise ConfigInvalid(f"{path} must be one of {names}, got {data!r}")
+        return data
+    accepts, what = _SCALARS[tp]
+    if not accepts(data):
+        raise ConfigInvalid(f"{path} must be {what}, got {data!r}")
+    return data
 
 
 def _check_prob(value, name):
@@ -318,7 +303,6 @@ def _check_prob(value, name):
 
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
-    _check_types(config, "")
     w = config.world
     for group in ("database", "application", "web", "honeypot"):
         g = getattr(w, group)
@@ -354,13 +338,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     _check_prob(a.learning.epsilon_end, "agent.learning.epsilon_end")
     for name in ("threat", "load", "honeypots"):
         bins = getattr(a.bins, name)
-        _check(len(bins) == 3 and all(map(_is_finite_number, bins))
-               and list(bins) == sorted(bins),
+        _check(len(bins) == 3 and list(bins) == sorted(bins),
                f"agent.bins.{name} must be three ascending thresholds")
-    for action, ov in a.actions.items():
-        if ov.autonomy is not None:
-            _check(ov.autonomy in AUTONOMY_LEVELS,
-                   f"agent.actions.{action}.autonomy must be one of {AUTONOMY_LEVELS}")
 
     c = config.cascade
     for f in dataclasses.fields(c.thresholds):
@@ -370,10 +349,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         _check(cost.time >= 0 and cost.power >= 0,
                f"cascade.stage_costs.{f.name} must be non-negative")
     _check_prob(c.online_confidence, "cascade.online_confidence")
-    _check(c.failsafe_profile in FAILSAFE_PROFILES,
-           f"cascade.failsafe_profile must be one of {FAILSAFE_PROFILES}")
-    _check(c.operator.behavior in OPERATOR_BEHAVIORS,
-           f"cascade.operator.behavior must be one of {OPERATOR_BEHAVIORS}")
     _check(c.operator.latency >= 0, "cascade.operator.latency must be >= 0")
     _check(c.game_horizon >= 1, "cascade.game_horizon must be >= 1")
     _check(c.escalation_options >= 1, "cascade.escalation_options must be >= 1")
@@ -384,11 +359,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     _check(g.max_impact_per_action <= g.mission_need,
            "guardrails.max_impact_per_action must not exceed mission_need")
     gates = g.autonomy_gates
-    for level in EMCON_LEVELS:
-        _check(getattr(gates, level) in AUTONOMY_LEVELS,
-               f"guardrails.autonomy_gates.{level} must be one of {AUTONOMY_LEVELS}")
-    ranks = {name: i for i, name in enumerate(AUTONOMY_LEVELS)}
-    _check(ranks[gates.open] >= ranks[gates.restricted] >= ranks[gates.silent],
+    rank = typing.get_args(Autonomy).index
+    _check(rank(gates.open) >= rank(gates.restricted) >= rank(gates.silent),
            "guardrails.autonomy_gates must be monotone: open >= restricted >= silent")
     if g.tamper_tick is not None:
         _check(g.tamper_tick >= 0, "guardrails.tamper_tick must be >= 0")
@@ -402,8 +374,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     _check(e.emcon_schedule[0].tick == 0, "env.emcon_schedule must start at tick 0")
     last = -1
     for i, entry in enumerate(e.emcon_schedule):
-        _check(entry.level in EMCON_LEVELS,
-               f"env.emcon_schedule[{i}].level must be one of {EMCON_LEVELS}")
         _check(entry.tick > last or (i == 0 and entry.tick == 0),
                "env.emcon_schedule ticks must be strictly increasing")
         last = entry.tick

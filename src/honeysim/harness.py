@@ -400,8 +400,8 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     accountant = Accountant(config.episode_ticks, window)
     baseline = Baseline()
     window_tally = WindowTally(window)
-    # last `window` ticks of events, one list per tick, operator replies
-    # included; read only to rank targets by suspicion
+    # last `window` ticks of events, one list per tick; read only to rank
+    # targets by suspicion
     buckets: deque = deque(maxlen=window)
 
     agent_active = True
@@ -415,7 +415,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     def operator_replied():
         ev = WorldEvent(current_tick[0], EventKind.OPERATOR_REPLY, "operator",
                         0, 0.0, False)
-        buckets[-1].append(ev)
         record("event", {"event": ev.to_dict()})
 
     ctx.on_operator_reply = operator_replied
@@ -590,11 +589,7 @@ def evaluate(config: ScenarioConfig, policy_spec, seeds, with_trace: bool = Fals
     """Greedy evaluation over a seed list; reports are seed-ordered."""
     reports = []
     for seed in seeds:
-        if isinstance(policy_spec, QTable):
-            policy = QPolicy(policy_spec, epsilon=0.0)
-        else:
-            policy = policy_spec
-        report, lines = run_scenario(config, seed, policy, with_trace=with_trace)
+        report, lines = run_scenario(config, seed, policy_spec, with_trace=with_trace)
         reports.append((seed, report, lines))
     return reports
 

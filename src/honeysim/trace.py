@@ -207,9 +207,10 @@ def read_file(path) -> list:
 
 # Allowed types per field. An int must be exact as a double and a float
 # finite, so replay's arithmetic on them cannot overflow or turn NaN.
+# A scenario's int fields are held to the same bound when it loads.
 _INT, _STR, _BOOL = (int,), (str,), (bool,)
 _NUMBER, _OPTIONAL_STR = (int, float), (str, type(None))
-_MAX_INT = 2**53
+MAX_EXACT_INT = 2**53
 
 # What the header and each record kind must carry for replay. A nested
 # dict must hold exactly the listed keys.
@@ -256,7 +257,7 @@ def _bad_field(obj: dict, fields: dict) -> str | None:
             bad = _bad_field(value, want)
             if bad:
                 return f"{name}: {bad}"
-        elif t not in want or (t is int and not -_MAX_INT <= value <= _MAX_INT) \
+        elif t not in want or (t is int and not -MAX_EXACT_INT <= value <= MAX_EXACT_INT) \
                 or (t is float and not math.isfinite(value)):
             return f"field {name!r} has bad value {value!r}"
     return None
@@ -290,12 +291,16 @@ def parse(lines) -> tuple:
 
     records = []
     last_tick = -1
+    # The first record lacking a field replay reads; reported only after
+    # every framing check has passed.
+    bad_record = None
     for n, line in enumerate(lines[1:-1]):
         rec = _load(line, f"line {n + 2}")
         if not isinstance(rec, dict):
             raise TraceCorrupt(f"line {n + 2} is not a JSON object")
         kind = rec.get("kind")
-        if type(kind) is not str or kind not in RECORD_FIELDS:
+        fields = RECORD_FIELDS.get(kind) if type(kind) is str else None
+        if fields is None:
             raise TraceCorrupt(f"line {n + 2}: unknown record kind {kind!r}")
         seq = rec.get("seq")
         if type(seq) is not int or seq != n:
@@ -304,6 +309,10 @@ def parse(lines) -> tuple:
         if type(tick) is not int or tick < last_tick:
             raise TraceCorrupt(f"line {n + 2}: tick {tick!r} breaks ordering")
         last_tick = tick
+        if fields and bad_record is None:
+            bad = _bad_field(rec, fields)
+            if bad:
+                bad_record = f"line {n + 2}: {bad}"
         records.append(rec)
 
     footer = _load(lines[-1], "footer")
@@ -319,8 +328,6 @@ def parse(lines) -> tuple:
         bad = "episode_ticks, window and reward floor must be >= 1"
     if bad:
         raise TraceCorrupt(f"header: {bad}")
-    for n, rec in enumerate(records):
-        bad = _bad_field(rec, RECORD_FIELDS[rec["kind"]])
-        if bad:
-            raise TraceCorrupt(f"line {n + 2}: {bad}")
+    if bad_record:
+        raise TraceCorrupt(bad_record)
     return header, records

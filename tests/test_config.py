@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,12 @@ def test_defaults_are_valid():
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigInvalid, match="unknown keys"):
         config_mod.from_mapping({"worl": {}})
+
+
+def test_unknown_keys_of_mixed_types_rejected():
+    # YAML keys need not be strings; the message must still list them.
+    with pytest.raises(ConfigInvalid, match=r"unknown keys \[1, 'zz'\]"):
+        config_mod.from_mapping({1: 2, "zz": 3})
 
 
 def test_unknown_nested_key_rejected():
@@ -208,3 +215,103 @@ def test_int_in_a_float_field_is_kept_as_written():
     cfg = config_mod.from_mapping({"guardrails": {"mission_need": 8}})
     assert type(cfg.guardrails.mission_need) is int
     assert '"mission_need":8,' in cfg.canonical_json()
+
+
+# Values of another type than the field's, per scalar type. An int field
+# also rejects an int the trace cannot hold exactly.
+_WRONG_SCALARS = {
+    int: ["1", 1.5, True, 2**53 + 1, -(2**53) - 1],
+    float: ["1", True, float("nan"), float("inf")],
+    bool: [1, "true"],
+    str: [5, True],
+}
+
+
+def _wrong_values(tp, default):
+    """Yield (path below a field of type `tp`, a value for the field)
+    pairs; each value holds one wrong-typed leaf, list item or name at
+    that path. `default` is the field's default, whose list items give
+    the shape of the items below them."""
+    if dataclasses.is_dataclass(tp):
+        yield "", 5
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            for sub, value in _wrong_values(hints[f.name], getattr(default, f.name)):
+                yield f".{f.name}{sub}", {f.name: value}
+        return
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        yield "", "x"
+        item = default[0] if default else None
+        for sub, value in _wrong_values(args[0], item):
+            yield f"[0]{sub}", [value]
+    elif origin is dict:
+        yield "", ["x"]
+        for sub, value in _wrong_values(args[1], args[1]()):
+            yield f".start_honeypot{sub}", {"start_honeypot": value}
+    elif args and type(None) in args:  # X | None
+        yield from _wrong_values(args[0], default)
+    elif origin is typing.Literal:
+        yield "", 5
+        yield "", "no_such_name"
+    else:
+        for value in _WRONG_SCALARS[tp]:
+            yield "", value
+
+
+def test_every_field_rejects_a_value_of_the_wrong_type():
+    cfg = config_mod.ScenarioConfig()
+    hints = typing.get_type_hints(config_mod.ScenarioConfig)
+    cases = [(f.name + sub, {f.name: value})
+             for f in dataclasses.fields(cfg)
+             for sub, value in _wrong_values(hints[f.name], getattr(cfg, f.name))]
+    assert len(cases) > 200
+    accepted, unnamed = [], []
+    for path, data in cases:
+        try:
+            config_mod.from_mapping(data)
+        except ConfigInvalid as exc:
+            if path not in str(exc):
+                unnamed.append((path, str(exc)))
+        else:
+            accepted.append((path, data))
+    assert accepted == []
+    assert unnamed == []
+
+
+@pytest.mark.parametrize("name", ["defaults", "reference"])
+def test_to_dict_round_trips(name):
+    if name == "defaults":
+        cfg = config_mod.ScenarioConfig()
+    else:
+        cfg = config_mod.load_file(REPO / "configs" / "reference.yaml")
+    again = config_mod.from_mapping(cfg.to_dict())
+    assert again == cfg
+    assert again.digest() == cfg.digest()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("world", "capacity"),
+    ("agent.reward", "denominator_floor"),
+])
+def test_int_beyond_the_trace_range_exits_2(tmp_path, capsys, section, key):
+    # The trace holds ints within 2**53 exactly; a scenario int beyond it
+    # would write a trace that replay calls corrupt.
+    outer, _, inner = section.partition(".")
+    data = {"episode_ticks": 5}
+    leaf = data.setdefault(outer, {})
+    if inner:
+        leaf = leaf.setdefault(inner, {})
+    leaf[key] = 10**20
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_int_at_the_trace_range_runs_and_replays(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"episode_ticks: 5\nworld:\n  capacity: {2**53}\n", encoding="utf-8")
+    trace_path = tmp_path / "run.trace"
+    assert cli.main(["run", "--config", str(path), "--trace-out", str(trace_path)]) == 0
+    assert cli.main(["replay", "--trace", str(trace_path)]) == 0
