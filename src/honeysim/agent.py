@@ -176,10 +176,33 @@ def q_update(q: QTable, state: StateKey, action_id: str, r: float,
     return q
 
 
-_HONEY_KINDS = frozenset(k.label for k in (EventKind.HONEY_TOUCH,
-                                            EventKind.DUMMY_FILE_ACCESS,
-                                            EventKind.DUMMY_PROCESS_ALERT))
-_SECURITY_KIND = EventKind.IDS_ALERT.label
+HONEY_EVENT = 1     # counts toward the deception yield
+SECURITY_EVENT = 2  # counts toward the real attack volume when truth-malicious
+
+# How each event kind enters a period's reward inputs; kinds absent here
+# do not. Both the trace-record tally below and the harness's accountant
+# classify events through this one table.
+EVENT_REWARD_CLASS = {
+    EventKind.HONEY_TOUCH: HONEY_EVENT,
+    EventKind.DUMMY_FILE_ACCESS: HONEY_EVENT,
+    EventKind.DUMMY_PROCESS_ALERT: HONEY_EVENT,
+    EventKind.IDS_ALERT: SECURITY_EVENT,
+}
+_REWARD_CLASS_BY_LABEL = {kind.label: cls for kind, cls in EVENT_REWARD_CLASS.items()}
+
+
+def period_reward_inputs(honey: int, security: int, justified: int, cry_wolf: int,
+                         pool_available: int, last_action_delta: int) -> RewardInputs:
+    """Reward inputs of one period from its tallies; the pool figure is
+    floored at 1 so the resource ratio stays total."""
+    return RewardInputs(
+        honey_events=honey,
+        security_events=security,
+        delta_resources=last_action_delta,
+        total_resources=max(pool_available, 1),
+        justified_cfh=justified,
+        cw=cry_wolf,
+    )
 
 
 def accumulate_reward_inputs(events, cfh_labels, pool_available: int,
@@ -193,16 +216,11 @@ def accumulate_reward_inputs(events, cfh_labels, pool_available: int,
     """
     honey = security = 0
     for ev in events:
-        kind = ev["kind"]
-        if kind in _HONEY_KINDS:
+        cls = _REWARD_CLASS_BY_LABEL.get(ev["kind"])
+        if cls == HONEY_EVENT:
             honey += 1
-        elif kind == _SECURITY_KIND and ev["truth_malicious"]:
+        elif cls == SECURITY_EVENT and ev["truth_malicious"]:
             security += 1
-    return RewardInputs(
-        honey_events=honey,
-        security_events=security,
-        delta_resources=last_action_delta,
-        total_resources=max(pool_available, 1),
-        justified_cfh=cfh_labels.count("justified"),
-        cw=cfh_labels.count("cry_wolf"),
-    )
+    return period_reward_inputs(honey, security, cfh_labels.count("justified"),
+                                cfh_labels.count("cry_wolf"), pool_available,
+                                last_action_delta)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from . import guardrails as gr
 from .actions import ActionCatalog
 from .agent import StateKey
-from .config import OperatorConfig, StageCostsConfig
+from .config import OperatorConfig, StageCostConfig, StageCostsConfig
 from .constraints import EmconLevel, EnvConstraints
 from .errors import ModelIncomplete, OperatorTimeout
 
@@ -53,15 +54,13 @@ class FailSafeProfile(Enum):
         return cls(name)
 
 
-@dataclass(frozen=True)
-class ProposedAction:
+class ProposedAction(NamedTuple):
     action: str
     confidence: float
     stage: StageId
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     action: str
     provenance: StageId
     rejected: tuple  # ((StageId, reason), ...) in evaluation order
@@ -75,15 +74,19 @@ MODEL_INCOMPLETE = "model_incomplete"
 
 
 def stage_available(stage: StageId, c: EnvConstraints,
-                    costs: StageCostsConfig | None = None) -> bool:
+                    costs: StageCostsConfig | None = None, *,
+                    cost: StageCostConfig | None = None) -> bool:
     """Whether the environment can pay for a stage right now.
 
-    Relaxing any constraint never removes a stage from the available
-    set; the fail-safe and pattern lookup are always available.
+    The stage's cost is read from `costs` by its label, unless the
+    caller has read it already and passes it as `cost`. Relaxing any
+    constraint never removes a stage from the available set; the
+    fail-safe and pattern lookup are always available.
     """
     if stage is StageId.FAIL_SAFE or stage is StageId.PATTERN_RECOGNITION:
         return True
-    cost = getattr(costs or StageCostsConfig(), stage.label)
+    if cost is None:
+        cost = getattr(costs or StageCostsConfig(), stage.label)
     if stage is StageId.HUMAN_ESCALATION:
         return (c.connectivity and c.time_budget >= cost.time
                 and c.emcon_level is not EmconLevel.SILENT)
@@ -219,12 +222,12 @@ def arbiter_review(p: ProposedAction, c: EnvConstraints, guard: gr.GuardrailSet,
     """Accept iff confidence clears the sealed ruleset's threshold for
     the stage and the guardrails allow the action; the first failure
     is the reason."""
-    if p.confidence < guard.ruleset.stage_thresholds[p.stage.label]:
+    if p.confidence < guard.ruleset.stage_thresholds[_STAGE_LABELS[p.stage]]:
         return gr.Verdict(False, BELOW_THRESHOLD)
     verdict = gr.check(catalog.get(p.action), c, guard)
     if not verdict.allowed:
         return gr.Verdict(False, f"guardrail:{verdict.reason}")
-    return gr.Verdict(True)
+    return gr.ALLOW
 
 
 @dataclass
@@ -252,6 +255,24 @@ class StageContext:
     audit: list = field(default_factory=list)
 
 
+# The stages decide() tries before the fail-safe, in evaluation order,
+# each with its label.
+_CASCADE = tuple((stage, stage.label) for stage in StageId
+                 if stage is not StageId.FAIL_SAFE)
+
+
+def _review(proposal: ProposedAction, c: EnvConstraints, ctx: StageContext,
+            rejected: list) -> Decision | None:
+    """The decision accepting `proposal`, or None after recording why
+    the arbiter rejected it."""
+    verdict = arbiter_review(proposal, c, ctx.guard, ctx.catalog)
+    if verdict.allowed:
+        return Decision(proposal.action, proposal.stage, tuple(rejected))
+    rejected.append((proposal.stage, verdict.reason))
+    ctx.audit.append((proposal.stage, proposal.action, verdict.reason))
+    return None
+
+
 def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
            profile: FailSafeProfile) -> Decision:
     """Run the cascade for the percept's state key to the first
@@ -261,25 +282,21 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
     with its reason, and the fail-safe path cannot fail (a vetoed
     fail-safe proposal degrades to a no-op with fail-safe provenance).
     """
-    available = ctx.availability or (lambda s, env: stage_available(s, env, ctx.stage_costs))
+    availability = ctx.availability
+    costs = ctx.stage_costs
     remaining = c
     rejected = []
     ctx.audit.clear()
 
-    def review(proposal):
-        verdict = arbiter_review(proposal, c, ctx.guard, ctx.catalog)
-        if verdict.allowed:
-            return Decision(proposal.action, proposal.stage, tuple(rejected))
-        rejected.append((proposal.stage, verdict.reason))
-        ctx.audit.append((proposal.stage, proposal.action, verdict.reason))
-        return None
-
-    for stage in (StageId.PATTERN_RECOGNITION, StageId.ONLINE_LEARNING,
-                  StageId.HUMAN_ESCALATION, StageId.GAME_SEARCH):
-        if not available(stage, remaining):
+    for stage, label in _CASCADE:
+        cost = getattr(costs, label)
+        if availability is None:
+            available = stage_available(stage, remaining, cost=cost)
+        else:
+            available = availability(stage, remaining)
+        if not available:
             rejected.append((stage, UNAVAILABLE))
             continue
-        cost = getattr(ctx.stage_costs, stage.label)
         spent_time, spent_power = cost.time, cost.power
         proposal = None
         failure = NO_PROPOSAL
@@ -306,7 +323,7 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
         if proposal is None:
             rejected.append((stage, failure))
         else:
-            decision = review(proposal)
+            decision = _review(proposal, c, ctx, rejected)
             if decision is not None:
                 return decision
         # An accepted stage has returned; the budget left matters only
@@ -317,8 +334,7 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
                 time_budget=max(remaining.time_budget - spent_time, 0),
                 power_budget=max(remaining.power_budget - spent_power, 0))
 
-    proposal = failsafe(profile, ctx.pattern_table)
-    decision = review(proposal)
+    decision = _review(failsafe(profile, ctx.pattern_table), c, ctx, rejected)
     if decision is not None:
         return decision
     # Unvetoable floor: doing nothing needs no budget, no emissions.

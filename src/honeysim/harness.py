@@ -23,9 +23,10 @@ from . import trace as trace_mod
 from . import _kernels
 from ._kernels import codes
 from .actions import ActionCatalog, ActionEffect, build_catalog
-from .agent import (QTable, RewardInputs, RewardParams, StateKey,
-                    WorldSummary, accumulate_reward_inputs, discretize,
-                    q_update, reward, reward_terms, select_action)
+from .agent import (EVENT_REWARD_CLASS, HONEY_EVENT, SECURITY_EVENT, QTable,
+                    RewardInputs, RewardParams, StateKey, WorldSummary,
+                    discretize, period_reward_inputs, q_update, reward,
+                    reward_terms, select_action)
 from .cascade import (FailSafeProfile, PatternTable, QValueModel,
                       StageContext, decide)
 from .comms import Message, MessageKind, send
@@ -107,71 +108,124 @@ class MetricsReport:
         return out
 
 
-_HONEY_TOUCH = EventKind.HONEY_TOUCH.label
-_UNAUTHORIZED_ACCESS = EventKind.UNAUTHORIZED_ACCESS.label
+_EVENT_KINDS_BY_LABEL = {kind.label: kind for kind in EventKind}
+_MESSAGE_KINDS_BY_VALUE = {kind.value: kind for kind in MessageKind}
 _CRY_FOR_HELP = MessageKind.CRY_FOR_HELP.value
 
 
 class Accountant:
-    """Metrics and reward-period accounting fed one trace record at a time.
+    """Metrics and reward-period accounting, fed one fact at a time.
 
-    The live run and replay feed it the same (kind, tick, payload)
-    records, so both derive the report, each period's reward inputs and
-    each cry-for-help label the same way. Ground truth reaches it only
-    through the truth tags of event records.
+    The live run calls one method per fact with its fields; replay reads
+    the same fields off the trace records through `feed`. Both therefore
+    derive the report, each period's reward inputs and each cry-for-help
+    label the same way. Ground truth reaches it only through the truth
+    tags of events. The open period is kept as running counts.
     """
 
     def __init__(self, ticks: int, window: int):
         self.window = window
         self.tick = 0
         self.metrics = MetricsReport(ticks)
-        self.period_events: list = []
-        self.period_cfh: list = []
-        self.last_executed: dict | None = None
+        self.period_honey = 0
+        self.period_security = 0
+        self.period_justified = 0
+        self.period_cry_wolf = 0
+        # (action, available_before, delta_resources) of the period's last
+        # executed action, None while the period has none
+        self.last_executed: tuple | None = None
         # the last `window` distinct ticks that had a truth-tagged event
         self.truth_ticks: deque = deque(maxlen=window)
 
-    def feed(self, kind: str, tick: int, payload: dict) -> None:
+    def event(self, tick: int, kind: EventKind | None, truth: bool) -> None:
+        """A world event; `kind` is None for a kind this build lacks."""
+        self.tick = tick
+        cls = EVENT_REWARD_CLASS.get(kind)
+        if cls == HONEY_EVENT:
+            self.period_honey += 1
+            if kind is EventKind.HONEY_TOUCH:
+                self.metrics.honeypot_engagements += 1
+        if truth:
+            if cls == SECURITY_EVENT:
+                self.period_security += 1
+            truth_ticks = self.truth_ticks
+            if not truth_ticks or truth_ticks[-1] != tick:
+                truth_ticks.append(tick)
+            if kind is EventKind.UNAUTHORIZED_ACCESS:
+                self.metrics.real_server_compromises += 1
+
+    def decision(self, tick: int, provenance: str) -> None:
+        self.tick = tick
+        histogram = self.metrics.stage_histogram
+        histogram[provenance] = histogram.get(provenance, 0) + 1
+
+    def veto(self, tick: int, reason: str) -> None:
+        self.tick = tick
+        vetoes = self.metrics.vetoes_by_reason
+        vetoes[reason] = vetoes.get(reason, 0) + 1
+
+    def executed(self, tick: int, action: str, available_before: int,
+                 delta: int) -> None:
+        self.tick = tick
+        self.last_executed = (action, available_before, delta)
+
+    def message(self, tick: int, sent: bool, message_kind: MessageKind | None,
+                label: str | None) -> None:
+        """A message sent or suppressed; `label` is a sent cry's
+        classification. `message_kind` is None for a kind this build lacks."""
         self.tick = tick
         m = self.metrics
+        if not sent:
+            m.messages_suppressed += 1
+            return
+        m.messages_sent += 1
+        if message_kind is MessageKind.CRY_FOR_HELP:
+            if label == "justified":
+                self.period_justified += 1
+                m.cfh_justified += 1
+            else:
+                self.period_cry_wolf += 1
+                m.cfh_cry_wolf += 1
+
+    def sampled(self, tick: int, value: float, honey: float, resource: float,
+                cfh: float) -> None:
+        """A period's reward sample and its three terms."""
+        self.tick = tick
+        m = self.metrics
+        m.cumulative_reward += value
+        m.honey_term_total += honey
+        m.resource_term_total += resource
+        m.cfh_term_total += cfh
+
+    def terminated(self, tick: int) -> None:
+        self.tick = tick
+        self.metrics.agent_terminated_at = tick
+
+    def feed(self, kind: str, tick: int, payload: dict) -> None:
+        """Unpack one trace record into the method for its fact."""
         if kind == "event":
             ev = payload["event"]
-            self.period_events.append(ev)
-            if ev["kind"] == _HONEY_TOUCH:
-                m.honeypot_engagements += 1
-            if ev["truth_malicious"]:
-                if not self.truth_ticks or self.truth_ticks[-1] != tick:
-                    self.truth_ticks.append(tick)
-                if ev["kind"] == _UNAUTHORIZED_ACCESS:
-                    m.real_server_compromises += 1
+            self.event(tick, _EVENT_KINDS_BY_LABEL.get(ev["kind"]),
+                       ev["truth_malicious"])
         elif kind == "executed_action":
-            self.last_executed = payload
+            self.executed(tick, payload["action"], payload["available_before"],
+                          payload["delta_resources"])
         elif kind == "decision":
-            stage = payload["provenance"]
-            m.stage_histogram[stage] = m.stage_histogram.get(stage, 0) + 1
+            self.decision(tick, payload["provenance"])
         elif kind == "veto":
-            reason = payload["reason"]
-            m.vetoes_by_reason[reason] = m.vetoes_by_reason.get(reason, 0) + 1
+            self.veto(tick, payload["reason"])
         elif kind == "message":
-            if payload["status"] != "sent":
-                m.messages_suppressed += 1
-                return
-            m.messages_sent += 1
-            if payload["message_kind"] == _CRY_FOR_HELP:
-                label = payload["classification"]
-                self.period_cfh.append(label)
-                if label == "justified":
-                    m.cfh_justified += 1
-                else:
-                    m.cfh_cry_wolf += 1
+            self.message(tick, payload["status"] == "sent",
+                         _MESSAGE_KINDS_BY_VALUE.get(payload["message_kind"]),
+                         payload["classification"])
         elif kind == "reward_sample":
             terms = payload["terms"]
-            m.cumulative_reward += payload["value"]
-            m.honey_term_total += terms["honey"]
-            m.resource_term_total += terms["resource"]
-            m.cfh_term_total += terms["cfh"]
+            self.sampled(tick, payload["value"], terms["honey"],
+                         terms["resource"], terms["cfh"])
         elif kind == "agent_status" and payload["status"] == "terminated":
-            m.agent_terminated_at = tick
+            self.terminated(tick)
+        else:
+            self.tick = tick
 
     def classify_cfh(self, evidence_start: int, evidence_end: int) -> str:
         """Ground-truth label of a cry for help: "justified" when a
@@ -182,27 +236,32 @@ class Accountant:
             raise WindowOutOfRange(
                 f"evidence [{evidence_start}, {evidence_end}] outside held "
                 f"ticks [{oldest}, {self.tick}]")
-        if any(evidence_start <= t <= evidence_end for t in self.truth_ticks):
-            return "justified"
+        # The held ticks ascend, so the newest one not after the window's
+        # end decides: it lies in the window or none does.
+        for t in reversed(self.truth_ticks):
+            if t <= evidence_end:
+                return "justified" if t >= evidence_start else "cry_wolf"
         return "cry_wolf"
 
-    def close_period(self, available: int) -> RewardInputs:
-        """Tally the open reward period and start the next one.
+    def close_period(self, params: RewardParams, available: int) -> tuple:
+        """Tally the open reward period and start the next one; returns
+        (reward, (honey, resource, cfh) terms, RewardInputs, credited
+        action id or None) of the period's reward sample.
 
-        The resource figures come from the period's last executed action;
-        `available` stands in only for a period without one, which
-        happens after the agent is terminated.
+        The resource figures and the credited action come from the
+        period's last executed action; `available` stands in only for a
+        period without one, which happens after the agent is terminated.
         """
-        delta = 0
+        credited, delta = None, 0
         if self.last_executed is not None:
-            available = self.last_executed["available_before"]
-            delta = self.last_executed["delta_resources"]
-        inputs = accumulate_reward_inputs(self.period_events, self.period_cfh,
-                                          available, delta)
-        self.period_events = []
-        self.period_cfh = []
+            credited, available, delta = self.last_executed
+        inputs = period_reward_inputs(self.period_honey, self.period_security,
+                                      self.period_justified, self.period_cry_wolf,
+                                      available, delta)
+        self.period_honey = self.period_security = 0
+        self.period_justified = self.period_cry_wolf = 0
         self.last_executed = None
-        return inputs
+        return reward(params, inputs), reward_terms(params, inputs), inputs, credited
 
     def report(self) -> MetricsReport:
         m = self.metrics
@@ -211,18 +270,14 @@ class Accountant:
         return m
 
 
-def _reward_sample(params: RewardParams, accountant: Accountant,
-                   available: int) -> dict:
-    """Close the accountant's open period and return the reward_sample
-    payload the live run writes and replay expects. The credited action
-    is that of the period's last executed action, None without one."""
-    credited = accountant.last_executed
-    inputs = accountant.close_period(available)
-    honey, resource, cfh = reward_terms(params, inputs)
-    return {"value": reward(params, inputs),
+def _reward_sample_payload(value: float, terms: tuple, inputs: RewardInputs,
+                           credited: str | None) -> dict:
+    """The reward_sample record the live run writes and replay expects."""
+    honey, resource, cfh = terms
+    return {"value": value,
             "terms": {"honey": honey, "resource": resource, "cfh": cfh},
             "inputs": asdict(inputs),
-            "credited_action": credited["action"] if credited else None}
+            "credited_action": credited}
 
 
 # ---------------------------------------------------------------------------
@@ -404,91 +459,115 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     # targets by suspicion
     buckets: deque = deque(maxlen=window)
 
+    # The accountant is told each fact's fields; the trace record of the
+    # fact is built only when a trace is written.
     agent_active = True
     current_tick = [0]
-
-    def record(kind, payload):
-        accountant.feed(kind, current_tick[0], payload)
-        if writer is not None:
-            writer.record(kind, current_tick[0], payload)
+    tamper_tick = config.guardrails.tamper_tick
+    bins = config.agent.bins
+    heartbeat_every = config.comms.heartbeat_every
+    alert_after_actions = config.comms.alert_after_actions
 
     def operator_replied():
-        ev = WorldEvent(current_tick[0], EventKind.OPERATOR_REPLY, "operator",
-                        0, 0.0, False)
-        record("event", {"event": ev.to_dict()})
+        t = current_tick[0]
+        accountant.event(t, EventKind.OPERATOR_REPLY, False)
+        if writer is not None:
+            ev = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
+            writer.record("event", t, {"event": ev.to_dict()})
 
     ctx.on_operator_reply = operator_replied
 
     def send_message(msg, emcon):
+        t = current_tick[0]
         rec = send(msg, emcon, guard)
         label = None
         if rec.sent and msg.kind is MessageKind.CRY_FOR_HELP:
             label = accountant.classify_cfh(msg.evidence_start, msg.evidence_end)
-        record("message", {
-            "message_kind": msg.kind.value,
-            "status": "sent" if rec.sent else "suppressed",
-            "reason": rec.reason,
-            "classification": label,
-            "evidence_start": msg.evidence_start,
-            "evidence_end": msg.evidence_end,
-            "entries": list(msg.entries),
-            "action_taken": msg.action_taken,
-        })
+        accountant.message(t, rec.sent, msg.kind, label)
+        if writer is not None:
+            writer.record("message", t, {
+                "message_kind": msg.kind.value,
+                "status": "sent" if rec.sent else "suppressed",
+                "reason": rec.reason,
+                "classification": label,
+                "evidence_start": msg.evidence_start,
+                "evidence_end": msg.evidence_end,
+                "entries": list(msg.entries),
+                "action_taken": msg.action_taken,
+            })
 
-    record("agent_status", {"status": "active", "reason": "episode_start"})
+    def terminate(reason):
+        t = current_tick[0]
+        accountant.terminated(t)
+        if writer is not None:
+            writer.record("agent_status", t, {"status": "terminated",
+                                              "reason": reason})
+
+    if writer is not None:
+        writer.record("agent_status", 0, {"status": "active",
+                                          "reason": "episode_start"})
 
     for t in range(config.episode_ticks):
         current_tick[0] = t
         env = env_from_tick.get(t, env)
         emcon = env.emcon_level
 
-        if config.guardrails.tamper_tick == t:
+        if tamper_tick == t:
             ruleset.budget.max_impact_per_action += 1.0
 
         if agent_active:
             if verify_sealed(guard) is RulesetCheck.TAMPERED:
                 agent_active = False
-                record("agent_status", {"status": "terminated",
-                                        "reason": "ruleset_tampered"})
+                terminate("ruleset_tampered")
 
         events = step_world(world)
         window_tally.push(events)
         buckets.append(events)
         for ev in events:
-            record("event", {"event": ev.to_dict()})
+            accountant.event(t, ev.kind, ev.truth_malicious)
+        if writer is not None:
+            for ev in events:
+                writer.record("event", t, {"event": ev.to_dict()})
 
         key = None
         if agent_active:
             fv = window_tally.features()
             score, baseline = score_and_update(baseline, fv)
             summary = WorldSummary(world.honeypots_active(), world.pool.available)
-            key = discretize(fv, summary, config.agent.bins, score)
+            key = discretize(fv, summary, bins, score)
             if writer is not None:  # the accountant reads no percept
                 writer.record("percept", t, {"features": fv._asdict(),
                                              "anomaly": score,
                                              "state": key.encode()})
 
             decision = decide(key, env, ctx, profile)
-            record("decision", {
-                "action": decision.action,
-                "provenance": decision.provenance.label,
-                "rejected": [[stage.label, reason]
-                             for stage, reason in decision.rejected],
-            })
+            provenance = decision.provenance.label
+            accountant.decision(t, provenance)
+            if writer is not None:
+                writer.record("decision", t, {
+                    "action": decision.action,
+                    "provenance": provenance,
+                    "rejected": [[stage.label, reason]
+                                 for stage, reason in decision.rejected],
+                })
             for stage, action_id, reason in ctx.audit:
                 if reason.startswith("guardrail:"):
-                    record("veto", {"action": action_id, "stage": stage.label,
-                                    "reason": reason})
+                    accountant.veto(t, reason)
+                    if writer is not None:
+                        writer.record("veto", t, {"action": action_id,
+                                                  "stage": stage.label,
+                                                  "reason": reason})
 
             spec = catalog.get(decision.action)
+            targetless = spec.effect in _TARGETLESS
             target = None
-            if spec.effect not in _TARGETLESS:
+            if not targetless:
                 window_events = [ev for b in buckets for ev in b] \
                     if spec.effect in _RANKED else ()
                 target = resolve_target(spec.effect, world, window_events)
             available_before = world.pool.available
             applied, error, delta = False, None, 0
-            if spec.effect in _TARGETLESS or target is not None:
+            if targetless or target is not None:
                 try:
                     outcome = apply_action(world, ExecutedAction(decision.action,
                                                                  spec.effect, target))
@@ -499,17 +578,19 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                     error = _ERROR_LABELS[type(exc)]
             else:
                 error = "no_target"
-            record("executed_action", {
-                "action": decision.action,
-                "effect": spec.effect.value,
-                "target": target,
-                "applied": applied,
-                "error": error,
-                "delta_resources": delta,
-                "available_before": available_before,
-                "pool_used": world.pool.used,
-                "pool_available": world.pool.available,
-            })
+            accountant.executed(t, decision.action, available_before, delta)
+            if writer is not None:
+                writer.record("executed_action", t, {
+                    "action": decision.action,
+                    "effect": spec.effect.value,
+                    "target": target,
+                    "applied": applied,
+                    "error": error,
+                    "delta_resources": delta,
+                    "available_before": available_before,
+                    "pool_used": world.pool.used,
+                    "pool_available": world.pool.available,
+                })
 
             if applied:
                 if spec.effect is ActionEffect.CRY_FOR_HELP:
@@ -525,25 +606,25 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                                          entries=blocked), emcon)
                 elif spec.effect is ActionEffect.TERMINATE_SELF:
                     agent_active = False
-                    record("agent_status", {"status": "terminated",
-                                            "reason": "self_terminated"})
-                elif config.comms.alert_after_actions \
-                        and spec.effect is not ActionEffect.NOOP:
+                    terminate("self_terminated")
+                elif alert_after_actions and spec.effect is not ActionEffect.NOOP:
                     send_message(Message(MessageKind.ALERT, tick=t,
                                          action_taken=decision.action), emcon)
 
-            if agent_active and config.comms.heartbeat_every \
-                    and t % config.comms.heartbeat_every == 0:
+            if agent_active and heartbeat_every and t % heartbeat_every == 0:
                 send_message(Message(MessageKind.HEARTBEAT, tick=t), emcon)
 
         if (t + 1) % window == 0:
-            sample = _reward_sample(params, accountant, world.pool.available)
-            record("reward_sample", sample)
+            value, terms, inputs, credited = accountant.close_period(
+                params, world.pool.available)
+            accountant.sampled(t, value, *terms)
+            if writer is not None:
+                writer.record("reward_sample", t, _reward_sample_payload(
+                    value, terms, inputs, credited))
             # An agent still active here acted this tick, so the credited
             # action is this tick's decision, taken in state `key`.
             if learn and agent_active:
-                q_update(policy_obj.qtable, key, decision.action,
-                         sample["value"], key)
+                q_update(policy_obj.qtable, key, decision.action, value, key)
 
     lines = writer.finish() if writer is not None else []
     return accountant.report(), lines
@@ -658,7 +739,7 @@ def experience_from_trace(lines, window: int | None = None):
 def replay(lines) -> MetricsReport:
     """Recompute the metrics purely from trace records.
 
-    Feeds every record to the Accountant the live run uses. Each sent
+    Feeds every record's fields to the Accountant the live run uses. Each sent
     cry for help's classification and each reward sample must equal what
     the accountant derives from the records before it and the stated
     reward parameters. Each executed action's pool figures must follow
@@ -682,8 +763,8 @@ def replay(lines) -> MetricsReport:
                 raise TraceCorrupt(f"seq {rec['seq']}: {exc}") from exc
             _expect(rec, {"classification": label})
         elif kind == "reward_sample":
-            _expect(rec, _reward_sample(params, accountant,
-                                        rec["inputs"]["total_resources"]))
+            _expect(rec, _reward_sample_payload(*accountant.close_period(
+                params, rec["inputs"]["total_resources"])))
         elif kind == "executed_action":
             if capacity is None:
                 capacity = rec["pool_used"] + rec["pool_available"]

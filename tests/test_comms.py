@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeysim.config import ScenarioConfig
 from honeysim.constraints import EmconLevel
@@ -105,6 +107,26 @@ def test_classification_partitions_random_messages(rng):
             cry_wolf += 1
             assert not any(e.truth_malicious and start <= e.tick <= end for e in log)
     assert justified + cry_wolf == total
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_classifier_agrees_with_any_over_held_ticks(data):
+    """classify_cfh scans back from the newest truth tick; over ascending
+    truth ticks it agrees with "some truth tick lies in the window"."""
+    window = data.draw(st.integers(1, 30), label="window")
+    now = data.draw(st.integers(0, 80), label="now")
+    truth = sorted(data.draw(st.sets(st.integers(0, now)), label="truth ticks"))
+    accountant = Accountant(ticks=1000, window=window)
+    for t in truth:
+        accountant.event(t, EventKind.HONEY_TOUCH, True)
+    accountant.event(now, EventKind.LOAD_SAMPLE, False)
+    oldest = max(0, now - window + 1)
+    start = data.draw(st.integers(oldest, now), label="start")
+    end = data.draw(st.integers(start, now), label="end")
+    expected = any(start <= t <= end for t in truth)
+    assert accountant.classify_cfh(start, end) \
+        == ("justified" if expected else "cry_wolf")
 
 
 def test_cfh_requires_nonempty_evidence():

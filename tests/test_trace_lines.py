@@ -1,5 +1,7 @@
 """The lines a run writes are canonical, and the per-tick ones come from
-the line templates rather than the generic encoder."""
+the line templates rather than the generic encoder. A traced run, an
+untraced one and the replay of the trace report the same metrics, and an
+untraced run builds no trace record."""
 
 import collections
 import functools
@@ -10,7 +12,10 @@ import pytest
 
 from honeysim import config as config_mod
 from honeysim import trace as trace_mod
-from honeysim.harness import QPolicy, RandomPolicy, run_scenario, train_agent
+from honeysim.agent import QTable
+from honeysim.harness import (QPolicy, RandomPolicy, replay, run_scenario,
+                              train_agent)
+from honeysim.world import WorldEvent
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                          "reference.yaml")
@@ -100,3 +105,42 @@ def test_per_tick_kinds_never_fall_back_to_dumps(monkeypatch):
     assert collections.Counter(encoded) == {
         trace_mod.FORMAT: 1, trace_mod.FORMAT_END: 1,
         "reward_sample": kinds["reward_sample"], "agent_status": kinds["agent_status"]}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_traced_untraced_and_replayed_reports_agree(run):
+    config, seed, policy = RUNS[run]()
+    untraced, no_lines = run_scenario(config, seed, policy, with_trace=False)
+    traced, lines = run_scenario(config, seed, policy)
+    assert no_lines == []
+    assert untraced == traced
+    assert replay(lines) == traced
+
+
+def test_learning_runs_agree_traced_and_untraced():
+    config = config_mod.load_file(REFERENCE)
+    start = greedy_policy().qtable.to_dict()
+    tables = [QTable.from_dict(start) for _ in range(2)]
+    reports = [run_scenario(config, 7, QPolicy(table, epsilon=0.3), learn=True,
+                            with_trace=with_trace)[0]
+               for table, with_trace in zip(tables, (True, False))]
+    assert reports[0] == reports[1]
+    assert tables[0].values == tables[1].values
+    assert tables[0].values != QTable.from_dict(start).values
+
+
+def test_untraced_runs_build_no_trace_records(monkeypatch):
+    """Without a trace the accountant is fed fields: no event payload is
+    built and nothing reaches a trace writer."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an untraced run built a trace record")
+
+    monkeypatch.setattr(WorldEvent, "to_dict", refuse)
+    monkeypatch.setattr(trace_mod.TraceWriter, "record", refuse)
+    train_agent(config_mod.load_file(REFERENCE), 1)
+    config, seed, policy = RUNS["contested-failsafe"]()
+    report, lines = run_scenario(config, seed, policy, with_trace=False)
+    assert lines == []
+    assert report.vetoes_by_reason and report.messages_sent \
+        and report.messages_suppressed
+    assert report.agent_terminated_at is not None
