@@ -3,12 +3,9 @@ attack, defended by an autonomous agent that manages deception
 honeypots, learns from a shaped reward, selects actions through a
 resource-gated decision cascade, and operates inside hard guardrails.
 
-Hot per-tick kernels run from an optional compiled extension with a
-pure-Python fallback; see honeysim._kernels.BACKEND for the active one.
+The hot per-tick kernels are plain Python in honeysim._kernels.pure.
 """
-
-from ._kernels import BACKEND as kernel_backend
 
 __version__ = "0.1.0"
 
-__all__ = ["kernel_backend", "__version__"]
+__all__ = ["__version__"]

@@ -1,27 +1,11 @@
-"""Kernel backend selection, made once at import.
+"""The per-tick kernels: RNG stream, world step, window tally.
 
-The compiled extension is used when it is built; HONEYSIM_PURE=1
-forces the pure-Python twin. Both expose the same surface (Stream,
-CoreWorld, tally, mix64, IMPL) and are parity-tested against each
-other, so everything above this package is backend-agnostic. Callers
-read the four entry points as attributes of this module at call time,
-so a whole run uses one backend.
+pure.py is the only implementation; this package re-exports its entry
+points. BACKEND names it for run reports and the benchmark.
 """
 
-import os
+from .pure import CoreWorld, Stream, mix64, tally
 
-from . import pure
+BACKEND = "pure"
 
-if os.environ.get("HONEYSIM_PURE"):
-    _impl = pure
-else:
-    try:
-        from . import _accel as _impl
-    except ImportError:
-        _impl = pure
-
-BACKEND = _impl.IMPL
-Stream = _impl.Stream
-CoreWorld = _impl.CoreWorld
-tally = _impl.tally
-mix64 = _impl.mix64
+__all__ = ["BACKEND", "CoreWorld", "Stream", "mix64", "tally"]

@@ -1,9 +1,9 @@
-"""Integer codes shared by both kernel backends.
+"""Integer codes of the kernel arrays and raw events.
 
-The compiled backend mirrors these values as C constants, so any edit
-here must be reflected in _accel.pyx. The parity suite compares those
-constants with this module from source, and asserts both backends
-agree event-for-event where the extension is built.
+The world's IntEnums (NodeKind, NodeStatus, CampaignPhase, EventKind)
+take their values from here, so a code means the same on both sides of
+the kernel boundary. Event kinds run 0..n-1 without gaps: world.py
+indexes a table by them.
 """
 
 # Node kinds

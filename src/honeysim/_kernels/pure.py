@@ -1,16 +1,13 @@
 """Pure-Python kernels: RNG stream, per-tick world step, window tally.
 
-This module is the reference implementation. The compiled backend
-(_accel.pyx) mirrors it line for line; a parity suite asserts both
-produce byte-identical event streams, so behavioural changes must be
-made in both files together.
+This is the only kernel implementation; honeysim._kernels re-exports it.
 
 Determinism contract:
   * Stream is splitmix64. All draws are ordered and counted; a given
-    world state consumes an identical draw sequence on every backend.
+    world state consumes an identical draw sequence on every run.
   * uniform() maps the top 53 bits to [0, 1); randrange(n) is plain
-    modulo (bias is irrelevant at simulation scale but must match the
-    compiled backend exactly).
+    modulo (bias is irrelevant at simulation scale, and changing it
+    would change every trace).
   * step() emits events in a fixed subsystem order: benign traffic,
     campaigns sorted by index, then the detection sweep by node index.
 """
@@ -20,8 +17,6 @@ from . import codes
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / 9007199254740992.0
-
-IMPL = "pure"
 
 
 def mix64(x):
@@ -62,6 +57,10 @@ class CoreWorld:
 
     Raw events are (kind_code, node_index, severity, load, truth) tuples;
     the owning WorldState wraps them with tick numbers and node ids.
+    The world and the harness read the parallel node arrays (kinds,
+    statuses, addresses, decoys, integrity) and the campaign arrays
+    directly; a change that must keep a rule or keep the arrays in step
+    goes through a method.
     """
 
     def __init__(self, kinds, statuses, addresses, decoys, integrity,
@@ -89,19 +88,9 @@ class CoreWorld:
          self.p_false_unauthorized, self.p_logline,
          self.load_noise, self.hits_to_compromise) = params
         self.inbound_restricted = False
-        self.outbound_restricted = False
         self.clock = 0
 
-    # -- accessors used by apply_action and the harness --------------------
-
-    def n_nodes(self):
-        return len(self.kinds)
-
-    def kind(self, i):
-        return self.kinds[i]
-
-    def status(self, i):
-        return self.statuses[i]
+    # -- mutators that keep a rule or keep the node arrays in step --------
 
     def set_status(self, i, status):
         # Leaving Compromised always clears the attacker's foothold.
@@ -109,29 +98,11 @@ class CoreWorld:
             self.owners[i] = -1
         self.statuses[i] = status
 
-    def address(self, i):
-        return self.addresses[i]
-
     def rotate_address(self, i):
         token = self.next_token
         self.next_token += 1
         self.addresses[i] = token
         return token
-
-    def decoy_count(self, i):
-        return self.decoys[i]
-
-    def add_decoys(self, i, n):
-        self.decoys[i] += n
-
-    def integrity_ok(self, i):
-        return bool(self.integrity[i])
-
-    def set_integrity(self, i, ok):
-        self.integrity[i] = 1 if ok else 0
-
-    def reset_progress(self, i):
-        self.progress[i] = 0
 
     def add_node(self, kind, status, decoys):
         token = self.next_token
@@ -155,18 +126,6 @@ class CoreWorld:
         del self.integrity[i]
         del self.progress[i]
         del self.owners[i]
-
-    def campaign_phase(self, ci):
-        return self.c_phase[ci]
-
-    def campaign_known_tokens(self, ci):
-        return frozenset(self.c_known[ci])
-
-    def set_inbound_restricted(self, flag):
-        self.inbound_restricted = bool(flag)
-
-    def set_outbound_restricted(self, flag):
-        self.outbound_restricted = bool(flag)
 
     # -- per-tick step ------------------------------------------------------
 

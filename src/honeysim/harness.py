@@ -303,33 +303,33 @@ def resolve_target(effect: ActionEffect, world: WorldState, window_events):
     """
     core = world.core
     ids = world.node_ids
-    kind = core.kind
-    status = core.status
-    n = core.n_nodes()
+    kinds = core.kinds
+    statuses = core.statuses
+    n = len(ids)
     honeypot, stopped = codes.HONEYPOT, codes.STOPPED
     # The agent cannot tell Compromised from Running: both look up.
     up = (codes.RUNNING, codes.COMPROMISED)
 
     if effect is ActionEffect.STOP_HONEYPOT:
         # a stopped honeypot is retired, so no resident one is stopped
-        return min((ids[i] for i in range(n) if kind(i) == honeypot), default=None)
+        return min((ids[i] for i in range(n) if kinds[i] == honeypot), default=None)
     if effect is ActionEffect.START_REAL_VM:
         return min((ids[i] for i in range(n)
-                    if kind(i) != honeypot and status(i) == stopped), default=None)
+                    if kinds[i] != honeypot and statuses[i] == stopped), default=None)
     if effect is ActionEffect.DEPLOY_DUMMY_FILES:
-        ranked = [(core.decoy_count(i), ids[i]) for i in range(n) if status(i) in up]
+        ranked = [(core.decoys[i], ids[i]) for i in range(n) if statuses[i] in up]
         return min(ranked)[1] if ranked else None
     if effect not in _RANKED:
         return None
 
     if effect is ActionEffect.QUARANTINE_FILE:
-        candidates = [ids[i] for i in range(n) if status(i) != stopped]
+        candidates = [ids[i] for i in range(n) if statuses[i] != stopped]
     elif effect is ActionEffect.RESTORE_KNOWN_GOOD:
         candidates = [ids[i] for i in range(n)
-                      if kind(i) != honeypot and status(i) != stopped]
+                      if kinds[i] != honeypot and statuses[i] != stopped]
     else:  # STOP_REAL_VM, QUARANTINE_NODE, ROTATE_ADDRESS
         candidates = [ids[i] for i in range(n)
-                      if kind(i) != honeypot and status(i) in up]
+                      if kinds[i] != honeypot and statuses[i] in up]
     if not candidates:
         return None
     suspicion: dict = {}
@@ -600,8 +600,8 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 elif spec.effect is ActionEffect.SHARE_BLOCKLIST:
                     core = world.core
                     blocked = tuple(sorted(
-                        core.address(i) for i in range(core.n_nodes())
-                        if core.status(i) == codes.QUARANTINED))
+                        address for address, status in zip(core.addresses, core.statuses)
+                        if status == codes.QUARANTINED))
                     send_message(Message(MessageKind.SHARE_BLOCKLIST, tick=t,
                                          entries=blocked), emcon)
                 elif spec.effect is ActionEffect.TERMINATE_SELF:

@@ -31,7 +31,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from . import _kernels
-from ._kernels import codes
+from ._kernels import CoreWorld, codes
 from .config import ScenarioConfig
 from .errors import ConfigInvalid, IllegalTransition, InsufficientResources, NoSuchNode
 from .actions import ActionEffect
@@ -179,7 +179,7 @@ _KIND_TO_GROUP = {
 class WorldState:
     config: ScenarioConfig
     backend_name: str
-    core: object
+    core: CoreWorld
     node_ids: list = field(default_factory=list)
     kind_costs: tuple = ()  # a node's cost, by its kind code
     pool: ResourcePool = None
@@ -194,15 +194,16 @@ class WorldState:
         return self._snapshot(self.node_ids.index(node_id))
 
     def _snapshot(self, i: int) -> Node:
-        kind = self.core.kind(i)
+        core = self.core
+        kind = core.kinds[i]
         return Node(
             id=self.node_ids[i],
             kind=NodeKind(kind),
-            status=NodeStatus(self.core.status(i)),
-            address=self.core.address(i),
+            status=NodeStatus(core.statuses[i]),
+            address=core.addresses[i],
             cost=self.kind_costs[kind],
-            integrity_ok=self.core.integrity_ok(i),
-            decoy_files=self.core.decoy_count(i),
+            integrity_ok=bool(core.integrity[i]),
+            decoy_files=core.decoys[i],
         )
 
     def nodes(self):
@@ -217,33 +218,31 @@ class WorldState:
 
     def campaign_phase(self, campaign_id: str) -> CampaignPhase:
         ci = self.campaign_ids.index(campaign_id)
-        return CampaignPhase(self.core.campaign_phase(ci))
+        return CampaignPhase(self.core.c_phase[ci])
 
     def campaign_known_tokens(self, campaign_id: str) -> frozenset:
         ci = self.campaign_ids.index(campaign_id)
-        return self.core.campaign_known_tokens(ci)
+        return frozenset(self.core.c_known[ci])
 
     def honeypots_active(self) -> int:
-        core = self.core
-        return sum(1 for i in range(core.n_nodes())
-                   if core.kind(i) == codes.HONEYPOT
-                   and core.status(i) == codes.RUNNING)
+        statuses = self.core.statuses
+        return sum(1 for i, kind in enumerate(self.core.kinds)
+                   if kind == codes.HONEYPOT and statuses[i] == codes.RUNNING)
 
     def check_invariants(self) -> None:
         """Raise AssertionError when a structural invariant is broken."""
         core = self.core
-        expected = sum(self.kind_costs[core.kind(i)] for i in range(core.n_nodes())
-                       if core.status(i) != codes.STOPPED)
+        nodes = list(zip(core.kinds, core.statuses, core.addresses))
+        expected = sum(self.kind_costs[kind] for kind, status, _ in nodes
+                       if status != codes.STOPPED)
         assert self.pool.used == expected, (
             f"pool.used={self.pool.used} but non-stopped costs sum to {expected}")
         assert 0 <= self.pool.used <= self.pool.capacity
-        running = [core.address(i) for i in range(core.n_nodes())
-                   if core.status(i) == codes.RUNNING]
+        running = [address for _, status, address in nodes if status == codes.RUNNING]
         assert len(running) == len(set(running)), "duplicate running addresses"
-        n = core.n_nodes()
-        assert len(self.node_ids) == len(set(self.node_ids)) == n
-        assert not any(core.kind(i) == codes.HONEYPOT and core.status(i) == codes.STOPPED
-                       for i in range(n)), "stopped honeypot left resident"
+        assert len(self.node_ids) == len(set(self.node_ids)) == len(nodes)
+        assert not any(kind == codes.HONEYPOT and status == codes.STOPPED
+                       for kind, status, _ in nodes), "stopped honeypot left resident"
         assert self.retired.isdisjoint(self.node_ids), "retired node resident"
 
 
@@ -292,7 +291,7 @@ def init_world(config: ScenarioConfig, seed: int) -> WorldState:
         campaign_ids.append(camp.id)
         campaign_seeds.append(derive_seed(seed, STREAM_CAMPAIGN_BASE + ci))
 
-    core = _kernels.CoreWorld(
+    core = CoreWorld(
         kinds, [codes.RUNNING] * len(kinds), addresses, decoys,
         [1] * len(kinds), len(kinds), intensities, activations, known_sets,
         campaign_seeds, derive_seed(seed, STREAM_BENIGN),
@@ -342,6 +341,7 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
 
     if effect is ActionEffect.NOOP or effect is ActionEffect.CRY_FOR_HELP \
             or effect is ActionEffect.SHARE_BLOCKLIST \
+            or effect is ActionEffect.RESTRICT_COMMS_OUTBOUND \
             or effect is ActionEffect.TERMINATE_SELF:
         return ActionOutcome(delta_resources=0)
 
@@ -358,15 +358,12 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
         return ActionOutcome(delta_resources=-cost, node=node_id)
 
     if effect is ActionEffect.RESTRICT_COMMS_INBOUND:
-        core.set_inbound_restricted(True)
-        return ActionOutcome(delta_resources=0)
-    if effect is ActionEffect.RESTRICT_COMMS_OUTBOUND:
-        core.set_outbound_restricted(True)
+        core.inbound_restricted = True
         return ActionOutcome(delta_resources=0)
 
     i = _require_target(world, action)
-    status = core.status(i)
-    kind = core.kind(i)
+    status = core.statuses[i]
+    kind = core.kinds[i]
 
     if effect is ActionEffect.STOP_HONEYPOT:
         # A stopped honeypot is retired, so a resident one is never stopped.
@@ -396,7 +393,7 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
         if status == codes.STOPPED:
             raise IllegalTransition(f"{action.target} is already stopped")
         core.set_status(i, codes.STOPPED)
-        core.reset_progress(i)
+        core.progress[i] = 0
         cost = world.kind_costs[kind]
         pool.used -= cost
         return ActionOutcome(delta_resources=cost, node=action.target)
@@ -404,13 +401,13 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
     if effect is ActionEffect.DEPLOY_DUMMY_FILES:
         if status == codes.STOPPED or status == codes.QUARANTINED:
             raise IllegalTransition(f"{action.target} is not reachable")
-        core.add_decoys(i, w.dummy_files_per_deploy)
+        core.decoys[i] += w.dummy_files_per_deploy
         return ActionOutcome(delta_resources=0, node=action.target)
 
     if effect is ActionEffect.QUARANTINE_FILE:
         if status == codes.STOPPED:
             raise IllegalTransition(f"{action.target} is stopped")
-        core.set_integrity(i, True)
+        core.integrity[i] = 1
         return ActionOutcome(delta_resources=0, node=action.target)
 
     if effect is ActionEffect.QUARANTINE_NODE:
@@ -423,8 +420,8 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
         if status == codes.STOPPED:
             raise IllegalTransition(f"cannot restore stopped node {action.target}")
         core.set_status(i, codes.RUNNING)
-        core.set_integrity(i, True)
-        core.reset_progress(i)
+        core.integrity[i] = 1
+        core.progress[i] = 0
         return ActionOutcome(delta_resources=0, node=action.target)
 
     if effect is ActionEffect.ROTATE_ADDRESS:

@@ -132,7 +132,7 @@ def test_stop_honeypot_retires_it():
     resident = len(w.node_ids)
     stop = ExecutedAction("stop_honeypot", ActionEffect.STOP_HONEYPOT, "hp-0")
     apply_action(w, stop)
-    assert len(w.node_ids) == w.core.n_nodes() == resident - 1
+    assert len(w.node_ids) == len(w.core.kinds) == resident - 1
     assert "hp-0" not in w.node_ids
     assert "hp-0" not in [n.id for n in w.nodes()]
     # only the id is kept: a retired honeypot has no snapshot
@@ -141,7 +141,7 @@ def test_stop_honeypot_retires_it():
         w.node("hp-0")
     # the honeypot after it moved down one index and is still addressable
     assert w.node("hp-1").status is NodeStatus.RUNNING
-    assert w.core.kind(w.node_ids.index("hp-1")) == NodeKind.HONEYPOT
+    assert w.core.kinds[w.node_ids.index("hp-1")] == NodeKind.HONEYPOT
     with pytest.raises(IllegalTransition):
         apply_action(w, stop)
     with pytest.raises(IllegalTransition):
