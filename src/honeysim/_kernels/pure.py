@@ -61,6 +61,14 @@ class CoreWorld:
     statuses, addresses, decoys, integrity) and the campaign arrays
     directly; a change that must keep a rule or keep the arrays in step
     goes through a method.
+
+    Two facts derived from the node arrays are kept rather than rescanned
+    each tick: `serving`, the indices of real nodes that are Running or
+    Compromised in index order, and `honeypots_running`, the number of
+    Running honeypots. set_status, add_node and remove_node recount both;
+    they are the only writers that can change either. _attack's write of
+    Running to Compromised keeps a real node serving and never touches a
+    honeypot.
     """
 
     def __init__(self, kinds, statuses, addresses, decoys, integrity,
@@ -89,14 +97,31 @@ class CoreWorld:
          self.load_noise, self.hits_to_compromise) = params
         self.inbound_restricted = False
         self.clock = 0
+        self._recount()
 
     # -- mutators that keep a rule or keep the node arrays in step --------
+
+    def _recount(self):
+        kinds = self.kinds
+        statuses = self.statuses
+        serving = []
+        honeypots = 0
+        for i in range(len(kinds)):
+            status = statuses[i]
+            if kinds[i] == codes.HONEYPOT:
+                if status == codes.RUNNING:
+                    honeypots += 1
+            elif status == codes.RUNNING or status == codes.COMPROMISED:
+                serving.append(i)
+        self.serving = serving
+        self.honeypots_running = honeypots
 
     def set_status(self, i, status):
         # Leaving Compromised always clears the attacker's foothold.
         if self.statuses[i] == codes.COMPROMISED and status != codes.COMPROMISED:
             self.owners[i] = -1
         self.statuses[i] = status
+        self._recount()
 
     def rotate_address(self, i):
         token = self.next_token
@@ -114,6 +139,7 @@ class CoreWorld:
         self.integrity.append(1)
         self.progress.append(0)
         self.owners.append(-1)
+        self._recount()
         return len(self.kinds) - 1
 
     def remove_node(self, i):
@@ -126,18 +152,18 @@ class CoreWorld:
         del self.integrity[i]
         del self.progress[i]
         del self.owners[i]
+        self._recount()
 
     # -- per-tick step ------------------------------------------------------
 
     def _derive_phase(self, ci):
         if self.clock < self.c_activation[ci]:
             return codes.DORMANT
-        owners = self.owners
-        statuses = self.statuses
-        for i in range(len(statuses)):
-            if statuses[i] == codes.COMPROMISED and owners[i] == ci:
-                return codes.LATERAL
+        # A node has an owner only while it is Compromised.
+        if ci in self.owners:
+            return codes.LATERAL
         known = self.c_known[ci]
+        statuses = self.statuses
         addresses = self.addresses
         for i in range(len(statuses)):
             if statuses[i] == codes.RUNNING and addresses[i] in known:
@@ -187,10 +213,7 @@ class CoreWorld:
 
         # Benign traffic lands on real serving nodes only; honeypots by
         # construction receive no legitimate traffic.
-        serving = [i for i in range(n)
-                   if self.kinds[i] != codes.HONEYPOT
-                   and (self.statuses[i] == codes.RUNNING
-                        or self.statuses[i] == codes.COMPROMISED)]
+        serving = self.serving
         benign = self.benign
         if serving:
             base = used / capacity if capacity > 0 else 0.0

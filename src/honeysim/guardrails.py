@@ -2,29 +2,29 @@
 emissions level, and tamper detection over the sealed ruleset.
 
 The ruleset (budget, gates, stage thresholds) is hashed at load time,
-and a snapshot of every sealed value is kept beside the digest. Every
-tick, before the agent may act, the harness compares the live values
-with that snapshot (verify_sealed); only when they differ does it
-re-encode the ruleset and recompute the digest. The digest alone
-decides TAMPERED, and a mismatch must terminate the agent within the
-same tick. Each snapshot value carries its type, and a float its sign,
-so equal snapshots always encode to equal bytes: a zero whose sign
-flipped (0.0 to -0.0) differs from the snapshot, and since its bytes
-differ too, the digest reports it as tampering. A ruleset holding a
-value with no signed float form (an int too large for a float) gets a
-snapshot equal to nothing, so the digest decides every tick. The
-self-termination action itself is never vetoed, so the kill switch
-stays reachable under any gate configuration.
+and the sealed key and value objects themselves are kept beside the
+digest, with the size of each sealed mapping. Every tick, before the
+agent may act, the harness checks the live ruleset against them
+(verify_sealed): when every mapping has its sealed size and every live
+key and value is its sealed object, the ruleset is untouched, because
+an immutable scalar that is the same object has the same type, sign
+and bits, so it encodes to the same bytes. Any other state re-encodes
+the ruleset and recomputes the digest, and the digest alone decides
+TAMPERED; a mismatch must terminate the agent within the same tick. A
+ruleset holding a key or value of any type but exactly int, float,
+bool, str, EmconLevel or AutonomyLevel (a list can change in place and
+stay the same object) keeps no objects, so the digest decides every
+tick. The self-termination action itself is never vetoed, so the kill
+switch stays reachable under any gate configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from operator import is_
 
 from .actions import ActionSpec, ActionEffect, AutonomyLevel
 from .constraints import EmconLevel, EnvConstraints
@@ -52,8 +52,8 @@ class Ruleset:
 
     def sealed_fields(self) -> dict:
         """Every sealed field by its name in canonical_bytes, each a
-        mapping of names to numbers. canonical_bytes and sealed_values
-        both walk this, so they always cover the same fields."""
+        mapping of names to numbers. canonical_bytes walks this, and
+        _sealed_objects walks the same fields."""
         budget = self.budget
         return {
             "budget": {
@@ -74,37 +74,30 @@ class Ruleset:
             for level, gate in payload["autonomy_gates"].items()}
         return _ENCODER.encode(payload).encode("utf-8")
 
-    def sealed_values(self):
-        """Every sealed key and value with its type, and the sign of each
-        number (math.copysign), so that equal results imply equal
-        canonical_bytes: -0.0 == 0.0, 1 == 1.0 and True == 1, but each
-        pair encodes differently. A float key, or a field or value the
-        walk cannot take (copysign rejects a string, and overflows on
-        an int too large for a float), gives a fresh object, equal to
-        nothing, so that the digest decides."""
-        fields = tuple(self.sealed_fields().values())
-        keys = []
-        numbers = []
-        try:
-            for mapping in fields:
-                keys += mapping
-                numbers += mapping.values()
-            signs = tuple(map(math.copysign, _ONES, numbers))
-        except (AttributeError, TypeError, OverflowError):
-            return object()
-        key_types = tuple(map(type, keys))
-        if float in key_types:
-            return object()
-        return (tuple(map(len, fields)), keys, key_types, numbers,
-                tuple(map(type, numbers)), signs)
-
 
 # Both enums are IntEnums whose members compare equal across the two
 # types, so each has its own table.
 _EMCON_LABELS = {level: level.label for level in EmconLevel}
 _AUTONOMY_LABELS = {gate: gate.label for gate in AutonomyLevel}
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_ONES = itertools.repeat(1.0)
+# Immutable scalars whose object fixes their bytes; bool and the enums
+# are listed apart from int because identity is checked on exact types.
+_IDENTITY_TYPES = frozenset({int, float, bool, str, EmconLevel, AutonomyLevel})
+
+
+def _sealed_objects(ruleset: Ruleset):
+    """(the sizes of the gate and threshold mappings, every sealed value
+    and every key not fixed by the code, as the objects themselves), or
+    None when either mapping is not a dict. It walks the fields of
+    Ruleset.sealed_fields, whose budget names are constants."""
+    budget = ruleset.budget
+    gates = ruleset.autonomy_gates
+    thresholds = ruleset.stage_thresholds
+    if type(gates) is not dict or type(thresholds) is not dict:
+        return None
+    return ((len(gates), len(thresholds)),
+            [budget.max_impact_per_action, budget.mission_need,
+             *gates, *gates.values(), *thresholds, *thresholds.values()])
 
 
 def ruleset_digest(rules_bytes: bytes) -> str:
@@ -115,14 +108,19 @@ def ruleset_digest(rules_bytes: bytes) -> str:
 class GuardrailSet:
     ruleset: Ruleset
     expected_digest: str
-    sealed_values: object  # ruleset.sealed_values() at seal time
+    # _sealed_objects(ruleset) at seal time, or None when an object's
+    # identity does not fix its bytes
+    sealed: tuple | None
 
     @classmethod
     def seal(cls, ruleset: Ruleset) -> "GuardrailSet":
         _validate_gates(ruleset.autonomy_gates)
+        sealed = _sealed_objects(ruleset)
+        if sealed is not None and not _IDENTITY_TYPES.issuperset(map(type, sealed[1])):
+            sealed = None
         return cls(ruleset=ruleset,
                    expected_digest=ruleset_digest(ruleset.canonical_bytes()),
-                   sealed_values=ruleset.sealed_values())
+                   sealed=sealed)
 
 
 def _validate_gates(gates: dict) -> None:
@@ -178,11 +176,16 @@ def verify_ruleset(g: GuardrailSet, current_rules: bytes) -> RulesetCheck:
 
 
 def verify_sealed(g: GuardrailSet) -> RulesetCheck:
-    """The per-tick check of g's own ruleset: OK while its values equal
-    the snapshot taken at seal, which implies its bytes are the sealed
-    ones; otherwise verify_ruleset over its re-encoded bytes decides."""
-    if g.ruleset.sealed_values() == g.sealed_values:
-        return RulesetCheck.OK
+    """The per-tick check of g's own ruleset: OK while each of its
+    mappings is a dict of the sealed size whose keys and values are the
+    sealed objects, which implies its bytes are the sealed ones;
+    otherwise verify_ruleset over its re-encoded bytes decides."""
+    sealed = g.sealed
+    if sealed is not None:
+        live = _sealed_objects(g.ruleset)
+        if live is not None and live[0] == sealed[0] \
+                and all(map(is_, live[1], sealed[1])):
+            return RulesetCheck.OK
     return verify_ruleset(g, g.ruleset.canonical_bytes())
 
 

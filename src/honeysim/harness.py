@@ -36,7 +36,7 @@ from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
                      InsufficientResources, NoSuchNode, TraceCorrupt,
                      WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_sealed
-from .sensing import Baseline, WindowTally, score_and_update
+from .sensing import Moments, WindowTally
 from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent,
                     WorldState, apply_action, derive_seed, init_world,
                     step_world)
@@ -453,7 +453,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     env = env_from_tick[0]
 
     accountant = Accountant(config.episode_ticks, window)
-    baseline = Baseline()
+    moments = Moments()  # the anomaly baseline, updated in place
     window_tally = WindowTally(window)
     # last `window` ticks of events, one list per tick; read only to rank
     # targets by suspicion
@@ -532,7 +532,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         key = None
         if agent_active:
             fv = window_tally.features()
-            score, baseline = score_and_update(baseline, fv)
+            score = moments.score_and_update(fv)
             summary = WorldSummary(world.honeypots_active(), world.pool.available)
             key = discretize(fv, summary, bins, score)
             if writer is not None:  # the accountant reads no percept

@@ -110,31 +110,56 @@ class Baseline(NamedTuple):
         return tuple(v / self.sample_count for v in self.m2)
 
 
-def score_and_update(baseline: Baseline, fv: FeatureVector):
-    """One pass over the moments: (the anomaly score of fv against
-    `baseline`, 0.0 below two samples; `baseline` updated with fv).
+class Moments:
+    """The running means, M2 and sample count of a Baseline, held in
+    lists so that a run updates one object in place each tick."""
 
-    The score is the max per-feature |z| with a variance floor, 0 when
-    fv sits on the baseline mean; the update is Welford's numerically
-    stable single-pass moment update.
-    """
-    count = baseline.sample_count
-    n = count + 1
-    scored = count >= 2
-    sqrt = math.sqrt
-    score = 0.0
-    means = []
-    m2 = []
-    for mean, m, x in zip(baseline.means, baseline.m2, fv.as_moments_array()):
-        delta = x - mean
-        if scored:
-            z = abs(delta) / sqrt(m / count + VARIANCE_FLOOR)
-            if z > score:
-                score = z
-        mean = mean + delta / n
-        m2.append(m + delta * (x - mean))
-        means.append(mean)
-    return score, Baseline(tuple(means), tuple(m2), n)
+    __slots__ = ("means", "m2", "sample_count")
+
+    def __init__(self, baseline: Baseline = Baseline()):
+        self.means = list(baseline.means)
+        self.m2 = list(baseline.m2)
+        self.sample_count = baseline.sample_count
+
+    def score_and_update(self, fv: FeatureVector) -> float:
+        """One pass over the moments: the anomaly score of fv against
+        the moments so far (0.0 below two samples), then fv folded in.
+
+        The score is the max per-feature |z| with a variance floor, 0
+        when fv sits on the baseline mean; the update is Welford's
+        numerically stable single-pass moment update.
+        """
+        count = self.sample_count
+        n = count + 1
+        scored = count >= 2
+        sqrt = math.sqrt
+        means = self.means
+        m2 = self.m2
+        score = 0.0
+        for k in range(N_FEATURES):  # the fields of fv.as_moments_array()
+            x = fv[k]
+            mean = means[k]
+            m = m2[k]
+            delta = x - mean
+            if scored:
+                z = abs(delta) / sqrt(m / count + VARIANCE_FLOOR)
+                if z > score:
+                    score = z
+            mean = mean + delta / n
+            m2[k] = m + delta * (x - mean)
+            means[k] = mean
+        self.sample_count = n
+        return score
+
+
+def score_and_update(baseline: Baseline, fv: FeatureVector):
+    """(the anomaly score of fv against `baseline`, 0.0 below two
+    samples; `baseline` updated with fv), by Moments.score_and_update on
+    a copy."""
+    moments = Moments(baseline)
+    score = moments.score_and_update(fv)
+    return score, Baseline(tuple(moments.means), tuple(moments.m2),
+                           moments.sample_count)
 
 
 def update_baseline(baseline: Baseline, fv: FeatureVector) -> Baseline:

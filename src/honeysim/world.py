@@ -225,9 +225,8 @@ class WorldState:
         return frozenset(self.core.c_known[ci])
 
     def honeypots_active(self) -> int:
-        statuses = self.core.statuses
-        return sum(1 for i, kind in enumerate(self.core.kinds)
-                   if kind == codes.HONEYPOT and statuses[i] == codes.RUNNING)
+        """The number of Running honeypots, as the kernel keeps it."""
+        return self.core.honeypots_running
 
     def check_invariants(self) -> None:
         """Raise AssertionError when a structural invariant is broken."""
@@ -244,6 +243,17 @@ class WorldState:
         assert not any(kind == codes.HONEYPOT and status == codes.STOPPED
                        for kind, status, _ in nodes), "stopped honeypot left resident"
         assert self.retired.isdisjoint(self.node_ids), "retired node resident"
+        serving = [i for i, (kind, status, _) in enumerate(nodes)
+                   if kind != codes.HONEYPOT
+                   and status in (codes.RUNNING, codes.COMPROMISED)]
+        assert core.serving == serving, f"kept serving {core.serving} != {serving}"
+        honeypots = sum(1 for kind, status, _ in nodes
+                        if kind == codes.HONEYPOT and status == codes.RUNNING)
+        assert core.honeypots_running == honeypots, (
+            f"kept honeypot count {core.honeypots_running} != {honeypots}")
+        assert all(core.statuses[i] == codes.COMPROMISED
+                   for i, owner in enumerate(core.owners) if owner != -1), \
+            "owned node not compromised"
 
 
 def _world_params(w) -> tuple:

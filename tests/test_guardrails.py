@@ -1,19 +1,21 @@
 import itertools
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
+from honeysim import config as config_mod
 from honeysim.actions import ActionEffect, ActionSpec, AutonomyLevel, build_catalog
 from honeysim.config import ScenarioConfig
 from honeysim.constraints import EmconLevel, EnvConstraints
 from honeysim.errors import ConfigInvalid
 from honeysim.guardrails import (AUTONOMY_GATE, EMISSION_BLOCKED,
                                  IMPACT_EXCEEDED, GuardrailSet, ImpactBudget,
-                                 RulesetCheck, build_ruleset, check,
+                                 Ruleset, RulesetCheck, build_ruleset, check,
                                  ruleset_digest, verify_ruleset, verify_sealed)
 from honeysim.harness import run_scenario
 
@@ -220,7 +222,7 @@ def test_canonical_bytes_are_sorted_compact_json():
         payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-# -- the snapshot-gated per-tick check ------------------------------------
+# -- the identity-gated per-tick check ------------------------------------
 
 # Pairs that compare equal but encode differently, NaN, an int too large
 # for a float, and plain values.
@@ -315,9 +317,9 @@ def _move_silent_gate_to_thresholds(r):
 
 # (sealed thresholds, edit, tampered): -0.0 == 0.0, 1 == 1.0 and True == 1
 # but their bytes differ; a plain int or bool gate encodes to the same
-# label; a gate moved into the thresholds leaves the flat run of keys and
-# values as it was; an int too large for a float has no sign to take, so
-# the digest decides each tick.
+# label; a gate moved into the thresholds changes both mappings' sizes;
+# an equal int too large for a float, put back as a new object, is not
+# the sealed object, so the digest decides.
 SNAPSHOT_CASES = {
     "negative_zero": ({"fail_safe": 0.0},
                       lambda r: r.stage_thresholds.update(fail_safe=-0.0), True),
@@ -351,6 +353,51 @@ def test_snapshot_sees_what_equality_hides(case):
     want = RulesetCheck.TAMPERED if tampered else RulesetCheck.OK
     assert verify_sealed(g) is want
     assert verify_ruleset(g, ruleset.canonical_bytes()) is want
+
+
+def test_list_edited_in_place_is_tampered():
+    # A list stays the same object when it is edited in place, so its
+    # identity vouches for nothing: the digest decides on every tick.
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    ruleset.stage_thresholds["fail_safe"] = [0.5]
+    g = GuardrailSet.seal(ruleset)
+    assert verify_sealed(g) is RulesetCheck.OK
+    ruleset.stage_thresholds["fail_safe"][0] = 0.75
+    assert verify_sealed(g) is RulesetCheck.TAMPERED
+    assert verify_ruleset(g, ruleset.canonical_bytes()) is RulesetCheck.TAMPERED
+
+
+def test_identity_check_holds_every_encoded_object():
+    # The per-tick walk names the sealed fields itself, so it must hold
+    # every key and value that canonical_bytes encodes, bar the budget's
+    # names, which are constants of the code.
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    fields = ruleset.sealed_fields()
+    budget_names = set(fields["budget"])
+    encoded = [obj for mapping in fields.values() for item in mapping.items()
+               for obj in item if obj not in budget_names]
+    held = GuardrailSet.seal(ruleset).sealed[1]
+    assert sorted(map(id, encoded)) == sorted(map(id, held))
+
+
+def test_untampered_run_encodes_the_ruleset_once_at_seal(monkeypatch):
+    # Every tick of an untampered run is vouched for by identity, so the
+    # ruleset is encoded only to take the sealed digest.
+    calls = []
+    encode = Ruleset.canonical_bytes
+
+    def counted(self):
+        calls.append(self)
+        return encode(self)
+
+    monkeypatch.setattr(Ruleset, "canonical_bytes", counted)
+    cfg = config_mod.load_file(
+        pathlib.Path(__file__).parent.parent / "configs" / "reference.yaml")
+    report, _ = run_scenario(cfg, 0, "random", with_trace=False)
+    assert report.agent_terminated_at is None
+    assert len(calls) == 1
 
 
 @settings(max_examples=6, deadline=None)

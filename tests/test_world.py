@@ -118,6 +118,27 @@ def test_start_honeypot_insufficient_resources():
         apply_action(w, ExecutedAction("start_honeypot", ActionEffect.START_HONEYPOT))
 
 
+def test_kept_serving_list_and_honeypot_count_follow_status_changes():
+    # Quarantine and restore through apply_action are the only way a
+    # resident honeypot leaves Running and returns (resolve_target never
+    # picks one); stopping and restarting a real VM takes it out of the
+    # serving list and back.
+    w = init_world(hp_world(), seed=1)
+    real = list(range(9))  # db-0..2, app-0..2, web-0..2; hp-0 is index 9
+
+    def act(action_id, effect, target):
+        apply_action(w, ExecutedAction(action_id, effect, target))
+        w.check_invariants()
+        return w.honeypots_active(), w.core.serving
+
+    assert (w.honeypots_active(), w.core.serving) == (1, real)
+    assert act("quarantine_node", ActionEffect.QUARANTINE_NODE, "hp-0") == (0, real)
+    assert act("restore_known_good", ActionEffect.RESTORE_KNOWN_GOOD, "hp-0") == (1, real)
+    assert act("stop_real_vm", ActionEffect.STOP_REAL_VM, "db-1") == \
+        (1, [i for i in real if i != 1])
+    assert act("start_real_vm", ActionEffect.START_REAL_VM, "db-1") == (1, real)
+
+
 def test_stop_honeypot_frees_resources():
     w = init_world(hp_world(), seed=1)
     outcome = apply_action(w, ExecutedAction("stop_honeypot",
