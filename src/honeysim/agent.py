@@ -76,7 +76,6 @@ class WorldSummary(NamedTuple):
     """The agent-visible world digest used for discretization."""
 
     honeypots_active: int
-    available: int
 
 
 class StateKey(NamedTuple):

@@ -74,19 +74,17 @@ MODEL_INCOMPLETE = "model_incomplete"
 
 
 def stage_available(stage: StageId, c: EnvConstraints,
-                    costs: StageCostsConfig | None = None, *,
                     cost: StageCostConfig | None = None) -> bool:
     """Whether the environment can pay for a stage right now.
 
-    The stage's cost is read from `costs` by its label, unless the
-    caller has read it already and passes it as `cost`. Relaxing any
-    constraint never removes a stage from the available set; the
-    fail-safe and pattern lookup are always available.
+    `cost` is the stage's cost; None takes the stage's default cost.
+    Relaxing any constraint never removes a stage from the available
+    set; the fail-safe and pattern lookup are always available.
     """
     if stage is StageId.FAIL_SAFE or stage is StageId.PATTERN_RECOGNITION:
         return True
     if cost is None:
-        cost = getattr(costs or StageCostsConfig(), stage.label)
+        cost = getattr(StageCostsConfig(), stage.label)
     if stage is StageId.HUMAN_ESCALATION:
         return (c.connectivity and c.time_budget >= cost.time
                 and c.emcon_level is not EmconLevel.SILENT)
@@ -291,7 +289,7 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
     for stage, label in _CASCADE:
         cost = getattr(costs, label)
         if availability is None:
-            available = stage_available(stage, remaining, cost=cost)
+            available = stage_available(stage, remaining, cost)
         else:
             available = availability(stage, remaining)
         if not available:

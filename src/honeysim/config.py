@@ -6,10 +6,13 @@ cannot silently fall back to a default. A (config, seed) pair fully
 determines a run.
 
 The dataclass annotations below are the schema: each field's type, the
-item type of each list and map, and, as a `Literal`, the choice set of
-each closed set of names. `from_mapping` builds a scenario and checks
-every value's type in one walk over them. They are evaluated when each
-class is made, not postponed, so the walk reads them as types.
+item type of each list and map, as a `Literal` the choice set of each
+closed set of names, and, as `Annotated` with `Bounds`, the range of
+each bounded number. `from_mapping` builds a scenario and checks every
+value's type and range in one walk over them; `validate` then holds
+only the rules that relate two fields or the items of a list. The
+annotations are evaluated when each class is made, not postponed, so
+the walk reads them as types.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Annotated, Literal
 
 import yaml
 
@@ -34,42 +37,65 @@ FailsafeProfile = Literal["no_action", "low_threshold_act", "terminate"]
 OperatorBehavior = Literal["approve_first", "decline"]
 
 
+@dataclass(frozen=True)
+class Bounds:
+    """The closed range [low, high] of a number field."""
+    low: float
+    high: float = math.inf
+
+    def __contains__(self, value) -> bool:
+        return self.low <= value <= self.high
+
+    def __str__(self):
+        if self.high == math.inf:
+            return f">= {self.low}"
+        return f"in [{self.low}, {self.high}]"
+
+
+Probability = Annotated[float, Bounds(0.0, 1.0)]
+NonNegative = Annotated[int, Bounds(0)]
+Positive = Annotated[int, Bounds(1)]
+NonNegativeNumber = Annotated[float, Bounds(0.0)]
+# The largest float below 1, so that a closed range states gamma < 1.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
 @dataclass
 class NodeGroupConfig:
-    count: int = 0
-    cost: int = 10
+    count: NonNegative = 0
+    cost: NonNegative = 10
 
 
 @dataclass
 class CampaignConfig:
     id: str = "apt-0"
-    intensity: float = 0.6
-    activation_tick: int = 0
+    intensity: Probability = 0.6
+    activation_tick: NonNegative = 0
     # Node ids whose initial addresses the campaign starts out knowing.
     known_nodes: tuple[str, ...] = ()
 
 
 @dataclass
 class WorldConfig:
-    capacity: int = 140
+    capacity: NonNegative = 140
     database: NodeGroupConfig = field(default_factory=lambda: NodeGroupConfig(count=3))
     application: NodeGroupConfig = field(default_factory=lambda: NodeGroupConfig(count=3))
     web: NodeGroupConfig = field(default_factory=lambda: NodeGroupConfig(count=3))
     honeypot: NodeGroupConfig = field(default_factory=lambda: NodeGroupConfig(count=1))
-    honeypot_decoys: int = 2
-    dummy_files_per_deploy: int = 3
+    honeypot_decoys: NonNegative = 2
+    dummy_files_per_deploy: Positive = 3
     campaigns: tuple[CampaignConfig, ...] = field(default_factory=lambda: (CampaignConfig(),))
-    p_detect: float = 0.7
-    p_decoy_touch: float = 0.5
-    p_dummy_process: float = 0.3
-    p_integrity_alert: float = 0.2
-    p_antimalware_alert: float = 0.1
-    p_false_ids: float = 0.02
-    p_false_antimalware: float = 0.01
-    p_false_unauthorized: float = 0.02
-    p_logline: float = 0.3
-    load_noise: float = 0.1
-    hits_to_compromise: int = 3
+    p_detect: Probability = 0.7
+    p_decoy_touch: Probability = 0.5
+    p_dummy_process: Probability = 0.3
+    p_integrity_alert: Probability = 0.2
+    p_antimalware_alert: Probability = 0.1
+    p_false_ids: Probability = 0.02
+    p_false_antimalware: Probability = 0.01
+    p_false_unauthorized: Probability = 0.02
+    p_logline: Probability = 0.3
+    load_noise: Probability = 0.1
+    hits_to_compromise: Positive = 3
 
 
 @dataclass
@@ -77,15 +103,15 @@ class RewardConfig:
     a: float = 1.0
     b: float = 1.0
     c: float = 1.0
-    denominator_floor: int = 1
+    denominator_floor: Positive = 1
 
 
 @dataclass
 class LearningConfig:
-    alpha: float = 0.1
-    gamma: float = 0.9
-    epsilon_start: float = 0.3
-    epsilon_end: float = 0.05
+    alpha: Probability = 0.1
+    gamma: Annotated[float, Bounds(0.0, _BELOW_ONE)] = 0.9
+    epsilon_start: Probability = 0.3
+    epsilon_end: Probability = 0.05
 
 
 @dataclass
@@ -105,7 +131,7 @@ class ActionOverride:
 
 @dataclass
 class AgentConfig:
-    window: int = 20
+    window: Positive = 20
     reward: RewardConfig = field(default_factory=RewardConfig)
     learning: LearningConfig = field(default_factory=LearningConfig)
     bins: BinsConfig = field(default_factory=BinsConfig)
@@ -114,8 +140,8 @@ class AgentConfig:
 
 @dataclass
 class StageCostConfig:
-    time: int = 0
-    power: int = 0
+    time: NonNegative = 0
+    power: NonNegative = 0
 
 
 # The field names of StageCostsConfig and ThresholdsConfig are the
@@ -130,28 +156,28 @@ class StageCostsConfig:
 
 @dataclass
 class ThresholdsConfig:
-    pattern_recognition: float = 0.8
-    online_learning: float = 0.6
-    human_escalation: float = 0.5
-    game_search: float = 0.3
-    fail_safe: float = 0.0
+    pattern_recognition: Probability = 0.8
+    online_learning: Probability = 0.6
+    human_escalation: Probability = 0.5
+    game_search: Probability = 0.3
+    fail_safe: Probability = 0.0
 
 
 @dataclass
 class OperatorConfig:
     behavior: OperatorBehavior = "approve_first"
-    latency: int = 1
+    latency: NonNegative = 1
 
 
 @dataclass
 class CascadeConfig:
     thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
     stage_costs: StageCostsConfig = field(default_factory=StageCostsConfig)
-    online_confidence: float = 0.9
+    online_confidence: Probability = 0.9
     failsafe_profile: FailsafeProfile = "no_action"
     operator: OperatorConfig = field(default_factory=OperatorConfig)
-    game_horizon: int = 2
-    escalation_options: int = 3
+    game_horizon: Positive = 2
+    escalation_options: Positive = 3
     pattern_table: str | None = None
 
 
@@ -165,17 +191,17 @@ class AutonomyGatesConfig:
 
 @dataclass
 class GuardrailConfig:
-    max_impact_per_action: float = 5.0
-    mission_need: float = 8.0
+    max_impact_per_action: NonNegativeNumber = 5.0
+    mission_need: NonNegativeNumber = 8.0
     autonomy_gates: AutonomyGatesConfig = field(default_factory=AutonomyGatesConfig)
     # Test hook: mutate the live ruleset at this tick to exercise the
     # tamper-kill contract. None in normal scenarios.
-    tamper_tick: int | None = None
+    tamper_tick: NonNegative | None = None
 
 
 @dataclass
 class CommsConfig:
-    heartbeat_every: int = 0
+    heartbeat_every: NonNegative = 0
     alert_after_actions: bool = False
 
 
@@ -188,8 +214,8 @@ class EmconEntry:
 @dataclass
 class EnvConfig:
     connectivity: bool = True
-    time_budget: int = 10
-    power_budget: int = 10
+    time_budget: NonNegative = 10
+    power_budget: NonNegative = 10
     emcon_schedule: tuple[EmconEntry, ...] = field(default_factory=lambda: (EmconEntry(),))
 
 
@@ -201,8 +227,8 @@ class ScenarioConfig:
     guardrails: GuardrailConfig = field(default_factory=GuardrailConfig)
     comms: CommsConfig = field(default_factory=CommsConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
-    episode_ticks: int = 2000
-    seed: int = 1
+    episode_ticks: Positive = 2000
+    seed: NonNegative = 1
 
     def to_dict(self):
         return _as_plain(self)
@@ -248,13 +274,16 @@ _SCALARS = {
 _UNIONS = (typing.Union, types.UnionType)
 
 
-_field_types = functools.cache(typing.get_type_hints)  # per section class
+@functools.cache  # per section class
+def _field_types(section):
+    return typing.get_type_hints(section, include_extras=True)
 
 
 def _build(tp, data, path: str):
     """Build a value of type `tp` from `data`, the scenario value at
-    `path`, checking its type on the way down. Nothing is converted but
-    lists to tuples, so a valid value keeps its config digest."""
+    `path`, checking its type and range on the way down. Nothing is
+    converted but lists to tuples, so a valid value keeps its config
+    digest."""
     if dataclasses.is_dataclass(tp):  # a section, from a mapping
         where = path or "scenario"
         if data is None:
@@ -284,6 +313,12 @@ def _build(tp, data, path: str):
                 raise ConfigInvalid(f"{path}: key {key!r} must be a string")
             built[key] = _build(item, value, f"{path}.{key}")
         return built
+    if origin is Annotated:  # a number with Bounds
+        inner, bounds = typing.get_args(tp)
+        value = _build(inner, data, path)
+        if value not in bounds:
+            raise ConfigInvalid(f"{path} must be {bounds}, got {value!r}")
+        return value
     if origin in _UNIONS:  # X | None
         return None if data is None else _build(typing.get_args(tp)[0], data, path)
     if origin is Literal:  # a closed set of names
@@ -297,90 +332,32 @@ def _build(tp, data, path: str):
     return data
 
 
-def _check_prob(value, name):
-    _check(0.0 <= value <= 1.0,
-           f"{name} must be a probability in [0, 1], got {value!r}")
-
-
 def validate(config: ScenarioConfig) -> ScenarioConfig:
-    w = config.world
-    for group in ("database", "application", "web", "honeypot"):
-        g = getattr(w, group)
-        _check(g.count >= 0,
-               f"world.{group}.count must be a non-negative integer")
-        _check(g.cost >= 0,
-               f"world.{group}.cost must be a non-negative integer")
-    _check(w.capacity >= 0,
-           "world.capacity must be a non-negative integer")
-    _check(w.hits_to_compromise >= 1, "world.hits_to_compromise must be >= 1")
-    _check(w.honeypot_decoys >= 0, "world.honeypot_decoys must be >= 0")
-    _check(w.dummy_files_per_deploy >= 1, "world.dummy_files_per_deploy must be >= 1")
-    for name in ("p_detect", "p_decoy_touch", "p_dummy_process",
-                 "p_integrity_alert", "p_antimalware_alert", "p_false_ids",
-                 "p_false_antimalware", "p_false_unauthorized", "p_logline"):
-        _check_prob(getattr(w, name), f"world.{name}")
-    _check(0.0 <= w.load_noise <= 1.0, "world.load_noise must be in [0, 1]")
+    """Check the rules that relate two fields or the items of a list;
+    `_build` has checked each field's own type and range."""
     seen_ids = set()
-    for i, camp in enumerate(w.campaigns):
-        _check_prob(camp.intensity, f"world.campaigns[{i}].intensity")
-        _check(camp.activation_tick >= 0,
-               f"world.campaigns[{i}].activation_tick must be >= 0")
+    for camp in config.world.campaigns:
         _check(camp.id not in seen_ids, f"duplicate campaign id {camp.id!r}")
         seen_ids.add(camp.id)
 
-    a = config.agent
-    _check(a.window >= 1, "agent.window must be >= 1")
-    _check(a.reward.denominator_floor >= 1,
-           "agent.reward.denominator_floor must be >= 1")
-    _check(0.0 <= a.learning.alpha <= 1.0, "agent.learning.alpha must be in [0, 1]")
-    _check(0.0 <= a.learning.gamma < 1.0, "agent.learning.gamma must be in [0, 1)")
-    _check_prob(a.learning.epsilon_start, "agent.learning.epsilon_start")
-    _check_prob(a.learning.epsilon_end, "agent.learning.epsilon_end")
     for name in ("threat", "load", "honeypots"):
-        bins = getattr(a.bins, name)
+        bins = getattr(config.agent.bins, name)
         _check(len(bins) == 3 and list(bins) == sorted(bins),
                f"agent.bins.{name} must be three ascending thresholds")
 
-    c = config.cascade
-    for f in dataclasses.fields(c.thresholds):
-        _check_prob(getattr(c.thresholds, f.name), f"cascade.thresholds.{f.name}")
-    for f in dataclasses.fields(c.stage_costs):
-        cost = getattr(c.stage_costs, f.name)
-        _check(cost.time >= 0 and cost.power >= 0,
-               f"cascade.stage_costs.{f.name} must be non-negative")
-    _check_prob(c.online_confidence, "cascade.online_confidence")
-    _check(c.operator.latency >= 0, "cascade.operator.latency must be >= 0")
-    _check(c.game_horizon >= 1, "cascade.game_horizon must be >= 1")
-    _check(c.escalation_options >= 1, "cascade.escalation_options must be >= 1")
-
     g = config.guardrails
-    _check(g.max_impact_per_action >= 0, "guardrails.max_impact_per_action must be >= 0")
-    _check(g.mission_need >= 0, "guardrails.mission_need must be >= 0")
     _check(g.max_impact_per_action <= g.mission_need,
            "guardrails.max_impact_per_action must not exceed mission_need")
     gates = g.autonomy_gates
     rank = typing.get_args(Autonomy).index
     _check(rank(gates.open) >= rank(gates.restricted) >= rank(gates.silent),
            "guardrails.autonomy_gates must be monotone: open >= restricted >= silent")
-    if g.tamper_tick is not None:
-        _check(g.tamper_tick >= 0, "guardrails.tamper_tick must be >= 0")
 
-    _check(config.comms.heartbeat_every >= 0, "comms.heartbeat_every must be >= 0")
-
-    e = config.env
-    _check(e.time_budget >= 0, "env.time_budget must be >= 0")
-    _check(e.power_budget >= 0, "env.power_budget must be >= 0")
-    _check(len(e.emcon_schedule) >= 1, "env.emcon_schedule must not be empty")
-    _check(e.emcon_schedule[0].tick == 0, "env.emcon_schedule must start at tick 0")
-    last = -1
-    for i, entry in enumerate(e.emcon_schedule):
-        _check(entry.tick > last or (i == 0 and entry.tick == 0),
-               "env.emcon_schedule ticks must be strictly increasing")
-        last = entry.tick
-
-    _check(config.episode_ticks >= 1, "episode_ticks must be >= 1")
-    _check(config.seed >= 0,
-           "seed must be a non-negative integer")
+    ticks = [entry.tick for entry in config.env.emcon_schedule]
+    _check(len(ticks) >= 1, "env.emcon_schedule must not be empty")
+    _check(ticks[0] == 0, "env.emcon_schedule must start at tick 0")
+    _check(all(a < b for a, b in zip(ticks, ticks[1:])),
+           "env.emcon_schedule ticks must be strictly increasing")
     return config
 
 

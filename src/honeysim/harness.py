@@ -533,7 +533,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         if agent_active:
             fv = window_tally.features()
             score = moments.score_and_update(fv)
-            summary = WorldSummary(world.honeypots_active(), world.pool.available)
+            summary = WorldSummary(world.honeypots_active())
             key = discretize(fv, summary, bins, score)
             if writer is not None:  # the accountant reads no percept
                 writer.record("percept", t, {"features": fv._asdict(),

@@ -28,12 +28,9 @@ class FeatureVector(NamedTuple):
     system_load: float = 0.0
     window_ticks: int = 1
 
-    def as_moments_array(self) -> tuple:
-        """The numeric features tracked by the baseline (window_ticks
-        is configuration, not signal)."""
-        return self[:8]
 
-
+# The baseline tracks the first N_FEATURES fields: window_ticks is
+# configuration, not signal.
 N_FEATURES = 8
 
 
@@ -136,7 +133,7 @@ class Moments:
         means = self.means
         m2 = self.m2
         score = 0.0
-        for k in range(N_FEATURES):  # the fields of fv.as_moments_array()
+        for k in range(N_FEATURES):
             x = fv[k]
             mean = means[k]
             m = m2[k]

@@ -79,20 +79,20 @@ def test_reward_monotonicity(honey, sec, jcfh, cw, delta, total):
 
 def test_discretize_lowest_bins():
     fv = FeatureVector(window_ticks=20)
-    key = discretize(fv, WorldSummary(0, 100))
+    key = discretize(fv, WorldSummary(0))
     assert key == StateKey(0, 0, 0, False)
 
 
 def test_discretize_clamps_to_top_bin():
     fv = FeatureVector(window_ticks=20)
-    key = discretize(fv, WorldSummary(0, 100), anomaly=99.0)
+    key = discretize(fv, WorldSummary(0), anomaly=99.0)
     assert key.threat_bin == 3
 
 
 def test_discretize_honey_touch_flag_and_edges():
     bins = BinsConfig()
     fv = FeatureVector(honey_touches=1, system_load=0.25, window_ticks=20)
-    key = discretize(fv, WorldSummary(1, 50), bins)
+    key = discretize(fv, WorldSummary(1), bins)
     assert key.recent_honey_touch
     assert key.load_bin == 1  # inclusive lower edge
     assert key.honeypots_active_bin == 1

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import sys
+import types
 import typing
 from pathlib import Path
 
@@ -315,3 +317,76 @@ def test_int_at_the_trace_range_runs_and_replays(tmp_path, capsys):
     trace_path = tmp_path / "run.trace"
     assert cli.main(["run", "--config", str(path), "--trace-out", str(trace_path)]) == 0
     assert cli.main(["replay", "--trace", str(trace_path)]) == 0
+
+
+def _bounded_leaves(section, prefix=""):
+    """Yield (path, number type, Bounds) for each field below `section`
+    whose annotation carries Bounds; the first item of a list stands for
+    all its items."""
+    for name, hint in typing.get_type_hints(section, include_extras=True).items():
+        path = prefix + name
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+            hint = typing.get_args(hint)[0]
+        if typing.get_origin(hint) is tuple:
+            hint, path = typing.get_args(hint)[0], path + "[0]"
+        if dataclasses.is_dataclass(hint):
+            yield from _bounded_leaves(hint, path + ".")
+        elif typing.get_origin(hint) is typing.Annotated:
+            yield (path, *typing.get_args(hint))
+
+
+def _scenario_with(path, value):
+    """A scenario mapping that sets the leaf at `path` to `value`. The
+    impact cap is 0, so any mission_need respects it."""
+    data = {"guardrails": {"max_impact_per_action": 0}}
+    *sections, key = path.split(".")
+    node = data
+    for name in sections:
+        if name.endswith("[0]"):
+            node = node.setdefault(name[:-3], [{}])[0]
+        else:
+            node = node.setdefault(name, {})
+    node[key] = value
+    return data
+
+
+def _bound_cases():
+    """(path, value, accepted) for each finite bound of each bounded leaf
+    and for one step past it: an int ±1, a float to the next float."""
+    for path, tp, bounds in _bounded_leaves(config_mod.ScenarioConfig):
+        for bound, outward in ((bounds.low, -1), (bounds.high, 1)):
+            if math.isinf(bound):
+                continue
+            past = bound + outward if tp is int else math.nextafter(bound, outward * math.inf)
+            yield path, bound, True
+            yield path, past, False
+
+
+def test_every_bounded_field_accepts_its_bounds_and_rejects_one_step_past():
+    leaves = list(_bounded_leaves(config_mod.ScenarioConfig))
+    # Every field with a range; a field whose Bounds went missing drops
+    # out of the walk, so the count changes.
+    assert len(leaves) == 55
+    cases = list(_bound_cases())
+    assert len(cases) == 152
+    wrong = []
+    for path, value, accepted in cases:
+        try:
+            config_mod.from_mapping(_scenario_with(path, value))
+        except ConfigInvalid as exc:
+            if accepted or path not in str(exc):
+                wrong.append((path, value, str(exc)))
+        else:
+            if not accepted:
+                wrong.append((path, value, "accepted"))
+    assert wrong == []
+
+
+def test_negative_stage_cost_exits_2_naming_its_leaf(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("episode_ticks: 5\ncascade:\n  stage_costs:\n"
+                    "    game_search:\n      power: -1\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cascade.stage_costs.game_search.power must be >= 0" in err
+    assert "Traceback" not in err

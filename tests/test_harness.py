@@ -4,23 +4,29 @@ import subprocess
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
+from honeysim import cli as cli_mod
+from honeysim import config as config_mod
 from honeysim import harness
 from honeysim import trace as trace_mod
 from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
+from honeysim.cascade import PatternTable
 from honeysim.errors import EmptyCorpus, TraceCorrupt
 from honeysim.harness import (RandomPolicy, epsilon_for_episode,
                               experience_from_trace, load_qtable, offline_train,
-                              replay, run_scenario, save_qtable, train_agent)
+                              replay, run_scenario, save_pattern_table,
+                              save_qtable, train_agent)
 from honeysim.sensing import collect
 from honeysim.world import EventKind, WorldEvent
 
+REPO = Path(__file__).resolve().parent.parent
 SHORT = {"episode_ticks": 120}
 
 
@@ -532,6 +538,38 @@ def test_cli_bad_pattern_table_exits_2(tmp_path, content):
     out = cli("run", "--config", str(cfg_path))
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _table_mapping_every_state_to(action):
+    return PatternTable({StateKey(t, l, h, r): (action, 1.0)
+                         for t in range(4) for l in range(4) for h in range(4)
+                         for r in (False, True)})
+
+
+def test_saved_pattern_table_answers_every_decision(tmp_path):
+    # At confidence 1.0 the pattern stage, tried first, wins each decision.
+    table = tmp_path / "patterns.json"
+    save_pattern_table(_table_mapping_every_state_to("noop"), table)
+    data = config_mod.load_file(REPO / "configs" / "reference.yaml").to_dict()
+    data["episode_ticks"] = 120
+    data["cascade"]["pattern_table"] = str(table)
+    report, lines = run_scenario(config_mod.from_mapping(data), 3, RandomPolicy())
+    assert report.stage_histogram == {"pattern_recognition": 120}
+    assert replay(lines) == report
+
+
+def test_saved_pattern_table_naming_terminate_self_exits_2(tmp_path, capsys):
+    # terminate_self is the fail-safe's own action, outside the
+    # selectable set that a pattern table may name.
+    table = tmp_path / "patterns.json"
+    save_pattern_table(_table_mapping_every_state_to("terminate_self"), table)
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text(f"episode_ticks: 5\ncascade:\n  pattern_table: {json.dumps(str(table))}\n",
+                        encoding="utf-8")
+    assert cli_mod.main(["run", "--config", str(cfg_path)]) == cli_mod.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "terminate_self" in err
+    assert "Traceback" not in err
 
 
 def test_cli_int_mission_need_too_large_for_a_float_runs(tmp_path):
