@@ -37,9 +37,8 @@ from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
                      WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_sealed
 from .sensing import Moments, WindowTally
-from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent,
-                    WorldState, apply_action, derive_seed, init_world,
-                    step_world)
+from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldState,
+                    apply_action, derive_seed, init_world, step_world)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +186,6 @@ class Accountant:
                 self.period_cry_wolf += 1
                 m.cfh_cry_wolf += 1
 
-    def sampled(self, tick: int, value: float, honey: float, resource: float,
-                cfh: float) -> None:
-        """A period's reward sample and its three terms."""
-        self.tick = tick
-        m = self.metrics
-        m.cumulative_reward += value
-        m.honey_term_total += honey
-        m.resource_term_total += resource
-        m.cfh_term_total += cfh
-
     def terminated(self, tick: int) -> None:
         self.tick = tick
         self.metrics.agent_terminated_at = tick
@@ -218,10 +207,6 @@ class Accountant:
             self.message(tick, payload["status"] == "sent",
                          _MESSAGE_KINDS_BY_VALUE.get(payload["message_kind"]),
                          payload["classification"])
-        elif kind == "reward_sample":
-            terms = payload["terms"]
-            self.sampled(tick, payload["value"], terms["honey"],
-                         terms["resource"], terms["cfh"])
         elif kind == "agent_status" and payload["status"] == "terminated":
             self.terminated(tick)
         else:
@@ -244,9 +229,10 @@ class Accountant:
         return "cry_wolf"
 
     def close_period(self, params: RewardParams, available: int) -> tuple:
-        """Tally the open reward period and start the next one; returns
-        (reward, (honey, resource, cfh) terms, RewardInputs, credited
-        action id or None) of the period's reward sample.
+        """Tally the open reward period into the report and start the
+        next one; returns (reward, (honey, resource, cfh) terms,
+        RewardInputs, credited action id or None) of the period's reward
+        sample.
 
         The resource figures and the credited action come from the
         period's last executed action; `available` stands in only for a
@@ -261,7 +247,14 @@ class Accountant:
         self.period_honey = self.period_security = 0
         self.period_justified = self.period_cry_wolf = 0
         self.last_executed = None
-        return reward(params, inputs), reward_terms(params, inputs), inputs, credited
+        value = reward(params, inputs)
+        terms = honey, resource, cfh = reward_terms(params, inputs)
+        m = self.metrics
+        m.cumulative_reward += value
+        m.honey_term_total += honey
+        m.resource_term_total += resource
+        m.cfh_term_total += cfh
+        return value, terms, inputs, credited
 
     def report(self) -> MetricsReport:
         m = self.metrics
@@ -356,8 +349,7 @@ def make_catalog(config: ScenarioConfig) -> ActionCatalog:
 def _bind_policy(policy, catalog: ActionCatalog, stream):
     if isinstance(policy, QTable):
         policy = QPolicy(policy, epsilon=0.0)
-    if policy is RandomPolicy or isinstance(policy, RandomPolicy) \
-            or policy == "random":
+    if isinstance(policy, RandomPolicy):
         return _BoundRandomPolicy(catalog.selectable_ids, stream), "random"
     if isinstance(policy, QPolicy):
         _check_selectable("Q table", policy.qtable.actions, catalog)
@@ -472,8 +464,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         t = current_tick[0]
         accountant.event(t, EventKind.OPERATOR_REPLY, False)
         if writer is not None:
-            ev = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
-            writer.record("event", t, {"event": ev.to_dict()})
+            writer.event(t, t, EventKind.OPERATOR_REPLY.label, "operator", 0, 0.0, False)
 
     ctx.on_operator_reply = operator_replied
 
@@ -485,16 +476,9 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             label = accountant.classify_cfh(msg.evidence_start, msg.evidence_end)
         accountant.message(t, rec.sent, msg.kind, label)
         if writer is not None:
-            writer.record("message", t, {
-                "message_kind": msg.kind.value,
-                "status": "sent" if rec.sent else "suppressed",
-                "reason": rec.reason,
-                "classification": label,
-                "evidence_start": msg.evidence_start,
-                "evidence_end": msg.evidence_end,
-                "entries": list(msg.entries),
-                "action_taken": msg.action_taken,
-            })
+            writer.message(t, msg.kind.value, "sent" if rec.sent else "suppressed",
+                           rec.reason, label, msg.evidence_start, msg.evidence_end,
+                           msg.entries, msg.action_taken)
 
     def terminate(reason):
         t = current_tick[0]
@@ -527,7 +511,8 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             accountant.event(t, ev.kind, ev.truth_malicious)
         if writer is not None:
             for ev in events:
-                writer.record("event", t, {"event": ev.to_dict()})
+                writer.event(t, ev.tick, ev.kind.label, ev.node, ev.severity,
+                             ev.load, ev.truth_malicious)
 
         key = None
         if agent_active:
@@ -536,27 +521,20 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             summary = WorldSummary(world.honeypots_active())
             key = discretize(fv, summary, bins, score)
             if writer is not None:  # the accountant reads no percept
-                writer.record("percept", t, {"features": fv._asdict(),
-                                             "anomaly": score,
-                                             "state": key.encode()})
+                writer.percept(t, score, key.encode(), *fv)
 
             decision = decide(key, env, ctx, profile)
             provenance = decision.provenance.label
             accountant.decision(t, provenance)
             if writer is not None:
-                writer.record("decision", t, {
-                    "action": decision.action,
-                    "provenance": provenance,
-                    "rejected": [[stage.label, reason]
-                                 for stage, reason in decision.rejected],
-                })
+                writer.decision(t, decision.action, provenance,
+                                [(stage.label, reason)
+                                 for stage, reason in decision.rejected])
             for stage, action_id, reason in ctx.audit:
                 if reason.startswith("guardrail:"):
                     accountant.veto(t, reason)
                     if writer is not None:
-                        writer.record("veto", t, {"action": action_id,
-                                                  "stage": stage.label,
-                                                  "reason": reason})
+                        writer.veto(t, action_id, stage.label, reason)
 
             spec = catalog.get(decision.action)
             targetless = spec.effect in _TARGETLESS
@@ -580,17 +558,10 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 error = "no_target"
             accountant.executed(t, decision.action, available_before, delta)
             if writer is not None:
-                writer.record("executed_action", t, {
-                    "action": decision.action,
-                    "effect": spec.effect.value,
-                    "target": target,
-                    "applied": applied,
-                    "error": error,
-                    "delta_resources": delta,
-                    "available_before": available_before,
-                    "pool_used": world.pool.used,
-                    "pool_available": world.pool.available,
-                })
+                pool = world.pool
+                writer.executed_action(t, decision.action, spec.effect.value, target,
+                                       applied, error, delta, available_before,
+                                       pool.used, pool.available)
 
             if applied:
                 if spec.effect is ActionEffect.CRY_FOR_HELP:
@@ -617,7 +588,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         if (t + 1) % window == 0:
             value, terms, inputs, credited = accountant.close_period(
                 params, world.pool.available)
-            accountant.sampled(t, value, *terms)
             if writer is not None:
                 writer.record("reward_sample", t, _reward_sample_payload(
                     value, terms, inputs, credited))

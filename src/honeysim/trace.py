@@ -5,12 +5,14 @@ with the same (config, seed, policy) must produce identical bytes.
 A header line pins the schema and the reward parameters; a footer
 line carries the record count so truncation is detectable.
 
-`dumps` defines the bytes of a line. The record kinds the harness
-writes every tick (event, percept, decision, executed_action, message
-and veto) are written from fixed line templates instead, which give
-exactly the bytes `dumps` would give for a payload of the usual shape
-and types at a fraction of its cost. Any other payload, and every other
-line, goes through `dumps`.
+`dumps` defines the bytes of a line, and the record layouts live here
+alone. `TraceWriter` has one method per record kind the harness writes
+every tick (event, percept, decision, veto, executed_action and
+message). Each takes the record's fields and writes, from a fixed line
+template, exactly the line `dumps` would write for them, at a fraction
+of its cost; a field of another type raises instead.
+`TraceWriter.record` writes any other record through `dumps`, as the
+header and the footer are written.
 """
 
 from __future__ import annotations
@@ -33,8 +35,58 @@ def dumps(obj: dict) -> str:
     return _ENCODER.encode(obj)
 
 
+# -- value encoders ---------------------------------------------------------
+#
+# Each returns the JSON `dumps` writes for one value, or raises TypeError
+# for a value of another type and ValueError for one it cannot write
+# (a non-finite float, an int too long for str()). A bool is an int to
+# Python and f"{True}" is not JSON, so types are checked exactly.
+# `_str` is the encoder's own string writer, which raises TypeError on
+# anything but a str.
+
+def _int(x) -> str:
+    if type(x) is not int:
+        raise TypeError(f"expected an int, got {type(x).__name__}")
+    return int.__repr__(x)
+
+
+def _float(x) -> str:
+    if type(x) is not float:
+        raise TypeError(f"expected a float, got {type(x).__name__}")
+    if not math.isfinite(x):  # dumps would write NaN or Infinity
+        raise ValueError(f"non-finite float {x!r}")
+    return float.__repr__(x)
+
+
+def _bool(x) -> str:
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise TypeError(f"expected a bool, got {type(x).__name__}")
+
+
+def _opt_str(x) -> str:
+    return "null" if x is None else _str(x)
+
+
+def _array(items, encode) -> str:
+    """A list or tuple as a JSON array, each item written by `encode`."""
+    if type(items) is not list and type(items) is not tuple:
+        raise TypeError(f"expected a list or tuple, got {type(items).__name__}")
+    return f"[{','.join(map(encode, items))}]"
+
+
+def _strs(items) -> str:
+    return _array(items, _str)
+
+
 class TraceWriter:
-    """Accumulates one run's records; emits header/records/footer."""
+    """Accumulates one run's records; emits header/records/footer.
+
+    Each per-tick method encodes every field before it appends its line,
+    so one that raises leaves `lines` and `seq` as they were.
+    """
 
     def __init__(self, header_fields: dict):
         header = {"format": FORMAT, "version": VERSION}
@@ -43,152 +95,93 @@ class TraceWriter:
         self.seq = 0
 
     def record(self, kind: str, tick: int, payload: dict) -> None:
-        line = None
-        if type(tick) is int:
-            try:
-                line = _TEMPLATES[kind](self.seq, tick, payload)
-            except (KeyError, TypeError, ValueError):
-                pass
-        if line is None:  # no template for kind, or not an exact payload
-            entry = {"kind": kind, "seq": self.seq, "tick": tick}
-            entry.update(payload)
-            line = dumps(entry)
-        self.lines.append(line)
+        """Any record, written by `dumps`."""
+        entry = {"kind": kind, "seq": self.seq, "tick": tick}
+        entry.update(payload)
+        self.lines.append(dumps(entry))
+        self.seq += 1
+
+    def event(self, tick: int, event_tick: int, kind: str, node: str,
+              severity: int, load: float, truth_malicious: bool) -> None:
+        """A world event; `kind` is its label."""
+        self.lines.append(
+            f'{{"event":{{"kind":{_str(kind)},"load":{_float(load)},'
+            f'"node":{_str(node)},"severity":{_int(severity)},'
+            f'"tick":{_int(event_tick)},"truth_malicious":{_bool(truth_malicious)}}},'
+            f'"kind":"event","seq":{self.seq},"tick":{_int(tick)}}}')
+        self.seq += 1
+
+    def percept(self, tick: int, anomaly: float, state: str,
+                ids_alert_count: int, ids_severity_sum: int,
+                antimalware_alerts: int, unauthorized_accesses: int,
+                honey_touches: int, dummy_process_alerts: int,
+                integrity_violations: int, system_load: float,
+                window_ticks: int) -> None:
+        """A percept: the anomaly score, the encoded state key, then the
+        fields of its `sensing.FeatureVector` in their order."""
+        self.lines.append(
+            f'{{"anomaly":{_float(anomaly)},"features":{{'
+            f'"antimalware_alerts":{_int(antimalware_alerts)},'
+            f'"dummy_process_alerts":{_int(dummy_process_alerts)},'
+            f'"honey_touches":{_int(honey_touches)},'
+            f'"ids_alert_count":{_int(ids_alert_count)},'
+            f'"ids_severity_sum":{_int(ids_severity_sum)},'
+            f'"integrity_violations":{_int(integrity_violations)},'
+            f'"system_load":{_float(system_load)},'
+            f'"unauthorized_accesses":{_int(unauthorized_accesses)},'
+            f'"window_ticks":{_int(window_ticks)}}},'
+            f'"kind":"percept","seq":{self.seq},"state":{_str(state)},'
+            f'"tick":{_int(tick)}}}')
+        self.seq += 1
+
+    def decision(self, tick: int, action: str, provenance: str,
+                 rejected) -> None:
+        """A decision; `rejected` lists each rejected stage's
+        [stage, reason] label pair in evaluation order."""
+        self.lines.append(
+            f'{{"action":{_str(action)},"kind":"decision",'
+            f'"provenance":{_str(provenance)},"rejected":{_array(rejected, _strs)},'
+            f'"seq":{self.seq},"tick":{_int(tick)}}}')
+        self.seq += 1
+
+    def veto(self, tick: int, action: str, stage: str, reason: str) -> None:
+        """An arbiter rejection caused by the guardrails."""
+        self.lines.append(
+            f'{{"action":{_str(action)},"kind":"veto","reason":{_str(reason)},'
+            f'"seq":{self.seq},"stage":{_str(stage)},"tick":{_int(tick)}}}')
+        self.seq += 1
+
+    def executed_action(self, tick: int, action: str, effect: str,
+                        target: str | None, applied: bool, error: str | None,
+                        delta_resources: int, available_before: int,
+                        pool_used: int, pool_available: int) -> None:
+        """An executed action and the resource pool after it."""
+        self.lines.append(
+            f'{{"action":{_str(action)},"applied":{_bool(applied)},'
+            f'"available_before":{_int(available_before)},'
+            f'"delta_resources":{_int(delta_resources)},"effect":{_str(effect)},'
+            f'"error":{_opt_str(error)},"kind":"executed_action",'
+            f'"pool_available":{_int(pool_available)},"pool_used":{_int(pool_used)},'
+            f'"seq":{self.seq},"target":{_opt_str(target)},"tick":{_int(tick)}}}')
+        self.seq += 1
+
+    def message(self, tick: int, message_kind: str, status: str,
+                reason: str | None, classification: str | None,
+                evidence_start: int, evidence_end: int, entries,
+                action_taken: str | None) -> None:
+        """A message sent or suppressed; `entries` lists the ints it shares."""
+        self.lines.append(
+            f'{{"action_taken":{_opt_str(action_taken)},'
+            f'"classification":{_opt_str(classification)},'
+            f'"entries":{_array(entries, _int)},"evidence_end":{_int(evidence_end)},'
+            f'"evidence_start":{_int(evidence_start)},"kind":"message",'
+            f'"message_kind":{_str(message_kind)},"reason":{_opt_str(reason)},'
+            f'"seq":{self.seq},"status":{_str(status)},"tick":{_int(tick)}}}')
         self.seq += 1
 
     def finish(self) -> list:
         self.lines.append(dumps({"format": FORMAT_END, "records": self.seq}))
         return self.lines
-
-
-# -- line templates ---------------------------------------------------------
-#
-# One function per per-tick record kind, each given (seq, tick, payload)
-# with tick an int. It returns the line `dumps` would write for the
-# entry, keys in sorted order, or None when the payload's keys or value
-# types are not the ones it writes exactly. Strings go through the
-# encoder's own `encode_basestring_ascii`, which raises TypeError on
-# anything else; a missing key raises KeyError, a value of the wrong
-# type TypeError, a non-finite float ValueError. The writer answers
-# None and each of these by calling `dumps`. A bool is an int to
-# Python, so int and bool fields are checked by exact type.
-
-def _float(x) -> str:
-    text = float.__repr__(x)  # TypeError unless x is a float
-    if not math.isfinite(x):  # dumps writes NaN and Infinity
-        raise ValueError(text)
-    return text
-
-
-def _opt_str(x) -> str:
-    return "null" if x is None else _str(x)
-
-
-def _bool(x) -> str:
-    return "true" if x else "false"
-
-
-def _ints(items) -> str:
-    if type(items) is not list:
-        raise TypeError("not a list")
-    for x in items:
-        if type(x) is not int:
-            raise TypeError("not an int")
-    return f"[{','.join(map(str, items))}]"
-
-
-def _str_pairs(items) -> str:
-    if type(items) is not list:
-        raise TypeError("not a list")
-    parts = []
-    for pair in items:
-        if type(pair) is not list or len(pair) != 2:
-            raise TypeError("not a pair")
-        parts.append(f"[{_str(pair[0])},{_str(pair[1])}]")
-    return f"[{','.join(parts)}]"
-
-
-def _event_line(seq, tick, p):
-    ev = p["event"]
-    if len(p) == 1 and type(ev) is dict and len(ev) == 6 \
-            and type(ev["severity"]) is type(ev["tick"]) is int \
-            and type(ev["truth_malicious"]) is bool:
-        return (f'{{"event":{{"kind":{_str(ev["kind"])},"load":{_float(ev["load"])},'
-                f'"node":{_str(ev["node"])},"severity":{ev["severity"]},'
-                f'"tick":{ev["tick"]},"truth_malicious":{_bool(ev["truth_malicious"])}}},'
-                f'"kind":"event","seq":{seq},"tick":{tick}}}')
-    return None
-
-
-def _percept_line(seq, tick, p):
-    f = p["features"]
-    if len(p) == 3 and type(f) is dict and len(f) == 9 \
-            and type(f["antimalware_alerts"]) is type(f["dummy_process_alerts"]) \
-            is type(f["honey_touches"]) is type(f["ids_alert_count"]) \
-            is type(f["ids_severity_sum"]) is type(f["integrity_violations"]) \
-            is type(f["unauthorized_accesses"]) is type(f["window_ticks"]) is int:
-        return (f'{{"anomaly":{_float(p["anomaly"])},"features":{{'
-                f'"antimalware_alerts":{f["antimalware_alerts"]},'
-                f'"dummy_process_alerts":{f["dummy_process_alerts"]},'
-                f'"honey_touches":{f["honey_touches"]},'
-                f'"ids_alert_count":{f["ids_alert_count"]},'
-                f'"ids_severity_sum":{f["ids_severity_sum"]},'
-                f'"integrity_violations":{f["integrity_violations"]},'
-                f'"system_load":{_float(f["system_load"])},'
-                f'"unauthorized_accesses":{f["unauthorized_accesses"]},'
-                f'"window_ticks":{f["window_ticks"]}}},'
-                f'"kind":"percept","seq":{seq},"state":{_str(p["state"])},"tick":{tick}}}')
-    return None
-
-
-def _decision_line(seq, tick, p):
-    if len(p) == 3:
-        return (f'{{"action":{_str(p["action"])},"kind":"decision",'
-                f'"provenance":{_str(p["provenance"])},'
-                f'"rejected":{_str_pairs(p["rejected"])},"seq":{seq},"tick":{tick}}}')
-    return None
-
-
-def _executed_action_line(seq, tick, p):
-    if len(p) == 9 and type(p["applied"]) is bool \
-            and type(p["available_before"]) is type(p["delta_resources"]) \
-            is type(p["pool_available"]) is type(p["pool_used"]) is int:
-        return (f'{{"action":{_str(p["action"])},"applied":{_bool(p["applied"])},'
-                f'"available_before":{p["available_before"]},'
-                f'"delta_resources":{p["delta_resources"]},"effect":{_str(p["effect"])},'
-                f'"error":{_opt_str(p["error"])},"kind":"executed_action",'
-                f'"pool_available":{p["pool_available"]},"pool_used":{p["pool_used"]},'
-                f'"seq":{seq},"target":{_opt_str(p["target"])},"tick":{tick}}}')
-    return None
-
-
-def _message_line(seq, tick, p):
-    if len(p) == 8 and type(p["evidence_end"]) is type(p["evidence_start"]) is int:
-        return (f'{{"action_taken":{_opt_str(p["action_taken"])},'
-                f'"classification":{_opt_str(p["classification"])},'
-                f'"entries":{_ints(p["entries"])},"evidence_end":{p["evidence_end"]},'
-                f'"evidence_start":{p["evidence_start"]},"kind":"message",'
-                f'"message_kind":{_str(p["message_kind"])},"reason":{_opt_str(p["reason"])},'
-                f'"seq":{seq},"status":{_str(p["status"])},"tick":{tick}}}')
-    return None
-
-
-def _veto_line(seq, tick, p):
-    if len(p) == 3:
-        return (f'{{"action":{_str(p["action"])},"kind":"veto",'
-                f'"reason":{_str(p["reason"])},"seq":{seq},"stage":{_str(p["stage"])},'
-                f'"tick":{tick}}}')
-    return None
-
-
-_TEMPLATES = {
-    "event": _event_line,
-    "percept": _percept_line,
-    "decision": _decision_line,
-    "executed_action": _executed_action_line,
-    "message": _message_line,
-    "veto": _veto_line,
-}
 
 
 def write_file(path, lines) -> None:

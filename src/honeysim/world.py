@@ -152,8 +152,7 @@ class ResourcePool:
         return self.capacity - self.used
 
 
-@dataclass(frozen=True)
-class ExecutedAction:
+class ExecutedAction(NamedTuple):
     """An action instance bound to a concrete target, ready to apply."""
 
     action_id: str
@@ -161,8 +160,7 @@ class ExecutedAction:
     target: str | None = None
 
 
-@dataclass(frozen=True)
-class ActionOutcome:
+class ActionOutcome(NamedTuple):
     delta_resources: int
     node: str | None = None
 

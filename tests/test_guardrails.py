@@ -17,7 +17,7 @@ from honeysim.guardrails import (AUTONOMY_GATE, EMISSION_BLOCKED,
                                  IMPACT_EXCEEDED, GuardrailSet, ImpactBudget,
                                  Ruleset, RulesetCheck, build_ruleset, check,
                                  ruleset_digest, verify_ruleset, verify_sealed)
-from honeysim.harness import run_scenario
+from honeysim.harness import RandomPolicy, run_scenario
 
 
 def make_guard(max_impact=5.0, need=8.0):
@@ -395,7 +395,7 @@ def test_untampered_run_encodes_the_ruleset_once_at_seal(monkeypatch):
     monkeypatch.setattr(Ruleset, "canonical_bytes", counted)
     cfg = config_mod.load_file(
         pathlib.Path(__file__).parent.parent / "configs" / "reference.yaml")
-    report, _ = run_scenario(cfg, 0, "random", with_trace=False)
+    report, _ = run_scenario(cfg, 0, RandomPolicy(), with_trace=False)
     assert report.agent_terminated_at is None
     assert len(calls) == 1
 
@@ -404,7 +404,7 @@ def test_untampered_run_encodes_the_ruleset_once_at_seal(monkeypatch):
 @given(st.sampled_from([0, 1, 39]) | st.integers(0, 39))
 def test_tamper_tick_edit_terminates_the_agent_that_tick(tamper_tick):
     cfg = make_config(episode_ticks=40, guardrails={"tamper_tick": tamper_tick})
-    report, lines = run_scenario(cfg, 7, "random")
+    report, lines = run_scenario(cfg, 7, RandomPolicy())
     assert report.agent_terminated_at == tamper_tick
     decided = [json.loads(line)["tick"] for line in lines[1:]
                if '"kind":"decision"' in line]

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +8,17 @@ from hypothesis import strategies as st
 
 from honeysim import trace as trace_mod
 from honeysim.errors import TraceCorrupt
+from honeysim.sensing import FeatureVector
 from honeysim.trace import TraceWriter, dumps, parse, read_file
+from honeysim.world import EventKind, WorldEvent
 
 
 def sample_lines():
     w = TraceWriter({"seed": 1, "episode_ticks": 3, "window": 2,
                      "reward": {"a": 1, "b": 1, "c": 1, "floor": 1}})
     w.record("agent_status", 0, {"status": "active", "reason": "episode_start"})
-    w.record("event", 0, {"event": {"kind": "load_sample", "node": "db-0",
-                                    "severity": 0, "load": 0.5, "tick": 0,
-                                    "truth_malicious": False}})
-    w.record("decision", 1, {"action": "noop", "provenance": "fail_safe",
-                             "rejected": []})
+    w.event(0, 0, "load_sample", "db-0", 0, 0.5, False)
+    w.decision(1, "noop", "fail_safe", [])
     return w.finish()
 
 
@@ -119,47 +119,67 @@ def test_dumps_is_sorted_compact_json():
     assert dumps(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-# One payload of each kind TraceWriter writes from a line template, in
-# the layout the harness gives it.
-TEMPLATED = {
-    "event": {"event": {"tick": 3, "kind": "ids_alert", "node": "db-0",
-                        "severity": 2, "load": 0.25, "truth_malicious": True}},
-    "percept": {"features": {"ids_alert_count": 1, "ids_severity_sum": 3,
-                             "antimalware_alerts": 0, "unauthorized_accesses": 2,
-                             "honey_touches": 4, "dummy_process_alerts": 0,
-                             "integrity_violations": 1, "system_load": 0.6178571428571429,
-                             "window_ticks": 20},
-                "anomaly": 12.345678901234567, "state": "2,1,0,1"},
-    "decision": {"action": "noop", "provenance": "human_escalation",
-                 "rejected": [["pattern_recognition", "no_proposal"],
-                              ["online_learning", "guardrail:autonomy_gate"]]},
-    "executed_action": {"action": "quarantine_node", "effect": "quarantine_node",
-                        "target": "web-1", "applied": False, "error": "no_target",
-                        "delta_resources": -10, "available_before": 50,
-                        "pool_used": 90, "pool_available": 50},
-    "message": {"message_kind": "share_blocklist", "status": "suppressed",
-                "reason": "emission_blocked", "classification": None,
-                "evidence_start": 0, "evidence_end": 0, "entries": [3, 7],
-                "action_taken": None},
-    "veto": {"action": "cry_for_help", "stage": "online_learning",
-             "reason": "guardrail:autonomy_gate"},
+# One well-typed call of each per-tick writer method: its fields after
+# the tick, each with the schema of the values it may hold. A schema is
+# a tuple of exact types, or [item schema] for a list or tuple of items.
+INT, FLOAT, BOOL, STR, OPT_STR = (int,), (float,), (bool,), (str,), (str, type(None))
+CALLS = {
+    "event": [(3, INT), ("ids_alert", STR), ("db-0", STR), (2, INT), (0.25, FLOAT),
+              (True, BOOL)],
+    "percept": [(12.345678901234567, FLOAT), ("2,1,0,1", STR), (1, INT), (3, INT),
+                (0, INT), (2, INT), (4, INT), (0, INT), (1, INT),
+                (0.6178571428571429, FLOAT), (20, INT)],
+    "decision": [("noop", STR), ("human_escalation", STR),
+                 ([["pattern_recognition", "no_proposal"],
+                   ["online_learning", "guardrail:autonomy_gate"]], [[STR]])],
+    "veto": [("cry_for_help", STR), ("online_learning", STR),
+             ("guardrail:autonomy_gate", STR)],
+    "executed_action": [("quarantine_node", STR), ("quarantine_node", STR),
+                        ("web-1", OPT_STR), (False, BOOL), ("no_target", OPT_STR),
+                        (-10, INT), (50, INT), (90, INT), (50, INT)],
+    "message": [("share_blocklist", STR), ("suppressed", STR),
+                ("emission_blocked", OPT_STR), (None, OPT_STR), (0, INT), (0, INT),
+                ([3, 7], [INT]), (None, OPT_STR)],
+}
+
+
+def _named(*names):
+    return lambda *args: dict(zip(names, args))
+
+
+# The payload each method's fields stand for: the event in WorldEvent's
+# layout, the percept's features in FeatureVector's, the rest by name.
+ENTRY = {
+    "event": lambda *args: {"event": dict(zip(WorldEvent._fields, args))},
+    "percept": lambda anomaly, state, *features: {
+        "anomaly": anomaly, "state": state,
+        "features": FeatureVector(*features)._asdict()},
+    "decision": _named("action", "provenance", "rejected"),
+    "veto": _named("action", "stage", "reason"),
+    "executed_action": _named("action", "effect", "target", "applied", "error",
+                              "delta_resources", "available_before", "pool_used",
+                              "pool_available"),
+    "message": _named("message_kind", "status", "reason", "classification",
+                      "evidence_start", "evidence_end", "entries", "action_taken"),
 }
 
 # Values a field could hold in place of its own: the bool and int
 # swaps, ints beyond 64 bits or too long for str(), signed zero and the
-# non-finite floats, null, text that needs escaping, and containers.
+# non-finite floats, null, text that needs escaping, bytes, and
+# containers, some of which iterate to well-typed items.
 ODD_EXAMPLES = [True, False, 0, -1, 2**64, -(10**30), 10**5000, 0.5, -0.0,
                 float("nan"), float("inf"), float("-inf"), None, "", "é",
-                "☃ \U0001F41D", '"\\\n\x00', [], [1, "a", True], {}, {"a": 1}]
+                "☃ \U0001F41D", '"\\\n\x00', b"x", [], (), ("a", "b"),
+                [1, "a", True], {}, {"a": 1}, {1: 2}]
 
-ODD_VALUES = st.one_of(
-    st.sampled_from(ODD_EXAMPLES).map(copy.deepcopy),  # later changes may edit it
-    st.integers(),
-    st.floats(),
-    st.text(max_size=4),
-    st.lists(st.one_of(st.integers(), st.text(max_size=2), st.booleans()), max_size=3),
-    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-)
+
+def _admits(schema, value) -> bool:
+    """Whether a field of `schema` may hold value and dumps can write it."""
+    if type(schema) is list:
+        return type(value) in (list, tuple) and all(_admits(schema[0], v) for v in value)
+    t = type(value)
+    return t in schema and not (t is float and not math.isfinite(value)) \
+        and not (t is int and abs(value) >= 10**4300)
 
 
 def _reference_line(kind, seq, tick, payload):
@@ -168,95 +188,99 @@ def _reference_line(kind, seq, tick, payload):
     return dumps(entry)
 
 
-def _assert_writes_what_dumps_writes(kind, tick, payload):
-    """record writes dumps of the entry, or raises the type dumps raises."""
-    w = TraceWriter({})
-    try:
-        expected = _reference_line(kind, 0, tick, payload)
-    except Exception as exc:
-        with pytest.raises(Exception) as raised:
-            w.record(kind, tick, payload)
-        assert raised.type is type(exc)
-    else:
-        w.record(kind, tick, payload)
-        assert w.lines[-1] == expected
+def _slots(args, schemas):
+    """(path, schema) for each field and, inside array fields, each item."""
+    for i, (value, schema) in enumerate(zip(args, schemas)):
+        yield (i,), schema
+        if type(schema) is list:
+            for path, inner in _slots(value, [schema[0]] * len(value)):
+                yield (i,) + path, inner
 
 
-def _containers(obj, path=()):
-    """(path, container) for obj and every dict or list inside it."""
-    if type(obj) in (dict, list):
-        yield path, obj
-        for key, value in (obj.items() if type(obj) is dict else enumerate(obj)):
-            yield from _containers(value, path + (key,))
+def _replaced(args, path, value):
+    args = copy.deepcopy(list(args))
+    holder = args
+    for i in path[:-1]:
+        holder = holder[i]
+    holder[path[-1]] = value
+    return args
 
 
-def _at(obj, path):
-    for key in path:
-        obj = obj[key]
-    return obj
-
-
-@pytest.mark.parametrize("kind", sorted(TEMPLATED))
+@pytest.mark.parametrize("kind", sorted(CALLS))
 def test_templated_kinds_do_not_call_dumps(kind, monkeypatch):
-    expected = _reference_line(kind, 0, 7, TEMPLATED[kind])
+    args = [value for value, _ in CALLS[kind]]
+    expected = _reference_line(kind, 0, 7, ENTRY[kind](*args))
     w = TraceWriter({})
 
     def refuse(obj):
         raise AssertionError(f"dumps called for {obj!r}")
 
     monkeypatch.setattr(trace_mod, "dumps", refuse)
-    w.record(kind, 7, TEMPLATED[kind])
+    getattr(w, kind)(7, *args)
     assert w.lines[-1] == expected
 
 
-@pytest.mark.parametrize("kind", sorted(TEMPLATED))
+@pytest.mark.parametrize("kind", sorted(CALLS))
 def test_every_single_change_writes_what_dumps_writes(kind):
-    """Each field, list item or the tick replaced by each odd value; each
-    key or item dropped; a key added to each dict, a top-level one among
-    them shadowing kind, seq or tick."""
-    for value in ODD_EXAMPLES:
-        _assert_writes_what_dumps_writes(kind, value, TEMPLATED[kind])
-    for path, container in list(_containers(TEMPLATED[kind])):
-        keys = list(container) if type(container) is dict else range(len(container))
-        for key in keys:
-            for value in ODD_EXAMPLES:
-                payload = copy.deepcopy(TEMPLATED[kind])
-                _at(payload, path)[key] = value
-                _assert_writes_what_dumps_writes(kind, 7, payload)
-            payload = copy.deepcopy(TEMPLATED[kind])
-            del _at(payload, path)[key]
-            _assert_writes_what_dumps_writes(kind, 7, payload)
-        if type(container) is dict:
-            for key in ("kind", "seq", "tick", "zz"):
-                payload = copy.deepcopy(TEMPLATED[kind])
-                _at(payload, path)[key] = 1
-                _assert_writes_what_dumps_writes(kind, 7, payload)
+    """The tick, each field and each item of an array field replaced by
+    each odd value. A value the field may hold is written as dumps writes
+    it; any other raises TypeError or ValueError and leaves the writer's
+    lines and seq as they were."""
+    call = [7] + [value for value, _ in CALLS[kind]]
+    schemas = [INT] + [schema for _, schema in CALLS[kind]]
+    for path, schema in _slots(call, schemas):
+        for value in ODD_EXAMPLES:
+            tick, *fields = _replaced(call, path, value)
+            w = TraceWriter({})
+            w.seq = 5
+            before = list(w.lines)
+            if _admits(schema, value):
+                getattr(w, kind)(tick, *fields)
+                assert w.lines[-1] == _reference_line(kind, 5, tick, ENTRY[kind](*fields))
+                assert w.seq == 6
+            else:
+                with pytest.raises((TypeError, ValueError)):
+                    getattr(w, kind)(tick, *fields)
+                assert (w.lines, w.seq) == (before, 5), (path, value)
+
+
+TEXT = st.text() | st.sampled_from(["", "é", "☃ \U0001F41D", '"\\\n\x00\x1f\u2028'])
+INTS = st.integers() | st.sampled_from([2**63 - 1, 2**64, -(2**64) - 1, 10**40])
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([-0.0, 5e-324, 2.5e-310, 1.7976931348623157e308])
+LEAVES = {int: INTS, float: FLOATS, bool: st.booleans(), str: TEXT,
+          type(None): st.none()}
+
+
+def _values(schema):
+    """Hypothesis strategy for the values a field of `schema` may hold."""
+    if type(schema) is list:
+        items = st.lists(_values(schema[0]), max_size=4)
+        return items | items.map(tuple)
+    return st.one_of(*(LEAVES[t] for t in schema))
+
+
+EVENTS = st.builds(WorldEvent, INTS, st.sampled_from(EventKind), TEXT, INTS, FLOATS,
+                   st.booleans())
 
 
 @settings(max_examples=1000, deadline=None)
 @given(data=st.data())
 def test_templates_write_what_dumps_writes_after_many_changes(data):
-    kind = data.draw(st.sampled_from(sorted(TEMPLATED)), label="kind")
-    payload = copy.deepcopy(TEMPLATED[kind])
-    tick = 7
-    for _ in range(data.draw(st.integers(1, 4), label="changes")):
-        op = data.draw(st.sampled_from(["replace", "drop", "add", "tick"]), label="op")
-        sites = [c for _, c in _containers(payload) if c or op == "add"]
-        if op == "tick":
-            tick = data.draw(ODD_VALUES, label="tick")
-        elif sites:
-            c = data.draw(st.sampled_from(sites), label="where")
-            if op == "add" and type(c) is list:
-                c.append(data.draw(ODD_VALUES, label="value"))
-                continue
-            if op == "add":
-                key = data.draw(st.sampled_from(["kind", "seq", "tick", "zz"])
-                                | st.text(max_size=3), label="key")
-            else:
-                key = data.draw(st.sampled_from(list(c) if type(c) is dict
-                                                else range(len(c))), label="key")
-            if op == "drop":
-                del c[key]
-            else:
-                c[key] = data.draw(ODD_VALUES, label="value")
-    _assert_writes_what_dumps_writes(kind, tick, payload)
+    """Every field of a call drawn anew, well typed: the line is the one
+    dumps writes for the entry, the event's as WorldEvent.to_dict and the
+    percept's features as FeatureVector._asdict lay them out."""
+    kind = data.draw(st.sampled_from(sorted(CALLS)), label="kind")
+    if kind == "event":
+        ev = data.draw(EVENTS, label="event")
+        args, payload = (ev.tick, ev.kind.label, *ev[2:]), {"event": ev.to_dict()}
+    else:
+        args = data.draw(st.tuples(*(_values(s) for _, s in CALLS[kind])), label="fields")
+        payload = ENTRY[kind](*args)
+    tick = data.draw(INTS, label="tick")
+    seq = data.draw(st.integers(0, 2**40), label="seq")
+    w = TraceWriter({})
+    w.seq = seq
+    getattr(w, kind)(tick, *args)
+    assert w.lines[1:] == [_reference_line(kind, seq, tick, payload)]
+    assert w.seq == seq + 1

@@ -1,7 +1,7 @@
 """The lines a run writes are canonical, and the per-tick ones come from
-the line templates rather than the generic encoder. A traced run, an
-untraced one and the replay of the trace report the same metrics, and an
-untraced run builds no trace record."""
+the writer's per-kind methods rather than the generic encoder. A traced
+run, an untraced one and the replay of the trace report the same
+metrics, and an untraced run builds no trace record."""
 
 import collections
 import functools
@@ -91,20 +91,28 @@ def test_contested_runs_reach_every_record_shape():
 
 def test_per_tick_kinds_never_fall_back_to_dumps(monkeypatch):
     """Only the header, the footer and the reward_sample and agent_status
-    lines go through dumps."""
-    real = trace_mod.dumps
-    encoded = []
+    lines go through dumps, and only those two kinds through
+    TraceWriter.record."""
+    real_dumps, real_record = trace_mod.dumps, trace_mod.TraceWriter.record
+    encoded, recorded = [], []
 
-    def counting(obj):
+    def counting_dumps(obj):
         encoded.append(obj.get("kind", obj.get("format")))
-        return real(obj)
+        return real_dumps(obj)
 
-    monkeypatch.setattr(trace_mod, "dumps", counting)
+    def counting_record(self, kind, tick, payload):
+        recorded.append(kind)
+        real_record(self, kind, tick, payload)
+
+    monkeypatch.setattr(trace_mod, "dumps", counting_dumps)
+    monkeypatch.setattr(trace_mod.TraceWriter, "record", counting_record)
     _, lines = run_scenario(*RUNS["contested-failsafe"]())
     kinds = collections.Counter(rec["kind"] for rec in _records(lines))
+    generic = {"reward_sample": kinds["reward_sample"],
+               "agent_status": kinds["agent_status"]}
     assert collections.Counter(encoded) == {
-        trace_mod.FORMAT: 1, trace_mod.FORMAT_END: 1,
-        "reward_sample": kinds["reward_sample"], "agent_status": kinds["agent_status"]}
+        trace_mod.FORMAT: 1, trace_mod.FORMAT_END: 1, **generic}
+    assert collections.Counter(recorded) == generic
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
@@ -136,7 +144,9 @@ def test_untraced_runs_build_no_trace_records(monkeypatch):
         raise AssertionError("an untraced run built a trace record")
 
     monkeypatch.setattr(WorldEvent, "to_dict", refuse)
-    monkeypatch.setattr(trace_mod.TraceWriter, "record", refuse)
+    for method in ("record", "event", "percept", "decision", "veto",
+                   "executed_action", "message"):
+        monkeypatch.setattr(trace_mod.TraceWriter, method, refuse)
     train_agent(config_mod.load_file(REFERENCE), 1)
     config, seed, policy = RUNS["contested-failsafe"]()
     report, lines = run_scenario(config, seed, policy, with_trace=False)
