@@ -14,6 +14,7 @@ import pytest
 from honeysim import config as config_mod
 from honeysim.harness import (QPolicy, RandomPolicy, replay, run_scenario,
                               train_agent)
+from test_trace_lines import CONTESTED_SEED, contested
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                          "reference.yaml")
@@ -29,6 +30,10 @@ LONG_RANDOM_DIGEST = "18ec831f62445a962a0a738d408fcd3b7d29577f3cc7af1ca7a5dfd506
 GREEDY_Q_DIGEST = "ce707f952cd54b831eb8a487a945ddb30b0b977a3209728dfd1ed4158245c04e"
 TAMPER_AT_ZERO_DIGEST = "e3ea667545a3c554866c0dcaaa3d7e03886223d2b9ce8d10132c7cbfefdb5788"
 CRY_NOOP_DIGEST = "3d255879857b3ddbcab997d1e7d7b47398fb1c0c4884f3a91c7c220b83c87d5d"
+# Heartbeats, alerts, restricted and silent EMCON, vetoes, operator
+# replies, and the fail-safe or a mid-run tamper ending the agent.
+CONTESTED_FAILSAFE_DIGEST = "6cd64ff0fb10f6e1d8d22e273a70dca146196bcc50200c70f4ab41f07b7da097"
+CONTESTED_TAMPER_DIGEST = "c1d3780ee03e1efe907609e2edadad05a286a361198362bce4ad75272a2a8f70"
 TRAIN_DIGEST = "90c1dbe1517287b9b62035e9afe5be6c51c317ea62fd1288c0f6e977a09ca18d"
 
 
@@ -78,6 +83,16 @@ def test_tamper_at_tick_zero_trace_bytes():
 
 def test_cry_for_help_heavy_trace_bytes():
     assert trace_digest(reference(), 0, CryNoopPolicy()) == CRY_NOOP_DIGEST
+
+
+def test_contested_failsafe_trace_bytes():
+    assert trace_digest(contested(), CONTESTED_SEED, RandomPolicy()) \
+        == CONTESTED_FAILSAFE_DIGEST
+
+
+def test_contested_tamper_trace_bytes():
+    assert trace_digest(contested(tamper_tick=150), CONTESTED_SEED, RandomPolicy()) \
+        == CONTESTED_TAMPER_DIGEST
 
 
 def test_long_random_trace_bytes():
