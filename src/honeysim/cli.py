@@ -1,6 +1,6 @@
 """Command line entry points: train, run, eval, replay, oracle-reward.
 
-Exit codes: 0 success, 2 configuration error, 3 corrupt trace.
+Exit codes: 0 success, 2 configuration error or bad path, 3 corrupt trace.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def main(argv=None) -> int:
     except TraceCorrupt as exc:
         print(f"trace corrupt: {exc}", file=sys.stderr)
         return EXIT_TRACE
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing, unreadable or unwritable path
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

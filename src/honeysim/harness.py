@@ -4,12 +4,12 @@ This is the only layer allowed to see ground truth: it computes the
 reward from truth-tagged events and classifies cries for help, while
 the agent works purely from percepts. One run is the per-tick loop
 
-    verify ruleset -> step world -> collect -> decide -> apply ->
+    verify ruleset -> step world -> tally -> score -> decide -> apply ->
     comms -> (each window boundary) reward sample + TD update
 
-and everything it does is recorded in a byte-deterministic trace.
-Each tick's events are tallied once, as they arrive; the percept is
-the rolling sum of the last `window` per-tick tallies.
+whose facts go to two consumers: the accountant, and a trace chosen
+once per run that writes a byte-deterministic record or nothing. The
+percept is a `WindowTally` of the last `window` ticks; `Moments` scores it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
                      WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_sealed
 from .sensing import Moments, WindowTally
-from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldState,
+from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent, WorldState,
                     apply_action, derive_seed, init_world, step_world)
 
 
@@ -376,6 +376,60 @@ _ERROR_LABELS = {
 }
 
 
+class _Trace:
+    """A traced run's trace: alone turns each fact into its TraceWriter record."""
+
+    def __init__(self, header: dict):
+        self.writer = trace_mod.TraceWriter(header)
+        self.status(0, "active", "episode_start")
+
+    def events(self, tick: int, events) -> None:
+        for event_tick, kind, *fields in events:  # WorldEvent's field order
+            self.writer.event(tick, event_tick, kind.label, *fields)
+
+    def percept(self, tick: int, score: float, key: StateKey, fv) -> None:
+        self.writer.percept(tick, score, key.encode(), *fv)
+
+    def decision(self, tick: int, decision) -> None:
+        rejected = [(stage.label, reason) for stage, reason in decision.rejected]
+        self.writer.decision(tick, decision.action, decision.provenance.label, rejected)
+
+    def veto(self, tick: int, stage, action: str, reason: str) -> None:
+        self.writer.veto(tick, action, stage.label, reason)
+
+    def executed(self, tick: int, action: str, effect: ActionEffect, target,
+                 applied: bool, error, delta: int, available_before: int, pool) -> None:
+        self.writer.executed_action(tick, action, effect.value, target, applied, error,
+                                    delta, available_before, pool.used, pool.available)
+
+    def message(self, tick: int, msg: Message, rec, label: str | None) -> None:
+        self.writer.message(tick, msg.kind.value, "sent" if rec.sent else "suppressed",
+                            rec.reason, label, msg.evidence_start, msg.evidence_end,
+                            msg.entries, msg.action_taken)
+
+    def status(self, tick: int, status: str, reason: str) -> None:
+        self.writer.record("agent_status", tick, {"status": status, "reason": reason})
+
+    def reward_sample(self, tick: int, sample: tuple) -> None:
+        self.writer.record("reward_sample", tick, _reward_sample_payload(*sample))
+
+    def finish(self) -> list:
+        return self.writer.finish()
+
+
+class _NoTrace:
+    """The trace of an untraced run: every fact is dropped unbuilt."""
+
+    def _drop(self, *fact) -> None:
+        pass
+
+    events = percept = decision = veto = executed = message = status = \
+        reward_sample = _drop
+
+    def finish(self) -> list:
+        return []
+
+
 def run_scenario(config: ScenarioConfig, seed: int, policy,
                  *, learn: bool = False, with_trace: bool = True):
     """Execute one episode; returns (MetricsReport, trace lines).
@@ -421,17 +475,16 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         stage_costs=config.cascade.stage_costs,
     )
 
-    writer = None
-    if with_trace:
-        writer = trace_mod.TraceWriter({
-            "seed": seed,
-            "episode_ticks": config.episode_ticks,
-            "window": window,
-            "policy": policy_label,
-            "reward": {"a": params.a, "b": params.b, "c": params.c,
-                       "floor": params.denominator_floor},
-            "config_digest": config.digest(),
-        })
+    accountant = Accountant(config.episode_ticks, window)
+    trace = _Trace({
+        "seed": seed,
+        "episode_ticks": config.episode_ticks,
+        "window": window,
+        "policy": policy_label,
+        "reward": {"a": params.a, "b": params.b, "c": params.c,
+                   "floor": params.denominator_floor},
+        "config_digest": config.digest(),
+    }) if with_trace else _NoTrace()
 
     # The schedule starts at tick 0 and its ticks strictly increase, so
     # each entry's constraints hold from its tick until the next entry.
@@ -444,75 +497,42 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         for entry in env_cfg.emcon_schedule}
     env = env_from_tick[0]
 
-    accountant = Accountant(config.episode_ticks, window)
     moments = Moments()  # the anomaly baseline, updated in place
     window_tally = WindowTally(window)
     # last `window` ticks of events, one list per tick; read only to rank
     # targets by suspicion
     buckets: deque = deque(maxlen=window)
 
-    # The accountant is told each fact's fields; the trace record of the
-    # fact is built only when a trace is written.
     agent_active = True
-    current_tick = [0]
     tamper_tick = config.guardrails.tamper_tick
     bins = config.agent.bins
     heartbeat_every = config.comms.heartbeat_every
     alert_after_actions = config.comms.alert_after_actions
 
     def operator_replied():
-        t = current_tick[0]
-        accountant.event(t, EventKind.OPERATOR_REPLY, False)
-        if writer is not None:
-            writer.event(t, t, EventKind.OPERATOR_REPLY.label, "operator", 0, 0.0, False)
+        reply = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
+        accountant.event(t, reply.kind, reply.truth_malicious)
+        trace.events(t, (reply,))
 
     ctx.on_operator_reply = operator_replied
 
-    def send_message(msg, emcon):
-        t = current_tick[0]
-        rec = send(msg, emcon, guard)
-        label = None
-        if rec.sent and msg.kind is MessageKind.CRY_FOR_HELP:
-            label = accountant.classify_cfh(msg.evidence_start, msg.evidence_end)
-        accountant.message(t, rec.sent, msg.kind, label)
-        if writer is not None:
-            writer.message(t, msg.kind.value, "sent" if rec.sent else "suppressed",
-                           rec.reason, label, msg.evidence_start, msg.evidence_end,
-                           msg.entries, msg.action_taken)
-
-    def terminate(reason):
-        t = current_tick[0]
-        accountant.terminated(t)
-        if writer is not None:
-            writer.record("agent_status", t, {"status": "terminated",
-                                              "reason": reason})
-
-    if writer is not None:
-        writer.record("agent_status", 0, {"status": "active",
-                                          "reason": "episode_start"})
-
     for t in range(config.episode_ticks):
-        current_tick[0] = t
         env = env_from_tick.get(t, env)
-        emcon = env.emcon_level
 
         if tamper_tick == t:
             ruleset.budget.max_impact_per_action += 1.0
 
-        if agent_active:
-            if verify_sealed(guard) is RulesetCheck.TAMPERED:
-                agent_active = False
-                terminate("ruleset_tampered")
+        if agent_active and verify_sealed(guard) is RulesetCheck.TAMPERED:
+            agent_active = False
+            accountant.terminated(t)
+            trace.status(t, "terminated", "ruleset_tampered")
 
         events = step_world(world)
         window_tally.push(events)
         buckets.append(events)
         for ev in events:
             accountant.event(t, ev.kind, ev.truth_malicious)
-        if writer is not None:
-            for ev in events:
-                writer.event(t, ev.tick, ev.kind.label, ev.node, ev.severity,
-                             ev.load, ev.truth_malicious)
+        trace.events(t, events)
 
         key = None
         if agent_active:
@@ -520,21 +540,15 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             score = moments.score_and_update(fv)
             summary = WorldSummary(world.honeypots_active())
             key = discretize(fv, summary, bins, score)
-            if writer is not None:  # the accountant reads no percept
-                writer.percept(t, score, key.encode(), *fv)
+            trace.percept(t, score, key, fv)  # the accountant reads no percept
 
             decision = decide(key, env, ctx, profile)
-            provenance = decision.provenance.label
-            accountant.decision(t, provenance)
-            if writer is not None:
-                writer.decision(t, decision.action, provenance,
-                                [(stage.label, reason)
-                                 for stage, reason in decision.rejected])
+            accountant.decision(t, decision.provenance.label)
+            trace.decision(t, decision)
             for stage, action_id, reason in ctx.audit:
                 if reason.startswith("guardrail:"):
                     accountant.veto(t, reason)
-                    if writer is not None:
-                        writer.veto(t, action_id, stage.label, reason)
+                    trace.veto(t, stage, action_id, reason)
 
             spec = catalog.get(decision.action)
             targetless = spec.effect in _TARGETLESS
@@ -557,47 +571,49 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             else:
                 error = "no_target"
             accountant.executed(t, decision.action, available_before, delta)
-            if writer is not None:
-                pool = world.pool
-                writer.executed_action(t, decision.action, spec.effect.value, target,
-                                       applied, error, delta, available_before,
-                                       pool.used, pool.available)
+            trace.executed(t, decision.action, spec.effect, target, applied, error,
+                           delta, available_before, world.pool)
 
+            messages = []
             if applied:
                 if spec.effect is ActionEffect.CRY_FOR_HELP:
-                    send_message(Message(MessageKind.CRY_FOR_HELP, tick=t,
-                                         evidence_start=max(0, t - window + 1),
-                                         evidence_end=t), emcon)
+                    messages.append(Message(MessageKind.CRY_FOR_HELP, tick=t,
+                                            evidence_start=max(0, t - window + 1),
+                                            evidence_end=t))
                 elif spec.effect is ActionEffect.SHARE_BLOCKLIST:
                     core = world.core
                     blocked = tuple(sorted(
                         address for address, status in zip(core.addresses, core.statuses)
                         if status == codes.QUARANTINED))
-                    send_message(Message(MessageKind.SHARE_BLOCKLIST, tick=t,
-                                         entries=blocked), emcon)
+                    messages.append(Message(MessageKind.SHARE_BLOCKLIST, tick=t,
+                                            entries=blocked))
                 elif spec.effect is ActionEffect.TERMINATE_SELF:
                     agent_active = False
-                    terminate("self_terminated")
+                    accountant.terminated(t)
+                    trace.status(t, "terminated", "self_terminated")
                 elif alert_after_actions and spec.effect is not ActionEffect.NOOP:
-                    send_message(Message(MessageKind.ALERT, tick=t,
-                                         action_taken=decision.action), emcon)
-
+                    messages.append(Message(MessageKind.ALERT, tick=t,
+                                            action_taken=decision.action))
             if agent_active and heartbeat_every and t % heartbeat_every == 0:
-                send_message(Message(MessageKind.HEARTBEAT, tick=t), emcon)
+                messages.append(Message(MessageKind.HEARTBEAT, tick=t))
+
+            for msg in messages:
+                rec = send(msg, env.emcon_level, guard)
+                label = None
+                if rec.sent and msg.kind is MessageKind.CRY_FOR_HELP:
+                    label = accountant.classify_cfh(msg.evidence_start, msg.evidence_end)
+                accountant.message(t, rec.sent, msg.kind, label)
+                trace.message(t, msg, rec, label)
 
         if (t + 1) % window == 0:
-            value, terms, inputs, credited = accountant.close_period(
-                params, world.pool.available)
-            if writer is not None:
-                writer.record("reward_sample", t, _reward_sample_payload(
-                    value, terms, inputs, credited))
+            sample = accountant.close_period(params, world.pool.available)
+            trace.reward_sample(t, sample)
             # An agent still active here acted this tick, so the credited
             # action is this tick's decision, taken in state `key`.
             if learn and agent_active:
-                q_update(policy_obj.qtable, key, decision.action, value, key)
+                q_update(policy_obj.qtable, key, decision.action, sample[0], key)
 
-    lines = writer.finish() if writer is not None else []
-    return accountant.report(), lines
+    return accountant.report(), trace.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +654,8 @@ def train_agent(config: ScenarioConfig, episodes: int, seeds=None) -> TrainResul
 
 def evaluate(config: ScenarioConfig, policy_spec, seeds, with_trace: bool = False):
     """Greedy evaluation over a seed list; reports are seed-ordered."""
+    if not seeds:
+        raise ConfigInvalid("evaluation needs at least one seed")
     reports = []
     for seed in seeds:
         report, lines = run_scenario(config, seed, policy_spec, with_trace=with_trace)
@@ -758,10 +776,24 @@ def _expect(rec: dict, derived: dict) -> None:
 # ---------------------------------------------------------------------------
 # artifact io
 
-def save_qtable(qtable: QTable, path) -> None:
+def _save_table(table, path) -> None:
+    """Write a Q or pattern table as the JSON of its to_dict."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(qtable.to_dict(), fh, sort_keys=True, indent=1)
+        json.dump(table.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _load_table(path, what: str, from_dict):
+    """(JSON of `path`, `from_dict` of it); ConfigInvalid if either fails."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+            return data, from_dict(data)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigInvalid(f"{path} is not {what}: {exc!r}") from exc
+
+
+save_qtable = save_pattern_table = _save_table
 
 
 def load_qtable(path) -> QTable:
@@ -769,12 +801,7 @@ def load_qtable(path) -> QTable:
     is not JSON, lacks a field of that layout, or holds a field of
     another type: actions must be a list of strings, and alpha, gamma
     and every entry value finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-            table = QTable.from_dict(data)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ConfigInvalid(f"{path} is not a Q table: {exc!r}") from exc
+    data, table = _load_table(path, "a Q table", QTable.from_dict)
     actions = data["actions"]
     if type(actions) is not list or any(type(a) is not str for a in actions):
         raise ConfigInvalid(f"{path} is not a Q table: actions {actions!r} "
@@ -787,20 +814,10 @@ def load_qtable(path) -> QTable:
     return table
 
 
-def save_pattern_table(table: PatternTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def load_pattern_table(path) -> PatternTable:
     """Read a table written by save_pattern_table; ConfigInvalid when the
     file is not JSON or lacks the layout of PatternTable.to_dict."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            table = PatternTable.from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ConfigInvalid(f"{path} is not a pattern table: {exc!r}") from exc
+    _, table = _load_table(path, "a pattern table", PatternTable.from_dict)
     for action, conf in table.entries.values():
         if type(action) is not str or type(conf) not in (int, float):
             raise ConfigInvalid(f"{path} is not a pattern table: entry "

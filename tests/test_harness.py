@@ -572,6 +572,29 @@ def test_saved_pattern_table_naming_terminate_self_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("num_seeds", ["0", "-2"])
+def test_cli_eval_without_seeds_exits_2(tmp_path, capsys, num_seeds):
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
+    assert cli_mod.main(["eval", "--config", str(cfg_path),
+                         "--num-seeds", num_seeds]) == cli_mod.EXIT_CONFIG
+    assert "at least one seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--config", "{dir}"],
+    ["replay", "--trace", "{dir}"],
+    ["run", "--config", "{cfg}", "--trace-out", "{dir}"],
+    ["train", "--config", "{cfg}", "--episodes", "1", "--out", "{dir}"],
+], ids=["run-config", "replay-trace", "run-trace-out", "train-out"])
+def test_cli_directory_path_exits_2(tmp_path, capsys, args):
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
+    argv = [arg.format(dir=tmp_path, cfg=cfg_path) for arg in args]
+    assert cli_mod.main(argv) == cli_mod.EXIT_CONFIG
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_cli_int_mission_need_too_large_for_a_float_runs(tmp_path):
     # The ruleset encodes a big int exactly; the per-tick check falls back
     # to the digest for it, and nothing else reads mission_need.
