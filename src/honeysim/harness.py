@@ -384,8 +384,8 @@ class _Trace:
         self.status(0, "active", "episode_start")
 
     def events(self, tick: int, events) -> None:
-        for event_tick, kind, *fields in events:  # WorldEvent's field order
-            self.writer.event(tick, event_tick, kind.label, *fields)
+        for event_tick, kind, node, severity, load, truth in events:
+            self.writer.event(tick, event_tick, kind.label, node, severity, load, truth)
 
     def percept(self, tick: int, score: float, key: StateKey, fv) -> None:
         self.writer.percept(tick, score, key.encode(), *fv)
