@@ -95,6 +95,8 @@ class ActionCatalog:
         self.selectable_ids = tuple(
             i for i in self.ids if self._by_id[i].enabled and self._by_id[i].selectable)
         _validate_entries(self._by_id)
+        if not self.selectable_ids:
+            raise ConfigInvalid("agent.actions must leave at least one selectable action enabled")
 
     def get(self, action_id: str) -> ActionSpec:
         return self._by_id[action_id]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import config as config_mod
@@ -20,22 +21,27 @@ EXIT_CONFIG = 2
 EXIT_TRACE = 3
 
 
-def _load_config(path):
-    if path is None:
-        raise ConfigInvalid("--config is required")
-    return config_mod.load_file(path)
-
-
 def _policy_from_args(args):
     if args.policy in (None, "random"):
         return RandomPolicy()
     return load_qtable(args.policy)
 
 
+def _check_writable(path) -> None:
+    """Raise what writing `path` would raise; leave the path as it was."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_train(args):
-    cfg = _load_config(args.config)
+    cfg = config_mod.load_file(args.config)
     if args.seed is not None:
         cfg = config_mod.from_mapping({**cfg.to_dict(), "seed": args.seed})
+    # A bad output path fails the command before training and writes nothing.
+    for path in filter(None, (args.out, args.curve_out)):
+        _check_writable(path)
     result = train_agent(cfg, args.episodes)
     save_qtable(result.qtable, args.out)
     print(f"trained {args.episodes} episodes -> {args.out}")
@@ -48,7 +54,7 @@ def cmd_train(args):
 
 
 def cmd_run(args):
-    cfg = _load_config(args.config)
+    cfg = config_mod.load_file(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     policy = _policy_from_args(args)
     report, lines = run_scenario(cfg, seed, policy)
@@ -59,7 +65,7 @@ def cmd_run(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config)
+    cfg = config_mod.load_file(args.config)
     base = args.seed if args.seed is not None else cfg.seed
     seeds = [base + k for k in range(args.num_seeds)]
     policy_spec = _policy_from_args(args)

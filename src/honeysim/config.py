@@ -9,10 +9,10 @@ The dataclass annotations below are the schema: each field's type, the
 item type of each list and map, as a `Literal` the choice set of each
 closed set of names, and, as `Annotated` with `Bounds`, the range of
 each bounded number. `from_mapping` builds a scenario and checks every
-value's type and range in one walk over them; `validate` then holds
-only the rules that relate two fields or the items of a list. The
-annotations are evaluated when each class is made, not postponed, so
-the walk reads them as types.
+value's type and range in one walk over them; `validate` then checks
+every other rule a run relies on, so a scenario that loads also starts.
+The annotations are evaluated when each class is made, not postponed,
+so the walk reads them as types.
 """
 
 import dataclasses
@@ -27,6 +27,7 @@ from typing import Annotated, Literal
 
 import yaml
 
+from .actions import build_catalog
 from .errors import ConfigInvalid
 from .trace import MAX_EXACT_INT
 
@@ -58,6 +59,15 @@ Positive = Annotated[int, Bounds(1)]
 NonNegativeNumber = Annotated[float, Bounds(0.0)]
 # The largest float below 1, so that a closed range states gamma < 1.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+# WorldConfig's node groups, each named by its node kind's label, with
+# the prefix of their node ids.
+NODE_GROUPS = {"database": "db", "application": "app", "web": "web", "honeypot": "hp"}
+
+
+def node_id(group: str, index: int) -> str:
+    return f"{NODE_GROUPS[group]}-{index}"
 
 
 @dataclass
@@ -333,7 +343,9 @@ def _build(tp, data, path: str):
 
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
-    """Check the rules that relate two fields or the items of a list;
+    """Check the rules that relate two fields or the items of a list,
+    among them that the initial nodes fit in the capacity and that each
+    known node is an initial one, and the action catalog's rules;
     `_build` has checked each field's own type and range."""
     seen_ids = set()
     for camp in config.world.campaigns:
@@ -358,6 +370,17 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     _check(ticks[0] == 0, "env.emcon_schedule must start at tick 0")
     _check(all(a < b for a, b in zip(ticks, ticks[1:])),
            "env.emcon_schedule ticks must be strictly increasing")
+
+    w = config.world
+    groups = {name: getattr(w, name) for name in NODE_GROUPS}
+    used = sum(group.count * group.cost for group in groups.values())
+    _check(used <= w.capacity,
+           f"initial running nodes need {used} units but capacity is {w.capacity}")
+    initial = {node_id(name, k) for name, group in groups.items() for k in range(group.count)}
+    for camp in w.campaigns:
+        for known in camp.known_nodes:
+            _check(known in initial, f"campaign {camp.id!r} references unknown node {known!r}")
+    build_catalog(config.agent.actions)
     return config
 
 

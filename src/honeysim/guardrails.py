@@ -28,17 +28,12 @@ from operator import is_
 
 from .actions import ActionSpec, ActionEffect, AutonomyLevel
 from .constraints import EmconLevel, EnvConstraints
-from .errors import ConfigInvalid
 
 
 @dataclass
 class ImpactBudget:
     max_impact_per_action: float
     mission_need: float
-
-    def __post_init__(self):
-        if self.max_impact_per_action > self.mission_need:
-            raise ConfigInvalid("impact budget must not exceed mission need")
 
 
 @dataclass
@@ -114,22 +109,12 @@ class GuardrailSet:
 
     @classmethod
     def seal(cls, ruleset: Ruleset) -> "GuardrailSet":
-        _validate_gates(ruleset.autonomy_gates)
         sealed = _sealed_objects(ruleset)
         if sealed is not None and not _IDENTITY_TYPES.issuperset(map(type, sealed[1])):
             sealed = None
         return cls(ruleset=ruleset,
                    expected_digest=ruleset_digest(ruleset.canonical_bytes()),
                    sealed=sealed)
-
-
-def _validate_gates(gates: dict) -> None:
-    for level in EmconLevel:
-        if level not in gates:
-            raise ConfigInvalid(f"autonomy gate missing for EMCON {level.label}")
-    if not (gates[EmconLevel.OPEN] >= gates[EmconLevel.RESTRICTED]
-            >= gates[EmconLevel.SILENT]):
-        raise ConfigInvalid("autonomy gates must be monotone in EMCON strictness")
 
 
 @dataclass(frozen=True)
@@ -192,7 +177,7 @@ def verify_sealed(g: GuardrailSet) -> RulesetCheck:
 def build_ruleset(guard_config, thresholds_config) -> Ruleset:
     """Assemble the live ruleset from scenario configuration. The
     config's gate and threshold field names are the EMCON and stage
-    labels."""
+    labels; `config.validate` has checked the budget and the gates."""
     gates = {level: AutonomyLevel.from_name(getattr(guard_config.autonomy_gates,
                                                     level.label))
              for level in EmconLevel}

@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 from . import _kernels
 from ._kernels import CoreWorld, codes
-from .config import ScenarioConfig
-from .errors import ConfigInvalid, IllegalTransition, InsufficientResources, NoSuchNode
+from .config import ScenarioConfig, node_id
+from .errors import IllegalTransition, InsufficientResources, NoSuchNode
 from .actions import ActionEffect
 
 _DERIVE_SALT = 0xD1B54A32D192ED03
@@ -165,14 +165,6 @@ class ActionOutcome(NamedTuple):
     node: str | None = None
 
 
-_KIND_TO_GROUP = {
-    NodeKind.DATABASE: ("database", "db"),
-    NodeKind.APPLICATION: ("application", "app"),
-    NodeKind.WEB: ("web", "web"),
-    NodeKind.HONEYPOT: ("honeypot", "hp"),
-}
-
-
 @dataclass
 class WorldState:
     config: ScenarioConfig
@@ -262,38 +254,27 @@ def _world_params(w) -> tuple:
 
 
 def init_world(config: ScenarioConfig, seed: int) -> WorldState:
-    """Instantiate the platform; identical (config, seed) pairs yield
-    structurally identical states."""
+    """Instantiate the platform from a validated config; identical
+    (config, seed) pairs yield structurally identical states."""
     w = config.world
 
     # Kind codes run 0..3 in declaration order, so a kind's code indexes
-    # its cost in kind_costs.
+    # its cost in kind_costs; its label names its node group.
     kinds, node_ids, decoys, kind_costs = [], [], [], []
     for kind in NodeKind:
-        group_name, prefix = _KIND_TO_GROUP[kind]
-        group = getattr(w, group_name)
+        group = getattr(w, kind.label)
         kind_costs.append(group.cost)
         for k in range(group.count):
-            node_ids.append(f"{prefix}-{k}")
+            node_ids.append(node_id(kind.label, k))
             kinds.append(int(kind))
             decoys.append(w.honeypot_decoys if kind is NodeKind.HONEYPOT else 0)
 
     used = sum(kind_costs[kind] for kind in kinds)
-    if used > w.capacity:
-        raise ConfigInvalid(
-            f"initial running nodes need {used} units but capacity is {w.capacity}")
-
     addresses = list(range(len(node_ids)))
 
     known_sets, intensities, activations, campaign_ids, campaign_seeds = [], [], [], [], []
     for ci, camp in enumerate(w.campaigns):
-        tokens = set()
-        for node_id in camp.known_nodes:
-            if node_id not in node_ids:
-                raise ConfigInvalid(
-                    f"campaign {camp.id!r} references unknown node {node_id!r}")
-            tokens.add(addresses[node_ids.index(node_id)])
-        known_sets.append(tokens)
+        known_sets.append({addresses[node_ids.index(known)] for known in camp.known_nodes})
         intensities.append(camp.intensity)
         activations.append(camp.activation_tick)
         campaign_ids.append(camp.id)
@@ -358,12 +339,12 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
         if cost > pool.available:
             raise InsufficientResources(
                 f"honeypot needs {cost} units, only {pool.available} available")
-        node_id = f"hp-{world._next_hp}"
+        new_id = node_id("honeypot", world._next_hp)
         world._next_hp += 1
         core.add_node(codes.HONEYPOT, codes.RUNNING, w.honeypot_decoys)
-        world.node_ids.append(node_id)
+        world.node_ids.append(new_id)
         pool.used += cost
-        return ActionOutcome(delta_resources=-cost, node=node_id)
+        return ActionOutcome(delta_resources=-cost, node=new_id)
 
     if effect is ActionEffect.RESTRICT_COMMS_INBOUND:
         core.inbound_restricted = True

@@ -71,6 +71,37 @@ def test_campaign_duplicate_id_rejected():
             {"id": "apt-0"}, {"id": "apt-0"}]}})
 
 
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"agent": {"actions": {"no_such_action": {"enabled": True}}}},
+                 "action overrides for unknown ids ['no_such_action']",
+                 id="unknown-action-id"),
+    pytest.param({"agent": {"actions": {"terminate_self": {"impact": 1.0}}}},
+                 "terminate_self must have zero impact and reflex autonomy",
+                 id="terminate-self-impact"),
+    pytest.param({"agent": {"actions": {"terminate_self": {"autonomy": "previsioned"}}}},
+                 "terminate_self must have zero impact and reflex autonomy",
+                 id="terminate-self-autonomy"),
+    pytest.param({"agent": {"actions": {"cry_for_help": {"emission_cost": 0}}}},
+                 "cry_for_help must have a positive emission cost",
+                 id="cry-for-help-silent"),
+    pytest.param({"agent": {"actions": {"share_blocklist": {"emission_cost": 0}}}},
+                 "share_blocklist must have a positive emission cost",
+                 id="share-blocklist-silent"),
+    pytest.param({"world": {"capacity": 50}},
+                 "initial running nodes need 100 units but capacity is 50",
+                 id="capacity-overcommitted"),
+    pytest.param({"world": {"campaigns": [{"id": "apt-0", "known_nodes": ["db-2", "db-3"]}]}},
+                 "campaign 'apt-0' references unknown node 'db-3'",
+                 id="unknown-known-node"),
+])
+def test_run_start_rules_are_checked_at_load(data, message):
+    # Each rule a run relies on rejects its scenario when it loads, with
+    # the message a run would give.
+    with pytest.raises(ConfigInvalid) as info:
+        config_mod.from_mapping(data)
+    assert str(info.value) == message
+
+
 def test_digest_stable_and_sensitive():
     a = config_mod.from_mapping({})
     b = config_mod.from_mapping({})
@@ -337,8 +368,10 @@ def _bounded_leaves(section, prefix=""):
 
 def _scenario_with(path, value):
     """A scenario mapping that sets the leaf at `path` to `value`. The
-    impact cap is 0, so any mission_need respects it."""
-    data = {"guardrails": {"max_impact_per_action": 0}}
+    impact cap is 0, so any mission_need respects it, and no node group
+    has a node, so any capacity holds them."""
+    data = {"guardrails": {"max_impact_per_action": 0},
+            "world": {name: {"count": 0} for name in config_mod.NODE_GROUPS}}
     *sections, key = path.split(".")
     node = data
     for name in sections:

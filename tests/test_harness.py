@@ -15,6 +15,7 @@ from honeysim import cli as cli_mod
 from honeysim import config as config_mod
 from honeysim import harness
 from honeysim import trace as trace_mod
+from honeysim.actions import build_catalog
 from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
 from honeysim.cascade import PatternTable
@@ -593,6 +594,48 @@ def test_cli_directory_path_exits_2(tmp_path, capsys, args):
     argv = [arg.format(dir=tmp_path, cfg=cfg_path) for arg in args]
     assert cli_mod.main(argv) == cli_mod.EXIT_CONFIG
     assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unwritable", ["--out", "--curve-out"])
+def test_cli_train_checks_both_outputs_before_training(tmp_path, capsys, monkeypatch,
+                                                       unwritable):
+    # A directory given for either output fails the command before any
+    # training, and the other output is not written either.
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
+    outputs = {"--out": tmp_path / "q.json", "--curve-out": tmp_path / "curve.json"}
+    outputs[unwritable] = tmp_path
+    trained = []
+    real_train = cli_mod.train_agent
+    monkeypatch.setattr(cli_mod, "train_agent",
+                        lambda *args: trained.append(args) or real_train(*args))
+    argv = ["train", "--config", str(cfg_path), "--episodes", "1"]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert cli_mod.main(argv) == cli_mod.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert trained == []
+    assert out == ""
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml"]
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_cli_scenario_without_a_selectable_action_exits_2(tmp_path, capsys, command):
+    # A policy picks among the enabled selectable actions, so a scenario
+    # that disables all of them is rejected when it loads.
+    disabled = {action: {"enabled": False} for action in build_catalog().ids}
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text(json.dumps({"episode_ticks": 5, "agent": {"actions": disabled}}),
+                        encoding="utf-8")
+    output = tmp_path / "output"
+    flag = "--trace-out" if command == "run" else "--out"
+    assert cli_mod.main([command, "--config", str(cfg_path), flag, str(output)]) \
+        == cli_mod.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "at least one selectable action" in err
+    assert "Traceback" not in err
+    assert not output.exists()
 
 
 def test_cli_int_mission_need_too_large_for_a_float_runs(tmp_path):

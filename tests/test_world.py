@@ -6,7 +6,7 @@ import pytest
 from conftest import make_config, quiet_world
 from honeysim import harness
 from honeysim.actions import ActionEffect
-from honeysim.errors import ConfigInvalid, IllegalTransition, InsufficientResources, NoSuchNode
+from honeysim.errors import IllegalTransition, InsufficientResources, NoSuchNode
 from honeysim.world import (EventKind, ExecutedAction, NodeKind, NodeStatus,
                             apply_action, init_world, step_world)
 
@@ -43,11 +43,6 @@ def test_init_same_seed_same_structure():
     assert w1.pool == w2.pool
     assert [w1.campaign_known_tokens(c) for c in w1.campaign_ids] == \
            [w2.campaign_known_tokens(c) for c in w2.campaign_ids]
-
-
-def test_init_rejects_overcommitted_capacity():
-    with pytest.raises(ConfigInvalid):
-        init_world(nine_real(capacity=50), seed=1)
 
 
 def test_no_campaigns_means_no_malicious_events():
