@@ -582,6 +582,27 @@ def test_cli_eval_without_seeds_exits_2(tmp_path, capsys, num_seeds):
     assert "at least one seed" in capsys.readouterr().err
 
 
+def test_cli_eval_prints_the_untraced_run_of_each_seed(tmp_path, capsys):
+    data = config_mod.load_file(REPO / "configs" / "reference.yaml").to_dict()
+    data["episode_ticks"] = 120
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_mod.main(["eval", "--config", str(cfg_path), "--seed", "11",
+                         "--num-seeds", "3"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {
+        "seeds": [11, 12, 13],
+        "per_seed_reward": [56.5, 2.0, 2.25],
+        "mean_cumulative_reward": 20.25,
+        "mean_honeypot_engagements": 29 / 3,
+        "mean_real_server_compromises": 2 / 3,
+    }
+    config = config_mod.from_mapping(data)
+    assert printed["per_seed_reward"] == [
+        run_scenario(config, seed, RandomPolicy(), with_trace=False)[0].cumulative_reward
+        for seed in printed["seeds"]]
+
+
 @pytest.mark.parametrize("args", [
     ["run", "--config", "{dir}"],
     ["replay", "--trace", "{dir}"],
