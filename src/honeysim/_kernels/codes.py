@@ -1,9 +1,9 @@
 """Integer codes of the kernel arrays and raw events.
 
-The world's IntEnums (NodeKind, NodeStatus, CampaignPhase, EventKind)
-take their values from here, so a code means the same on both sides of
-the kernel boundary. Event kinds run 0..n-1 without gaps: world.py
-indexes a table by them.
+The world's IntEnums (NodeKind, NodeStatus, EventKind) take their
+values from here, so a code means the same on both sides of the kernel
+boundary. Campaign phases are used only inside the kernel. Event kinds
+run 0..n-1 without gaps: world.py indexes a table by them.
 """
 
 # Node kinds

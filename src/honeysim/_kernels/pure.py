@@ -86,7 +86,6 @@ class CoreWorld:
         self.c_intensity = list(campaign_intensity)
         self.c_activation = list(campaign_activation)
         self.c_known = [set(k) for k in campaign_known]
-        self.c_phase = [codes.DORMANT] * len(self.c_intensity)
         self.c_streams = [Stream(s) for s in campaign_seeds]
         self.benign = Stream(benign_seed)
         self.detect = Stream(detect_seed)
@@ -240,7 +239,6 @@ class CoreWorld:
 
         for ci in range(len(self.c_intensity)):
             phase = self._derive_phase(ci)
-            self.c_phase[ci] = phase
             if phase == codes.DORMANT:
                 continue
             stream = self.c_streams[ci]

@@ -72,12 +72,6 @@ def reward_terms(p: RewardParams, x: RewardInputs) -> tuple:
             p.c * x.justified_cfh / max(x.cw, floor))
 
 
-class WorldSummary(NamedTuple):
-    """The agent-visible world digest used for discretization."""
-
-    honeypots_active: int
-
-
 class StateKey(NamedTuple):
     threat_bin: int
     load_bin: int
@@ -94,7 +88,7 @@ class StateKey(NamedTuple):
         return cls(int(t), int(l), int(h), r == "1")
 
 
-def discretize(fv: FeatureVector, summary: WorldSummary,
+def discretize(fv: FeatureVector, honeypots_active: int,
                bins: BinsConfig = BinsConfig(),
                anomaly: float = 0.0) -> StateKey:
     """Deterministic 128-way discretization of the percept.
@@ -105,7 +99,7 @@ def discretize(fv: FeatureVector, summary: WorldSummary,
     return StateKey(
         threat_bin=bisect_right(bins.threat, anomaly),
         load_bin=bisect_right(bins.load, fv.system_load),
-        honeypots_active_bin=bisect_right(bins.honeypots, summary.honeypots_active),
+        honeypots_active_bin=bisect_right(bins.honeypots, honeypots_active),
         recent_honey_touch=fv.honey_touches >= 1,
     )
 
@@ -208,8 +202,8 @@ def accumulate_reward_inputs(events, cfh_labels, pool_available: int,
                              last_action_delta: int) -> RewardInputs:
     """Harness-side tally of one accounting period.
 
-    events are the period's event payloads (WorldEvent.to_dict() form)
-    and cfh_labels the "justified"/"cry_wolf" labels of the cries for
+    events are the period's event payloads (the "event" field of its
+    trace records) and cfh_labels the "justified"/"cry_wolf" labels of the cries for
     help sent in it. Ground truth is taken from the events; the agent
     never sees it.
     """

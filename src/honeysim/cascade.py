@@ -49,10 +49,6 @@ class FailSafeProfile(Enum):
     LOW_THRESHOLD_ACT = "low_threshold_act"
     TERMINATE = "terminate"
 
-    @classmethod
-    def from_name(cls, name: str) -> "FailSafeProfile":
-        return cls(name)
-
 
 class ProposedAction(NamedTuple):
     action: str
@@ -98,9 +94,6 @@ class PatternTable:
 
     entries: dict = field(default_factory=dict)  # StateKey -> (action, conf)
 
-    def lookup(self, key: StateKey):
-        return self.entries.get(key)
-
     def best_entry(self):
         """Highest-confidence entry, ties broken by action id then key."""
         if not self.entries:
@@ -123,7 +116,7 @@ class PatternTable:
 
 def pattern_match(table: PatternTable, key: StateKey):
     """Exact signature lookup; None on a miss."""
-    hit = table.lookup(key)
+    hit = table.entries.get(key)
     if hit is None:
         return None
     action, confidence = hit

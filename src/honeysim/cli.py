@@ -69,10 +69,10 @@ def cmd_eval(args):
     base = args.seed if args.seed is not None else cfg.seed
     seeds = [base + k for k in range(args.num_seeds)]
     policy_spec = _policy_from_args(args)
-    results = evaluate(cfg, policy_spec, seeds)
-    rewards = [r.cumulative_reward for _, r, _ in results]
-    engagements = [r.honeypot_engagements for _, r, _ in results]
-    compromises = [r.real_server_compromises for _, r, _ in results]
+    reports = evaluate(cfg, policy_spec, seeds)
+    rewards = [r.cumulative_reward for r in reports]
+    engagements = [r.honeypot_engagements for r in reports]
+    compromises = [r.real_server_compromises for r in reports]
     summary = {
         "seeds": seeds,
         "mean_cumulative_reward": sum(rewards) / len(rewards),

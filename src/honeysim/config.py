@@ -57,6 +57,9 @@ Probability = Annotated[float, Bounds(0.0, 1.0)]
 NonNegative = Annotated[int, Bounds(0)]
 Positive = Annotated[int, Bounds(1)]
 NonNegativeNumber = Annotated[float, Bounds(0.0)]
+# A reward coefficient: at most 2^53 in size, like every count it
+# multiplies, so each reward, period total and Q value stays finite.
+Coefficient = Annotated[float, Bounds(-MAX_EXACT_INT, MAX_EXACT_INT)]
 # The largest float below 1, so that a closed range states gamma < 1.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -110,9 +113,9 @@ class WorldConfig:
 
 @dataclass
 class RewardConfig:
-    a: float = 1.0
-    b: float = 1.0
-    c: float = 1.0
+    a: Coefficient = 1.0
+    b: Coefficient = 1.0
+    c: Coefficient = 1.0
     denominator_floor: Positive = 1
 
 
@@ -289,10 +292,12 @@ def _field_types(section):
     return typing.get_type_hints(section, include_extras=True)
 
 
-def _build(tp, data, path: str):
+def _build(tp, data, path: str, default=None):
     """Build a value of type `tp` from `data`, the scenario value at
-    `path`, checking its type and range on the way down. Nothing is
-    converted but lists to tuples, so a valid value keeps its config
+    `path`, checking its type and range on the way down. A section
+    keeps each key it is not given from `default`, the value its field
+    takes when the section is omitted, or else from its class. Nothing
+    is converted but lists to tuples, so a valid value keeps its config
     digest."""
     if dataclasses.is_dataclass(tp):  # a section, from a mapping
         where = path or "scenario"
@@ -304,9 +309,11 @@ def _build(tp, data, path: str):
         unknown = data.keys() - hints.keys()
         if unknown:
             raise ConfigInvalid(f"{where}: unknown keys {sorted(unknown, key=str)}")
+        base = tp() if default is None else default
         prefix = f"{path}." if path else ""
-        return tp(**{name: _build(hints[name], value, prefix + name)
-                     for name, value in data.items()})
+        return dataclasses.replace(base, **{
+            name: _build(hints[name], value, prefix + name, getattr(base, name))
+            for name, value in data.items()})
     origin = typing.get_origin(tp)
     if origin is tuple:  # tuple[X, ...], from a list
         if type(data) not in (list, tuple):

@@ -24,9 +24,9 @@ from . import _kernels
 from ._kernels import codes
 from .actions import ActionCatalog, ActionEffect, build_catalog
 from .agent import (EVENT_REWARD_CLASS, HONEY_EVENT, SECURITY_EVENT, QTable,
-                    RewardInputs, RewardParams, StateKey, WorldSummary,
-                    discretize, period_reward_inputs, q_update, reward,
-                    reward_terms, select_action)
+                    RewardInputs, RewardParams, StateKey, discretize,
+                    period_reward_inputs, q_update, reward, reward_terms,
+                    select_action)
 from .cascade import (FailSafeProfile, PatternTable, QValueModel,
                       StageContext, decide)
 from .comms import Message, MessageKind, send
@@ -342,10 +342,6 @@ _TARGETLESS = (ActionEffect.NOOP, ActionEffect.START_HONEYPOT,
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def make_catalog(config: ScenarioConfig) -> ActionCatalog:
-    return build_catalog(config.agent.actions)
-
-
 def _bind_policy(policy, catalog: ActionCatalog, stream):
     if isinstance(policy, QTable):
         policy = QPolicy(policy, epsilon=0.0)
@@ -439,7 +435,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     always yields byte-identical lines.
     """
     world = init_world(config, seed)
-    catalog = make_catalog(config)
+    catalog = build_catalog(config.agent.actions)
     window = config.agent.window
     rp = config.agent.reward
     params = RewardParams(rp.a, rp.b, rp.c, rp.denominator_floor)
@@ -460,7 +456,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         pattern_table = PatternTable()
     qtable_for_model = policy_obj.qtable if isinstance(policy_obj, QPolicy) \
         else QTable(catalog.selectable_ids)
-    profile = FailSafeProfile.from_name(config.cascade.failsafe_profile)
+    profile = FailSafeProfile(config.cascade.failsafe_profile)
 
     ctx = StageContext(
         catalog=catalog,
@@ -538,8 +534,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         if agent_active:
             fv = window_tally.features()
             score = moments.score_and_update(fv)
-            summary = WorldSummary(world.honeypots_active())
-            key = discretize(fv, summary, bins, score)
+            key = discretize(fv, world.honeypots_active(), bins, score)
             trace.percept(t, score, key, fv)  # the accountant reads no percept
 
             decision = decide(key, env, ctx, profile)
@@ -636,7 +631,7 @@ def train_agent(config: ScenarioConfig, episodes: int, seeds=None) -> TrainResul
     """Run learning episodes and return the table plus reward curve."""
     if episodes < 1:
         raise ConfigInvalid("episodes must be >= 1")
-    catalog = make_catalog(config)
+    catalog = build_catalog(config.agent.actions)
     lc = config.agent.learning
     qtable = QTable(catalog.selectable_ids, alpha=lc.alpha, gamma=lc.gamma)
     curve = []
@@ -652,15 +647,12 @@ def train_agent(config: ScenarioConfig, episodes: int, seeds=None) -> TrainResul
     return TrainResult(qtable, curve)
 
 
-def evaluate(config: ScenarioConfig, policy_spec, seeds, with_trace: bool = False):
-    """Greedy evaluation over a seed list; reports are seed-ordered."""
+def evaluate(config: ScenarioConfig, policy_spec, seeds) -> list:
+    """Greedy untraced runs over a seed list; reports are seed-ordered."""
     if not seeds:
         raise ConfigInvalid("evaluation needs at least one seed")
-    reports = []
-    for seed in seeds:
-        report, lines = run_scenario(config, seed, policy_spec, with_trace=with_trace)
-        reports.append((seed, report, lines))
-    return reports
+    return [run_scenario(config, seed, policy_spec, with_trace=False)[0]
+            for seed in seeds]
 
 
 # ---------------------------------------------------------------------------

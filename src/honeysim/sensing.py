@@ -101,11 +101,6 @@ class Baseline(NamedTuple):
     m2: tuple = (0.0,) * N_FEATURES
     sample_count: int = 0
 
-    def variances(self) -> tuple:
-        if self.sample_count == 0:
-            return (0.0,) * N_FEATURES
-        return tuple(v / self.sample_count for v in self.m2)
-
 
 class Moments:
     """The running means, M2 and sample count of a Baseline, held in

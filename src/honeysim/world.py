@@ -43,7 +43,6 @@ _MASK = (1 << 64) - 1
 STREAM_BENIGN = 0
 STREAM_DETECT = 1
 STREAM_AGENT = 2
-STREAM_SCRATCH = 3
 STREAM_CAMPAIGN_BASE = 16
 
 
@@ -68,17 +67,6 @@ class NodeStatus(IntEnum):
     STOPPED = codes.STOPPED
     COMPROMISED = codes.COMPROMISED
     QUARANTINED = codes.QUARANTINED
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
-
-class CampaignPhase(IntEnum):
-    RECON = codes.RECON
-    EXPLOIT = codes.EXPLOIT
-    LATERAL = codes.LATERAL
-    DORMANT = codes.DORMANT
 
     @property
     def label(self) -> str:
@@ -117,16 +105,6 @@ class WorldEvent(NamedTuple):
     severity: int
     load: float
     truth_malicious: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "kind": _EVENT_LABELS[self.kind],
-            "node": self.node,
-            "severity": self.severity,
-            "load": self.load,
-            "truth_malicious": self.truth_malicious,
-        }
 
 
 @dataclass(frozen=True)
@@ -177,12 +155,6 @@ class WorldState:
     retired: set = field(default_factory=set)  # ids of stopped honeypots
     _next_hp: int = 0
 
-    def node(self, node_id: str) -> Node:
-        """Snapshot of a resident node; a retired honeypot has none."""
-        if node_id not in self.node_ids:
-            raise NoSuchNode(f"no resident node with id {node_id!r}")
-        return self._snapshot(self.node_ids.index(node_id))
-
     def _snapshot(self, i: int) -> Node:
         core = self.core
         kind = core.kinds[i]
@@ -205,14 +177,6 @@ class WorldState:
         self.retired.add(self.node_ids[i])
         self.core.remove_node(i)
         del self.node_ids[i]
-
-    def campaign_phase(self, campaign_id: str) -> CampaignPhase:
-        ci = self.campaign_ids.index(campaign_id)
-        return CampaignPhase(self.core.c_phase[ci])
-
-    def campaign_known_tokens(self, campaign_id: str) -> frozenset:
-        ci = self.campaign_ids.index(campaign_id)
-        return frozenset(self.core.c_known[ci])
 
     def honeypots_active(self) -> int:
         """The number of Running honeypots, as the kernel keeps it."""

@@ -2,8 +2,8 @@
 
 Each oracle deliberately avoids the implementation path it checks:
 exact rational arithmetic for the reward, Counter-based tallies for
-feature collection, two-pass moments, and policy enumeration for the
-game search.
+feature collection, two-pass moments, policy enumeration for the game
+search, and the trace's event layout written out as a dict.
 """
 
 import math
@@ -38,6 +38,26 @@ def tally_oracle(events):
         "integrity_violations": kinds[EventKind.FILE_INTEGRITY_VIOLATION],
         "system_load": (sum(loads) / len(loads)) if loads else 0.0,
     }
+
+
+def event_payload(ev) -> dict:
+    """The `event` field of a trace record for a WorldEvent, laid out
+    field by field as the trace format states it."""
+    return {
+        "tick": ev.tick,
+        "kind": ev.kind.name.lower(),
+        "node": ev.node,
+        "severity": ev.severity,
+        "load": ev.load,
+        "truth_malicious": ev.truth_malicious,
+    }
+
+
+def baseline_variances(baseline):
+    """Population variance per feature from a Baseline's M2 sums."""
+    if baseline.sample_count == 0:
+        return (0.0,) * len(baseline.m2)
+    return tuple(v / baseline.sample_count for v in baseline.m2)
 
 
 def two_pass_moments(vectors):

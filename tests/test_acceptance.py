@@ -25,11 +25,12 @@ from honeysim.actions import AutonomyLevel, build_catalog
 from honeysim.constraints import EmconLevel, EnvConstraints
 from honeysim.guardrails import GuardrailSet, build_ruleset
 from honeysim.comms import Message, MessageKind, send
-from honeysim.harness import (RandomPolicy, make_catalog, replay,
+from honeysim.harness import (RandomPolicy, replay,
                               run_scenario, train_agent)
 from honeysim.sensing import Baseline, FeatureVector, anomaly_score, collect, update_baseline
 from oracles import (TabularToyModel, enumerate_policies_root_action,
-                     reward_oracle, tally_oracle, two_pass_moments)
+                     baseline_variances, reward_oracle, tally_oracle,
+                     two_pass_moments)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -287,7 +288,7 @@ def test_criterion_6_guardrail_soundness_over_seeds():
         cfg = random_scenario(rng)
         seed = rng.getrandbits(32)
         report, lines = run_scenario(cfg, seed, RandomPolicy())
-        catalog = make_catalog(cfg)
+        catalog = build_catalog(cfg.agent.actions)
         gates = {
             "open": AutonomyLevel.from_name(cfg.guardrails.autonomy_gates.open),
             "restricted": AutonomyLevel.from_name(cfg.guardrails.autonomy_gates.restricted),
@@ -464,7 +465,7 @@ def test_criterion_11_sensing_oracles():
     means, variances = two_pass_moments(vectors)
     for got, want in zip(baseline.means, means):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
-    for got, want in zip(baseline.variances(), variances):
+    for got, want in zip(baseline_variances(baseline), variances):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     assert anomaly_score(baseline,

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from conftest import random_event
 from honeysim._kernels import pure
 from honeysim.agent import (QTable, RewardInputs, RewardParams, StateKey,
-                            WorldSummary, accumulate_reward_inputs, discretize,
+                            accumulate_reward_inputs, discretize,
                             q_update, reward, select_action)
 from honeysim.config import BinsConfig
 from honeysim.errors import NonFinite
 from honeysim.sensing import FeatureVector
 from honeysim.world import EventKind, WorldEvent
-from oracles import reward_oracle
+from oracles import event_payload, reward_oracle
 
 
 def inputs(honey=0, sec=0, delta=0, total=100, jcfh=0, cw=0):
@@ -79,20 +79,20 @@ def test_reward_monotonicity(honey, sec, jcfh, cw, delta, total):
 
 def test_discretize_lowest_bins():
     fv = FeatureVector(window_ticks=20)
-    key = discretize(fv, WorldSummary(0))
+    key = discretize(fv, 0)
     assert key == StateKey(0, 0, 0, False)
 
 
 def test_discretize_clamps_to_top_bin():
     fv = FeatureVector(window_ticks=20)
-    key = discretize(fv, WorldSummary(0), anomaly=99.0)
+    key = discretize(fv, 0, anomaly=99.0)
     assert key.threat_bin == 3
 
 
 def test_discretize_honey_touch_flag_and_edges():
     bins = BinsConfig()
     fv = FeatureVector(honey_touches=1, system_load=0.25, window_ticks=20)
-    key = discretize(fv, WorldSummary(1), bins)
+    key = discretize(fv, 1, bins)
     assert key.recent_honey_touch
     assert key.load_bin == 1  # inclusive lower edge
     assert key.honeypots_active_bin == 1
@@ -181,13 +181,13 @@ def test_qtable_round_trip():
 
 
 def he(kind, node="n", truth=True):
-    return WorldEvent(0, kind, node, 0, 0.0, truth).to_dict()
+    return event_payload(WorldEvent(0, kind, node, 0, 0.0, truth))
 
 
 def test_accumulate_direct_counts():
     window = [he(EventKind.HONEY_TOUCH), he(EventKind.HONEY_TOUCH),
               he(EventKind.HONEY_TOUCH),
-              WorldEvent(0, EventKind.IDS_ALERT, "db-0", 3, 0.0, True).to_dict()]
+              event_payload(WorldEvent(0, EventKind.IDS_ALERT, "db-0", 3, 0.0, True))]
     x = accumulate_reward_inputs(window, ["justified", "cry_wolf", "justified"],
                                  pool_available=50, last_action_delta=-10)
     assert x.honey_events == 3
@@ -199,7 +199,7 @@ def test_accumulate_direct_counts():
 
 def test_accumulate_ignores_benign_alerts():
     window = [
-        WorldEvent(0, EventKind.IDS_ALERT, "db-0", 2, 0.0, False).to_dict(),  # false positive
+        event_payload(WorldEvent(0, EventKind.IDS_ALERT, "db-0", 2, 0.0, False)),  # false positive
         he(EventKind.DUMMY_FILE_ACCESS),
         he(EventKind.DUMMY_PROCESS_ALERT),
     ]
@@ -210,7 +210,7 @@ def test_accumulate_ignores_benign_alerts():
 
 def test_accumulate_matches_random_tally(rng):
     window = [random_event(rng) for _ in range(200)]
-    x = accumulate_reward_inputs([e.to_dict() for e in window], [], 33, 4)
+    x = accumulate_reward_inputs([event_payload(e) for e in window], [], 33, 4)
     honey = sum(1 for e in window if e.kind in (
         EventKind.HONEY_TOUCH, EventKind.DUMMY_FILE_ACCESS,
         EventKind.DUMMY_PROCESS_ALERT))

@@ -9,6 +9,7 @@ from honeysim.errors import WindowOutOfRange
 from honeysim.guardrails import GuardrailSet, build_ruleset
 from honeysim.harness import Accountant
 from honeysim.world import EventKind, WorldEvent
+from oracles import event_payload
 
 
 def make_guard():
@@ -60,7 +61,7 @@ def fed(*events, window=20):
     """An accountant that has seen the event records of `events`."""
     accountant = Accountant(ticks=1000, window=window)
     for ev in events:
-        accountant.feed("event", ev.tick, {"event": ev.to_dict()})
+        accountant.feed("event", ev.tick, {"event": event_payload(ev)})
     return accountant
 
 

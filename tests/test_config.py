@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import types
@@ -35,6 +36,28 @@ def test_unknown_keys_of_mixed_types_rejected():
 def test_unknown_nested_key_rejected():
     with pytest.raises(ConfigInvalid, match="world"):
         config_mod.from_mapping({"world": {"p_detct": 0.5}})
+
+
+@pytest.mark.parametrize("data, path, want", [
+    ({"world": {"database": {"cost": 5}}}, "world.database",
+     config_mod.NodeGroupConfig(count=3, cost=5)),
+    ({"world": {"database": None}}, "world.database",
+     config_mod.NodeGroupConfig(count=3, cost=10)),
+    ({"world": {"honeypot": {"cost": 7}}}, "world.honeypot",
+     config_mod.NodeGroupConfig(count=1, cost=7)),
+    ({"cascade": {"stage_costs": {"online_learning": {"time": 2}}}},
+     "cascade.stage_costs.online_learning", config_mod.StageCostConfig(time=2, power=5)),
+    ({"cascade": {"stage_costs": {"game_search": {}}}},
+     "cascade.stage_costs.game_search", config_mod.StageCostConfig(time=10, power=10)),
+], ids=["database-cost", "database-null", "honeypot-cost", "online-learning-time",
+        "game-search-empty"])
+def test_a_section_given_in_part_keeps_its_field_defaults(data, path, want):
+    # A key left out of a section takes the value it has when the whole
+    # section is left out, not the section class's own default.
+    got = config_mod.from_mapping(data)
+    for name in path.split("."):
+        got = getattr(got, name)
+    assert got == want
 
 
 def test_probability_range_checked():
@@ -399,9 +422,9 @@ def test_every_bounded_field_accepts_its_bounds_and_rejects_one_step_past():
     leaves = list(_bounded_leaves(config_mod.ScenarioConfig))
     # Every field with a range; a field whose Bounds went missing drops
     # out of the walk, so the count changes.
-    assert len(leaves) == 55
+    assert len(leaves) == 58
     cases = list(_bound_cases())
-    assert len(cases) == 152
+    assert len(cases) == 164
     wrong = []
     for path, value, accepted in cases:
         try:
@@ -413,6 +436,36 @@ def test_every_bounded_field_accepts_its_bounds_and_rejects_one_step_past():
             if not accepted:
                 wrong.append((path, value, "accepted"))
     assert wrong == []
+
+
+def test_reward_coefficient_past_the_trace_range_exits_2(tmp_path, capsys):
+    # A coefficient near the float maximum would make a reward of inf.
+    path = tmp_path / "scenario.yaml"
+    path.write_text("episode_ticks: 5\nagent:\n  reward: {a: 1.0e+308, b: 1.0e+308, "
+                    "c: 1.0e+308}\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "agent.reward.a must be in" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_reward_coefficients_at_the_trace_range_stay_finite(tmp_path, capsys, sign):
+    coefficient = sign * 2**53
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"episode_ticks: 150\nagent:\n  reward: {{a: {coefficient}, "
+                    f"b: {coefficient}, c: {coefficient}}}\n", encoding="utf-8")
+    trace_path = tmp_path / "run.trace"
+    assert cli.main(["run", "--config", str(path), "--trace-out", str(trace_path)]) == 0
+    live = json.loads(capsys.readouterr().out)
+    assert math.isfinite(live["cumulative_reward"])
+    assert cli.main(["replay", "--trace", str(trace_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == live
+    qtable = tmp_path / "q.json"
+    assert cli.main(["train", "--config", str(path), "--episodes", "1",
+                     "--out", str(qtable)]) == 0
+    entries = json.loads(qtable.read_text(encoding="utf-8"))["entries"]
+    assert entries and all(math.isfinite(v) for v in entries.values())
 
 
 def test_negative_stage_cost_exits_2_naming_its_leaf(tmp_path, capsys):

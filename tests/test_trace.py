@@ -11,6 +11,7 @@ from honeysim.errors import TraceCorrupt
 from honeysim.sensing import FeatureVector
 from honeysim.trace import TraceWriter, dumps, parse, read_file
 from honeysim.world import EventKind, WorldEvent
+from oracles import event_payload
 
 
 def sample_lines():
@@ -268,12 +269,12 @@ EVENTS = st.builds(WorldEvent, INTS, st.sampled_from(EventKind), TEXT, INTS, FLO
 @given(data=st.data())
 def test_templates_write_what_dumps_writes_after_many_changes(data):
     """Every field of a call drawn anew, well typed: the line is the one
-    dumps writes for the entry, the event's as WorldEvent.to_dict and the
+    dumps writes for the entry, the event's as oracles.event_payload and the
     percept's features as FeatureVector._asdict lay them out."""
     kind = data.draw(st.sampled_from(sorted(CALLS)), label="kind")
     if kind == "event":
         ev = data.draw(EVENTS, label="event")
-        args, payload = (ev.tick, ev.kind.label, *ev[2:]), {"event": ev.to_dict()}
+        args, payload = (ev.tick, ev.kind.label, *ev[2:]), {"event": event_payload(ev)}
     else:
         args = data.draw(st.tuples(*(_values(s) for _, s in CALLS[kind])), label="fields")
         payload = ENTRY[kind](*args)

@@ -15,7 +15,6 @@ from honeysim import trace as trace_mod
 from honeysim.agent import QTable
 from honeysim.harness import (QPolicy, RandomPolicy, replay, run_scenario,
                               train_agent)
-from honeysim.world import WorldEvent
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                          "reference.yaml")
@@ -143,7 +142,6 @@ def test_untraced_runs_build_no_trace_records(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an untraced run built a trace record")
 
-    monkeypatch.setattr(WorldEvent, "to_dict", refuse)
     for method in ("record", "event", "percept", "decision", "veto",
                    "executed_action", "message"):
         monkeypatch.setattr(trace_mod.TraceWriter, method, refuse)

