@@ -203,9 +203,9 @@ def accumulate_reward_inputs(events, cfh_labels, pool_available: int,
     """Harness-side tally of one accounting period.
 
     events are the period's event payloads (the "event" field of its
-    trace records) and cfh_labels the "justified"/"cry_wolf" labels of the cries for
-    help sent in it. Ground truth is taken from the events; the agent
-    never sees it.
+    trace records) and cfh_labels the "justified"/"cry_wolf" labels of
+    the cries for help sent in it. Ground truth is taken from the
+    events; the agent never sees it.
     """
     honey = security = 0
     for ev in events:

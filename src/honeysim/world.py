@@ -151,7 +151,6 @@ class WorldState:
     node_ids: list = field(default_factory=list)
     kind_costs: tuple = ()  # a node's cost, by its kind code
     pool: ResourcePool = None
-    campaign_ids: list = field(default_factory=list)
     retired: set = field(default_factory=set)  # ids of stopped honeypots
     _next_hp: int = 0
 
@@ -236,12 +235,11 @@ def init_world(config: ScenarioConfig, seed: int) -> WorldState:
     used = sum(kind_costs[kind] for kind in kinds)
     addresses = list(range(len(node_ids)))
 
-    known_sets, intensities, activations, campaign_ids, campaign_seeds = [], [], [], [], []
+    known_sets, intensities, activations, campaign_seeds = [], [], [], []
     for ci, camp in enumerate(w.campaigns):
         known_sets.append({addresses[node_ids.index(known)] for known in camp.known_nodes})
         intensities.append(camp.intensity)
         activations.append(camp.activation_tick)
-        campaign_ids.append(camp.id)
         campaign_seeds.append(derive_seed(seed, STREAM_CAMPAIGN_BASE + ci))
 
     core = CoreWorld(
@@ -254,7 +252,7 @@ def init_world(config: ScenarioConfig, seed: int) -> WorldState:
         config=config, backend_name=_kernels.BACKEND, core=core,
         node_ids=node_ids, kind_costs=tuple(kind_costs),
         pool=ResourcePool(capacity=w.capacity, used=used),
-        campaign_ids=campaign_ids, _next_hp=w.honeypot.count)
+        _next_hp=w.honeypot.count)
 
 
 def step_world(world: WorldState) -> list:
