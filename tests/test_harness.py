@@ -19,13 +19,15 @@ from honeysim.actions import build_catalog
 from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
 from honeysim.cascade import PatternTable
+from honeysim.comms import MessageKind
 from honeysim.errors import EmptyCorpus, TraceCorrupt
 from honeysim.harness import (RandomPolicy, epsilon_for_episode,
-                              experience_from_trace, load_qtable, offline_train,
-                              replay, run_scenario, save_pattern_table,
-                              save_qtable, train_agent)
+                              MetricsReport, experience_from_trace, load_qtable,
+                              offline_train, replay, run_scenario,
+                              save_pattern_table, save_qtable, train_agent)
 from honeysim.sensing import collect
 from honeysim.world import EventKind, WorldEvent
+from test_golden import reference
 
 REPO = Path(__file__).resolve().parent.parent
 SHORT = {"episode_ticks": 120}
@@ -236,6 +238,158 @@ def test_single_field_mutation_replays_identically_or_is_corrupt(scenario, data)
     except TraceCorrupt:
         return
     assert replayed == report
+
+
+def _mutate_one_field(data, lines, sites) -> None:
+    """Delete, null or retype one field of one line of `lines`, in place;
+    nothing when an earlier mutation took the field away."""
+    kind, path = data.draw(st.sampled_from(sorted(sites)), label="site")
+    n = data.draw(st.sampled_from(sites[(kind, path)]), label="line")
+    obj = json.loads(lines[n])
+    holder = obj
+    for name in path[:-1]:
+        holder = holder.get(name) if type(holder) is dict else None
+    if type(holder) is not dict or path[-1] not in holder:
+        return
+    old = holder[path[-1]]
+    mutation = data.draw(st.sampled_from(
+        [("delete",)] + [("set", v) for v in _OTHER_TYPED if type(v) is not type(old)]),
+        label="mutation")
+    if mutation[0] == "delete":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = mutation[1]
+    lines[n] = trace_mod.dumps(obj)
+
+
+@pytest.mark.parametrize("scenario", sorted(FUZZ_SCENARIOS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_two_field_mutation_replay_reports_the_fault_parse_reports(scenario, data):
+    _, lines, sites = _fuzz_trace(scenario)
+    mutated = list(lines)
+    _mutate_one_field(data, mutated, sites)
+    _mutate_one_field(data, mutated, sites)
+    try:
+        trace_mod.parse(mutated)
+    except TraceCorrupt as exc:
+        with pytest.raises(TraceCorrupt) as replayed:
+            replay(mutated)
+        assert str(replayed.value) == str(exc)
+
+
+# First fault of a trace with two: each case doctors one early record so
+# that replay's own check fails, and breaks framing, a record's schema or
+# the header further on. The later fault is the one reported, as when the
+# whole trace is checked before any record is replayed.
+
+@functools.lru_cache(maxsize=None)
+def _short_reference_lines() -> tuple:
+    return tuple(run_scenario(reference(episode_ticks=150), 0, RandomPolicy())[1])
+
+
+def _index(recs, kind, pred=lambda rec: True, start=0):
+    return next(i for i in range(start, len(recs))
+                if recs[i].get("kind") == kind and pred(recs[i]))
+
+
+def _doctor_pool_available(recs):
+    recs[_index(recs, "executed_action")]["pool_available"] += 1
+
+
+def _drop_line_600(recs):
+    del recs[600]
+
+
+def _flip_justified_cfh(recs):
+    i = _index(recs, "message", lambda r: r["classification"] == "justified")
+    recs[i]["classification"] = "cry_wolf"
+
+
+def _drop_a_late_provenance(recs):
+    del recs[_index(recs, "decision", start=400)]["provenance"]
+
+
+def _doctor_reward_value(recs):
+    recs[_index(recs, "reward_sample")]["value"] += 1.0
+
+
+def _drop_header_reward_a(recs):
+    del recs[0]["reward"]["a"]
+
+
+@pytest.mark.parametrize("early, early_fault, late, fault", [
+    (_doctor_pool_available, "pool_available", _drop_line_600,
+     "line 601: sequence number 600, expected 599"),
+    (_flip_justified_cfh, "classification", _drop_a_late_provenance,
+     "line 403: missing field 'provenance'"),
+    (_doctor_reward_value, "value", _drop_header_reward_a,
+     "header: field 'reward' must hold exactly ['a', 'b', 'c', 'floor']"),
+], ids=["pool_then_seq_gap", "cfh_then_missing_field", "reward_then_header"])
+def test_replay_reports_a_later_framing_schema_or_header_fault_first(
+        early, early_fault, late, fault):
+    recs = [json.loads(line) for line in _short_reference_lines()]
+    early(recs)
+    with pytest.raises(TraceCorrupt, match=early_fault):
+        replay([trace_mod.dumps(r) for r in recs])
+    late(recs)
+    lines = [trace_mod.dumps(r) for r in recs]
+    for check in (trace_mod.parse, replay):
+        with pytest.raises(TraceCorrupt) as raised:
+            check(lines)
+        assert str(raised.value) == fault
+
+
+# A record that passes the schema check makes replay raise nothing but
+# TraceCorrupt: any other exception, raised as the record is replayed,
+# would pre-empt a fault that the lines after it hold.
+_MAX = trace_mod.MAX_EXACT_INT
+_LABELS = sorted({*(k.label for k in EventKind), *(k.value for k in MessageKind),
+                  "sent", "suppressed", "justified", "cry_wolf", "terminated",
+                  "noop"})
+_VALUES = {
+    int: st.integers(0, 40) | st.sampled_from([-1, _MAX, -_MAX])
+    | st.integers(-_MAX, _MAX),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.sampled_from(_LABELS) | st.text(max_size=4),
+    bool: st.booleans(),
+    type(None): st.none(),
+}
+
+
+def _valid(want):
+    """Values that `want`, a field spec in trace.py, accepts."""
+    if type(want) is dict:
+        return st.fixed_dictionaries({name: _valid(w) for name, w in want.items()})
+    return st.one_of([_VALUES[t] for t in want])
+
+
+_RECORDS = st.lists(st.sampled_from(sorted(trace_mod.RECORD_FIELDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), _valid(trace_mod.RECORD_FIELDS[kind]))),
+    max_size=30)
+_HEADERS = st.fixed_dictionaries({
+    "episode_ticks": st.integers(1, _MAX),
+    "window": st.integers(1, 5) | st.integers(1, _MAX),
+    "reward": st.fixed_dictionaries({
+        **{c: _valid(trace_mod.HEADER_FIELDS["reward"][c]) for c in "abc"},
+        "floor": st.integers(1, _MAX)}),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=_HEADERS, records=_RECORDS, ticks=st.lists(st.integers(0, 40)))
+def test_replay_of_schema_valid_records_raises_only_trace_corrupt(header, records,
+                                                                  ticks):
+    ticks = sorted(ticks[:len(records)] + [0] * (len(records) - len(ticks)))
+    w = trace_mod.TraceWriter(header)
+    for (kind, payload), tick in zip(records, ticks):
+        w.record(kind, tick, payload)
+    lines = w.finish()
+    trace_mod.parse(lines)  # every drawn trace passes the schema check
+    try:
+        assert isinstance(replay(lines), MetricsReport)
+    except TraceCorrupt:
+        pass
 
 
 def test_guardrail_vetoes_appear_in_trace_before_no_execution():
