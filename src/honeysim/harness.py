@@ -726,34 +726,45 @@ def replay(lines) -> MetricsReport:
     from its own resource delta, its `applied` flag must say whether it
     failed, and the pool's capacity (used plus available) must not
     change. A mismatch raises TraceCorrupt.
+
+    Each record is checked, accounted and dropped as `trace.walk` reads
+    it, so memory does not grow with the trace. A fault is reported as
+    `trace.parse` would report it, and a mismatch only if the trace has
+    none: one found early is held until the walk has checked the rest.
     """
-    header, records = trace_mod.parse(lines)
+    records = trace_mod.walk(lines)
+    header = next(records)
     rw = header["reward"]
     params = RewardParams(rw["a"], rw["b"], rw["c"], rw["floor"])
     accountant = Accountant(header["episode_ticks"], header["window"])
     capacity = None
-    for rec in records:
-        kind = rec["kind"]
-        if kind == "message" and rec["status"] == "sent" \
-                and rec["message_kind"] == _CRY_FOR_HELP:
-            try:
-                label = accountant.classify_cfh(rec["evidence_start"],
-                                                rec["evidence_end"])
-            except WindowOutOfRange as exc:
-                raise TraceCorrupt(f"seq {rec['seq']}: {exc}") from exc
-            _expect(rec, {"classification": label})
-        elif kind == "reward_sample":
-            _expect(rec, _reward_sample_payload(*accountant.close_period(
-                params, rec["inputs"]["total_resources"])))
-        elif kind == "executed_action":
-            if capacity is None:
-                capacity = rec["pool_used"] + rec["pool_available"]
-            _expect(rec, {
-                "pool_available": rec["available_before"] + rec["delta_resources"],
-                "pool_used": capacity - rec["pool_available"],
-                "applied": rec["error"] is None,
-            })
-        accountant.feed(kind, rec["tick"], rec)
+    try:
+        for rec in records:
+            kind = rec["kind"]
+            if kind == "message" and rec["status"] == "sent" \
+                    and rec["message_kind"] == _CRY_FOR_HELP:
+                try:
+                    label = accountant.classify_cfh(rec["evidence_start"],
+                                                    rec["evidence_end"])
+                except WindowOutOfRange as exc:
+                    raise TraceCorrupt(f"seq {rec['seq']}: {exc}") from exc
+                _expect(rec, {"classification": label})
+            elif kind == "reward_sample":
+                _expect(rec, _reward_sample_payload(*accountant.close_period(
+                    params, rec["inputs"]["total_resources"])))
+            elif kind == "executed_action":
+                if capacity is None:
+                    capacity = rec["pool_used"] + rec["pool_available"]
+                _expect(rec, {
+                    "pool_available": rec["available_before"] + rec["delta_resources"],
+                    "pool_used": capacity - rec["pool_available"],
+                    "applied": rec["error"] is None,
+                })
+            accountant.feed(kind, rec["tick"], rec)
+    except TraceCorrupt:
+        for _ in records:  # raises any fault the rest of the trace holds
+            pass
+        raise
     return accountant.report()
 
 

@@ -13,6 +13,13 @@ template, exactly the line `dumps` would write for them, at a fraction
 of its cost; a field of another type raises instead.
 `TraceWriter.record` writes any other record through `dumps`, as the
 header and the footer are written.
+
+`walk` is the one reader and checker: it takes the lines one at a time
+and yields the header, then each record, holding none of them, and
+raises on the first fault in a fixed order. `parse` collects what it
+yields; replay consumes it a record at a time. `write_file` and
+`read_file` move the lines to and from a file in bounded chunks, so
+neither holds a copy of the whole text.
 """
 
 from __future__ import annotations
@@ -184,18 +191,52 @@ class TraceWriter:
         return self.lines
 
 
+# Lines joined per write, and characters decoded per read: the file round
+# trip holds one such chunk beyond the lines, never the whole text.
+_WRITE_LINES = 512
+_READ_CHARS = 1 << 16
+# Every character str.splitlines breaks a line at.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def write_file(path, lines) -> None:
+    """Write a list of lines as the UTF-8 text "\n".join(lines) + "\n",
+    joined and written `_WRITE_LINES` lines at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        # An empty list is one empty slice, written as the lone "\n".
+        for start in range(0, len(lines) or 1, _WRITE_LINES):
+            fh.write("\n".join(lines[start:start + _WRITE_LINES]))
+            fh.write("\n")
 
 
 def read_file(path) -> list:
+    """The lines of a trace file: what `splitlines` makes of its whole
+    text, read in text mode, which turns "\r\n" and "\r" into "\n".
+
+    The text is decoded `_READ_CHARS` characters at a time. Every break
+    left is one character, so none spans two chunks, and a line a chunk
+    leaves unended is carried into the next. TraceCorrupt if a byte is
+    not UTF-8.
+    """
+    lines = []
+    unended = []  # the pieces of a line that no chunk has ended yet
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            while chunk := fh.read(_READ_CHARS):
+                parts = chunk.splitlines()
+                last = None if chunk[-1] in _LINE_BREAKS else parts.pop()
+                if parts:
+                    unended.append(parts[0])
+                    parts[0] = "".join(unended)
+                    unended = []
+                    lines.extend(parts)
+                if last is not None:
+                    unended.append(last)
     except UnicodeDecodeError as exc:
         raise TraceCorrupt(f"trace is not UTF-8: {exc}") from exc
+    if unended:
+        lines.append("".join(unended))
+    return lines
 
 
 # Allowed types per field. An int must be exact as a double and a float
@@ -263,14 +304,18 @@ def _load(line: str, where: str):
         raise TraceCorrupt(f"{where} is not valid JSON: {exc}") from exc
 
 
-def parse(lines) -> tuple:
-    """Validate framing, schema and ordering; returns (header, records).
+def walk(lines):
+    """Check a trace's lines one at a time; yield its header, then each
+    of its records, and hold none of them.
 
-    Raises TraceCorrupt on any violation: bad JSON, wrong header or
-    footer, unknown record kind, non-consecutive sequence numbers,
-    non-monotone ticks, a record-count mismatch (truncation), or a
-    header or record lacking a field replay reads or holding one of the
-    wrong type.
+    Raises TraceCorrupt for the first fault in this order: a framing
+    fault as it is reached (bad JSON, wrong header, unknown record kind,
+    non-consecutive sequence numbers, non-monotone ticks), a missing or
+    wrong footer or a record-count mismatch (truncation), a header
+    lacking a field replay reads or holding one of the wrong type, and
+    the first record doing so. The header is yielded only if its fields
+    are good, and no record from the first bad one on, so a consumer
+    sees only what `parse` would return.
     """
     if not lines:
         raise TraceCorrupt("empty trace")
@@ -282,13 +327,21 @@ def parse(lines) -> tuple:
     if len(lines) < 2:
         raise TraceCorrupt("trace has no footer")
 
-    records = []
+    # The header's or the first record's missing field; reported only
+    # after every framing check has passed.
+    fault = _bad_field(header, HEADER_FIELDS)
+    if fault is None and min(header["episode_ticks"], header["window"],
+                             header["reward"]["floor"]) < 1:
+        fault = "episode_ticks, window and reward floor must be >= 1"
+    if fault:
+        fault = f"header: {fault}"
+    else:
+        yield header
+
+    count = len(lines) - 2
     last_tick = -1
-    # The first record lacking a field replay reads; reported only after
-    # every framing check has passed.
-    bad_record = None
-    for n, line in enumerate(lines[1:-1]):
-        rec = _load(line, f"line {n + 2}")
+    for n in range(count):
+        rec = _load(lines[n + 1], f"line {n + 2}")
         if not isinstance(rec, dict):
             raise TraceCorrupt(f"line {n + 2} is not a JSON object")
         kind = rec.get("kind")
@@ -302,25 +355,25 @@ def parse(lines) -> tuple:
         if type(tick) is not int or tick < last_tick:
             raise TraceCorrupt(f"line {n + 2}: tick {tick!r} breaks ordering")
         last_tick = tick
-        if fields and bad_record is None:
-            bad = _bad_field(rec, fields)
+        if fault is None:
+            bad = fields and _bad_field(rec, fields)
             if bad:
-                bad_record = f"line {n + 2}: {bad}"
-        records.append(rec)
+                fault = f"line {n + 2}: {bad}"
+            else:
+                yield rec
 
     footer = _load(lines[-1], "footer")
     if not isinstance(footer, dict) or footer.get("format") != FORMAT_END:
         raise TraceCorrupt("missing trace footer (truncated file?)")
-    if footer.get("records") != len(records):
+    if footer.get("records") != count:
         raise TraceCorrupt(
-            f"footer claims {footer.get('records')!r} records, found {len(records)}")
+            f"footer claims {footer.get('records')!r} records, found {count}")
+    if fault:
+        raise TraceCorrupt(fault)
 
-    bad = _bad_field(header, HEADER_FIELDS)
-    if bad is None and min(header["episode_ticks"], header["window"],
-                           header["reward"]["floor"]) < 1:
-        bad = "episode_ticks, window and reward floor must be >= 1"
-    if bad:
-        raise TraceCorrupt(f"header: {bad}")
-    if bad_record:
-        raise TraceCorrupt(bad_record)
-    return header, records
+
+def parse(lines) -> tuple:
+    """(header, records) of a whole trace, checked by `walk`."""
+    records = walk(lines)
+    header = next(records)
+    return header, list(records)
