@@ -42,6 +42,7 @@ class StageId(IntEnum):
 
 
 _STAGE_LABELS = {stage: stage.name.lower() for stage in StageId}
+_NO_FLOOR = float("-inf")  # the floor of a stage the ruleset has no threshold for
 
 
 class FailSafeProfile(Enum):
@@ -211,9 +212,9 @@ def failsafe(profile: FailSafeProfile, table: PatternTable | None = None) -> Pro
 def arbiter_review(p: ProposedAction, c: EnvConstraints, guard: gr.GuardrailSet,
                    catalog: ActionCatalog) -> gr.Verdict:
     """Accept iff confidence clears the sealed ruleset's threshold for
-    the stage and the guardrails allow the action; the first failure
-    is the reason."""
-    if p.confidence < guard.ruleset.stage_thresholds[_STAGE_LABELS[p.stage]]:
+    the stage, if it has one, and the guardrails allow the action; the
+    first failure is the reason."""
+    if p.confidence < guard.ruleset.stage_thresholds.get(_STAGE_LABELS[p.stage], _NO_FLOOR):
         return gr.Verdict(False, BELOW_THRESHOLD)
     verdict = gr.check(catalog.get(p.action), c, guard)
     if not verdict.allowed:
@@ -226,7 +227,7 @@ class StageContext:
     """Initialized stage handles plus the shared review machinery.
 
     The online stage proposes policy.choose(key) at online_confidence;
-    escalation offers the operator the head of policy.rank(key).
+    escalation offers the operator policy.rank(key).
     """
 
     catalog: ActionCatalog
@@ -237,7 +238,6 @@ class StageContext:
     operator: OperatorConfig = field(default_factory=OperatorConfig)
     game_model: object | None = None
     game_horizon: int = 2
-    escalation_options: int = 3
     stage_costs: StageCostsConfig = field(default_factory=StageCostsConfig)
     availability: object = None  # test hook; defaults to stage_available
     on_operator_reply: object = None  # callback(), once per operator reply
@@ -300,8 +300,7 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
                     proposal = ProposedAction(action, ctx.online_confidence,
                                               StageId.ONLINE_LEARNING)
             elif stage is StageId.HUMAN_ESCALATION:
-                options = ctx.policy.rank(key)[:ctx.escalation_options]
-                proposal = escalate(ctx.operator, options, remaining.time_budget)
+                proposal = escalate(ctx.operator, ctx.policy.rank(key), remaining.time_budget)
                 spent_time = max(spent_time, ctx.operator.latency)
                 if ctx.on_operator_reply is not None:
                     ctx.on_operator_reply()

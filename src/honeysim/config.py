@@ -75,7 +75,9 @@ def node_id(group: str, index: int) -> str:
 
 @dataclass
 class NodeGroupConfig:
-    count: NonNegative = 0
+    # Bounded so that a load stays quick, since `validate` names every
+    # initial node: 10,000 per group is a thousand times the reference's.
+    count: Annotated[int, Bounds(0, 10_000)] = 0
     cost: NonNegative = 10
 
 
@@ -159,6 +161,7 @@ class StageCostConfig:
 
 # The field names of StageCostsConfig and ThresholdsConfig are the
 # cascade's stage labels (StageId.label); the cascade reads them by label.
+# The operator and game search propose at confidence 1.0: no threshold.
 @dataclass
 class StageCostsConfig:
     pattern_recognition: StageCostConfig = field(default_factory=StageCostConfig)
@@ -171,8 +174,6 @@ class StageCostsConfig:
 class ThresholdsConfig:
     pattern_recognition: Probability = 0.8
     online_learning: Probability = 0.6
-    human_escalation: Probability = 0.5
-    game_search: Probability = 0.3
     fail_safe: Probability = 0.0
 
 
@@ -190,7 +191,6 @@ class CascadeConfig:
     failsafe_profile: FailsafeProfile = "no_action"
     operator: OperatorConfig = field(default_factory=OperatorConfig)
     game_horizon: Positive = 2
-    escalation_options: Positive = 3
     pattern_table: str | None = None
 
 

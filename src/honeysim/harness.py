@@ -467,7 +467,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         operator=config.cascade.operator,
         game_model=QValueModel(qtable_for_model),
         game_horizon=config.cascade.game_horizon,
-        escalation_options=config.cascade.escalation_options,
         stage_costs=config.cascade.stage_costs,
     )
 

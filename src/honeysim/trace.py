@@ -365,9 +365,9 @@ def walk(lines):
     footer = _load(lines[-1], "footer")
     if not isinstance(footer, dict) or footer.get("format") != FORMAT_END:
         raise TraceCorrupt("missing trace footer (truncated file?)")
-    if footer.get("records") != count:
-        raise TraceCorrupt(
-            f"footer claims {footer.get('records')!r} records, found {count}")
+    records = footer.get("records")
+    if type(records) is not int or records != count:
+        raise TraceCorrupt(f"footer claims {records!r} records, found {count}")
     if fault:
         raise TraceCorrupt(fault)
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 import types
 import typing
 from pathlib import Path
@@ -125,6 +126,16 @@ def test_run_start_rules_are_checked_at_load(data, message):
     assert str(info.value) == message
 
 
+def test_node_group_count_is_bounded_at_load():
+    # A group of zero cost fits any capacity, so only the count's bound
+    # stops a load that would name 10**15 initial nodes.
+    start = time.perf_counter()
+    with pytest.raises(ConfigInvalid) as info:
+        config_mod.from_mapping({"world": {"web": {"count": 10**15, "cost": 0}}})
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == "world.web.count must be in [0, 10000], got 1000000000000000"
+
+
 def test_digest_stable_and_sensitive():
     a = config_mod.from_mapping({})
     b = config_mod.from_mapping({})
@@ -207,13 +218,21 @@ def test_reference_scenario_documents_every_field():
     ("comms", "peers", ["ops"]),
     ("comms", "violation_threshold", 3),
     ("env", "safety_margin", 0.9),
+    # No input moved these, so they were deleted: the operator's reply and
+    # game search's choice carry confidence 1.0, and the operator takes
+    # the first of any number of ranked options.
+    ("cascade.thresholds", "human_escalation", 0.5),
+    ("cascade.thresholds", "game_search", 0.3),
+    ("cascade", "escalation_options", 3),
 ])
 def test_keys_nothing_reads_are_rejected(tmp_path, capsys, section, key, value):
+    data = {key: value}
+    for name in reversed(section.split(".")):
+        data = {name: data}
     with pytest.raises(ConfigInvalid, match=key):
-        config_mod.from_mapping({section: {key: value}})
+        config_mod.from_mapping(data)
     path = tmp_path / "scenario.yaml"
-    path.write_text(yaml.safe_dump({"episode_ticks": 5, section: {key: value}}),
-                    encoding="utf-8")
+    path.write_text(yaml.safe_dump({"episode_ticks": 5, **data}), encoding="utf-8")
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
 
@@ -391,10 +410,10 @@ def _bounded_leaves(section, prefix=""):
 
 def _scenario_with(path, value):
     """A scenario mapping that sets the leaf at `path` to `value`. The
-    impact cap is 0, so any mission_need respects it, and no node group
-    has a node, so any capacity holds them."""
+    impact cap is 0, so any mission_need respects it, and a node group
+    has no node or no cost, so any capacity holds them."""
     data = {"guardrails": {"max_impact_per_action": 0},
-            "world": {name: {"count": 0} for name in config_mod.NODE_GROUPS}}
+            "world": {name: {"count": 0, "cost": 0} for name in config_mod.NODE_GROUPS}}
     *sections, key = path.split(".")
     node = data
     for name in sections:
@@ -422,9 +441,9 @@ def test_every_bounded_field_accepts_its_bounds_and_rejects_one_step_past():
     leaves = list(_bounded_leaves(config_mod.ScenarioConfig))
     # Every field with a range; a field whose Bounds went missing drops
     # out of the walk, so the count changes.
-    assert len(leaves) == 58
+    assert len(leaves) == 55
     cases = list(_bound_cases())
-    assert len(cases) == 164
+    assert len(cases) == 162
     wrong = []
     for path, value, accepted in cases:
         try:

@@ -20,20 +20,20 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                          "reference.yaml")
 
 RANDOM_SEED_DIGESTS = {
-    0: "a860eba138f24bba11597576b4f069e0eaf06e8f45aa3b6bf2f35e2afadaf8e0",
-    1: "4557802037f8ac1a4463ef0d0f40ccfa169e6a9c9871509473704104c2d90c4e",
-    2: "f886f6922c2efa9d432adb24645ad766d25ca4a20c4d20872a3bc957eada6d46",
-    3: "89df19c66230d341eecec2c904b7f5223250002d77a8df8df780e15dab228585",
-    4: "6be9f43d020f67154c559342366d917bd0e3854ba2b6b07404857871053f5fd4",
+    0: "965a82c6b6b1046312dfced651b2df691dd5d39f00541ede75b8f6b4d9e41b69",
+    1: "7aa84ad3084c9acfc4d5426b411c3e62f1fe99f43ece9088f66d9c663adb7a54",
+    2: "fbbc4ba1c1822863984a54834151ba4b4e968a3ae36b5caae5ae5613d96572fd",
+    3: "e0258544fee33731b00a9594b73d525f866bb24a1ef8402e2de42307f3d2309e",
+    4: "42f3fbc4b961e4b827324cebf505faae6f0e89729635183c4b9d8a1dc220dd32",
 }
-LONG_RANDOM_DIGEST = "18ec831f62445a962a0a738d408fcd3b7d29577f3cc7af1ca7a5dfd50665f057"
-GREEDY_Q_DIGEST = "ce707f952cd54b831eb8a487a945ddb30b0b977a3209728dfd1ed4158245c04e"
-TAMPER_AT_ZERO_DIGEST = "e3ea667545a3c554866c0dcaaa3d7e03886223d2b9ce8d10132c7cbfefdb5788"
-CRY_NOOP_DIGEST = "3d255879857b3ddbcab997d1e7d7b47398fb1c0c4884f3a91c7c220b83c87d5d"
+LONG_RANDOM_DIGEST = "fe478e50568099a4d051e91303c85775f23c2f221c76a1053f4a32a34c0997d5"
+GREEDY_Q_DIGEST = "ace2c4c68e2d38940f85240b2cffb75fbbdd0754941822b32ea982c5e827e548"
+TAMPER_AT_ZERO_DIGEST = "e3722fc5efdcc6ccbc356d4c9afcab31864eb2037cdcf7c1bbc77c58072baeed"
+CRY_NOOP_DIGEST = "2cd674e08f226038291fb28456a8f0434f6b4fc477c26d81a8a49ded655eb765"
 # Heartbeats, alerts, restricted and silent EMCON, vetoes, operator
 # replies, and the fail-safe or a mid-run tamper ending the agent.
-CONTESTED_FAILSAFE_DIGEST = "6cd64ff0fb10f6e1d8d22e273a70dca146196bcc50200c70f4ab41f07b7da097"
-CONTESTED_TAMPER_DIGEST = "c1d3780ee03e1efe907609e2edadad05a286a361198362bce4ad75272a2a8f70"
+CONTESTED_FAILSAFE_DIGEST = "7c6522ea870eccbf6a266977512412891e22a1d72d101330fbd5be4d94749995"
+CONTESTED_TAMPER_DIGEST = "ecef9edb45696e2a43452c8336556baac8abb7e052c8b20544f0b154c2773a4c"
 TRAIN_DIGEST = "90c1dbe1517287b9b62035e9afe5be6c51c317ea62fd1288c0f6e977a09ca18d"
 
 

@@ -165,10 +165,9 @@ TAMPERS = {
     "budget_max_impact": _bump_budget("max_impact_per_action"),
     "budget_mission_need": _bump_budget("mission_need"),
     "threshold_added": lambda r: r.stage_thresholds.update(extra=0.5),
-    "threshold_removed": lambda r: r.stage_thresholds.pop("game_search"),
+    "threshold_removed": lambda r: r.stage_thresholds.pop("fail_safe"),
     **{f"threshold_{name}": _bump_threshold(name)
-       for name in ("pattern_recognition", "online_learning", "human_escalation",
-                    "game_search", "fail_safe")},
+       for name in ("pattern_recognition", "online_learning", "fail_safe")},
 }
 
 

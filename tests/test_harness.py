@@ -609,6 +609,24 @@ def test_cli_replay_exits_3_on_missing_field_and_bad_bytes(tmp_path):
     assert "Traceback" not in bad_bytes.stderr
 
 
+@pytest.mark.parametrize("count", [1, True, 1.0], ids=["int", "true", "float"])
+def test_footer_record_count_must_be_an_int(tmp_path, capsys, count):
+    # A one-record trace: true and 1.0 equal 1, but only the int is a count.
+    _, lines = run_scenario(reference(episode_ticks=1), 0, RandomPolicy())
+    footer = trace_mod.dumps({"format": trace_mod.FORMAT_END, "records": count})
+    one = [lines[0], lines[1], footer]
+    trace_path = tmp_path / "one.trace"
+    trace_mod.write_file(trace_path, one)
+    code = cli_mod.main(["replay", "--trace", str(trace_path)])
+    if type(count) is int:
+        assert code == 0
+        assert replay(one).ticks == 1
+        return
+    assert code == cli_mod.EXIT_TRACE
+    with pytest.raises(TraceCorrupt, match=rf"footer claims {count!r} records, found 1"):
+        list(trace_mod.walk(one))
+
+
 def test_cli_oracle_reward_matches_library():
     payload = {"a": 1.0, "b": 1.0, "c": 1.0, "honey_events": 4,
                "security_events": 2, "delta_resources": -10,

@@ -31,7 +31,6 @@ CAPS = {
     "episode_ticks": 150,
     "count": 12,  # the initial nodes of each node group
     "game_horizon": 3,
-    "escalation_options": 4,
 }
 # Fields drawn only as their default: a pattern table is a file path.
 DEFAULT_ONLY = {"pattern_table"}
