@@ -26,9 +26,7 @@ from .errors import ModelIncomplete, OperatorTimeout
 
 
 class StageId(IntEnum):
-    """Runtime stages in evaluation order. Offline learning is a
-    build-time trainer that fills the pattern table; it is not a
-    runtime stage."""
+    """Runtime stages in evaluation order."""
 
     PATTERN_RECOGNITION = 0
     ONLINE_LEARNING = 1
@@ -61,6 +59,8 @@ class Decision(NamedTuple):
     action: str
     provenance: StageId
     rejected: tuple  # ((StageId, reason), ...) in evaluation order
+    vetoes: tuple  # ((StageId, action, reason), ...) the guardrails rejected
+    operator_replied: bool  # whether the operator answered an escalation
 
 
 UNAVAILABLE = "unavailable"
@@ -91,7 +91,7 @@ def stage_available(stage: StageId, c: EnvConstraints,
 @dataclass
 class PatternTable:
     """Immutable-at-runtime map from discretized percept signature to
-    (action, confidence), produced by the offline trainer."""
+    (action, confidence), read from the scenario's `pattern_table` file."""
 
     entries: dict = field(default_factory=dict)  # StateKey -> (action, conf)
 
@@ -101,12 +101,6 @@ class PatternTable:
             return None
         return min(((-conf, action, key.encode())
                     for key, (action, conf) in self.entries.items()))
-
-    def to_dict(self) -> dict:
-        return {"entries": {key.encode(): [action, conf]
-                            for key, (action, conf)
-                            in sorted(self.entries.items(),
-                                      key=lambda kv: kv[0].encode())}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PatternTable":
@@ -240,10 +234,6 @@ class StageContext:
     game_horizon: int = 2
     stage_costs: StageCostsConfig = field(default_factory=StageCostsConfig)
     availability: object = None  # test hook; defaults to stage_available
-    on_operator_reply: object = None  # callback(), once per operator reply
-    # Arbiter audit trail for the most recent decide() call:
-    # (stage, action, reason) per rejected proposal.
-    audit: list = field(default_factory=list)
 
 
 # The stages decide() tries before the fail-safe, in evaluation order,
@@ -253,15 +243,16 @@ _CASCADE = tuple((stage, stage.label) for stage in StageId
 
 
 def _review(proposal: ProposedAction, c: EnvConstraints, ctx: StageContext,
-            rejected: list) -> Decision | None:
-    """The decision accepting `proposal`, or None after recording why
-    the arbiter rejected it."""
+            rejected: list, vetoes: list) -> bool:
+    """Whether the arbiter accepts `proposal`; a rejection is recorded
+    in `rejected`, and in `vetoes` too when the guardrails made it."""
     verdict = arbiter_review(proposal, c, ctx.guard, ctx.catalog)
     if verdict.allowed:
-        return Decision(proposal.action, proposal.stage, tuple(rejected))
+        return True
     rejected.append((proposal.stage, verdict.reason))
-    ctx.audit.append((proposal.stage, proposal.action, verdict.reason))
-    return None
+    if verdict.reason.startswith("guardrail:"):
+        vetoes.append((proposal.stage, proposal.action, verdict.reason))
+    return False
 
 
 def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
@@ -272,12 +263,15 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
     Total by construction: every skipped or rejected stage is recorded
     with its reason, and the fail-safe path cannot fail (a vetoed
     fail-safe proposal degrades to a no-op with fail-safe provenance).
+    The decision also carries each guardrail veto and whether the
+    operator replied, which the caller records.
     """
     availability = ctx.availability
     costs = ctx.stage_costs
     remaining = c
     rejected = []
-    ctx.audit.clear()
+    vetoes = []
+    replied = False
 
     for stage, label in _CASCADE:
         cost = getattr(costs, label)
@@ -302,8 +296,7 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
             elif stage is StageId.HUMAN_ESCALATION:
                 proposal = escalate(ctx.operator, ctx.policy.rank(key), remaining.time_budget)
                 spent_time = max(spent_time, ctx.operator.latency)
-                if ctx.on_operator_reply is not None:
-                    ctx.on_operator_reply()
+                replied = True
             else:
                 proposal = game_search(ctx.game_model, key, ctx.game_horizon)
         except OperatorTimeout:
@@ -312,10 +305,8 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
             failure = MODEL_INCOMPLETE
         if proposal is None:
             rejected.append((stage, failure))
-        else:
-            decision = _review(proposal, c, ctx, rejected)
-            if decision is not None:
-                return decision
+        elif _review(proposal, c, ctx, rejected, vetoes):
+            return Decision(proposal.action, stage, tuple(rejected), tuple(vetoes), replied)
         # An accepted stage has returned; the budget left matters only
         # to the stages after this one.
         if spent_time or spent_power:
@@ -324,8 +315,7 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
                 time_budget=max(remaining.time_budget - spent_time, 0),
                 power_budget=max(remaining.power_budget - spent_power, 0))
 
-    decision = _review(failsafe(profile, ctx.pattern_table), c, ctx, rejected)
-    if decision is not None:
-        return decision
+    proposal = failsafe(profile, ctx.pattern_table)
     # Unvetoable floor: doing nothing needs no budget, no emissions.
-    return Decision("noop", StageId.FAIL_SAFE, tuple(rejected))
+    action = proposal.action if _review(proposal, c, ctx, rejected, vetoes) else "noop"
+    return Decision(action, StageId.FAIL_SAFE, tuple(rejected), tuple(vetoes), replied)

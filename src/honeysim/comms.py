@@ -26,7 +26,6 @@ class MessageKind(Enum):
 @dataclass(frozen=True)
 class Message:
     kind: MessageKind
-    tick: int
     # CRY_FOR_HELP: inclusive tick range of supporting observations.
     evidence_start: int = 0
     evidence_end: int = 0

@@ -41,9 +41,5 @@ class WindowOutOfRange(HoneysimError):
     """A cry-for-help evidence window lies outside the ticks the accountant holds."""
 
 
-class EmptyCorpus(HoneysimError):
-    """Offline pattern training received no experience triples."""
-
-
 class TraceCorrupt(HoneysimError):
     """A trace file violates the schema, ordering, or completeness rules."""

@@ -32,9 +32,8 @@ from .cascade import (FailSafeProfile, PatternTable, QValueModel,
 from .comms import Message, MessageKind, send
 from .config import ScenarioConfig
 from .constraints import EmconLevel, EnvConstraints
-from .errors import (ConfigInvalid, EmptyCorpus, IllegalTransition,
-                     InsufficientResources, NoSuchNode, TraceCorrupt,
-                     WindowOutOfRange)
+from .errors import (ConfigInvalid, IllegalTransition, InsufficientResources,
+                     NoSuchNode, TraceCorrupt, WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_sealed
 from .sensing import Moments, WindowTally
 from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent, WorldState,
@@ -504,13 +503,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     heartbeat_every = config.comms.heartbeat_every
     alert_after_actions = config.comms.alert_after_actions
 
-    def operator_replied():
-        reply = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
-        accountant.event(t, reply.kind, reply.truth_malicious)
-        trace.events(t, (reply,))
-
-    ctx.on_operator_reply = operator_replied
-
     for t in range(config.episode_ticks):
         env = env_from_tick.get(t, env)
 
@@ -537,12 +529,15 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             trace.percept(t, score, key, fv)  # the accountant reads no percept
 
             decision = decide(key, env, ctx, profile)
+            if decision.operator_replied:
+                reply = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
+                accountant.event(t, reply.kind, reply.truth_malicious)
+                trace.events(t, (reply,))
             accountant.decision(t, decision.provenance.label)
             trace.decision(t, decision)
-            for stage, action_id, reason in ctx.audit:
-                if reason.startswith("guardrail:"):
-                    accountant.veto(t, reason)
-                    trace.veto(t, stage, action_id, reason)
+            for stage, action_id, reason in decision.vetoes:
+                accountant.veto(t, reason)
+                trace.veto(t, stage, action_id, reason)
 
             spec = catalog.get(decision.action)
             targetless = spec.effect in _TARGETLESS
@@ -571,7 +566,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             messages = []
             if applied:
                 if spec.effect is ActionEffect.CRY_FOR_HELP:
-                    messages.append(Message(MessageKind.CRY_FOR_HELP, tick=t,
+                    messages.append(Message(MessageKind.CRY_FOR_HELP,
                                             evidence_start=max(0, t - window + 1),
                                             evidence_end=t))
                 elif spec.effect is ActionEffect.SHARE_BLOCKLIST:
@@ -579,17 +574,15 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                     blocked = tuple(sorted(
                         address for address, status in zip(core.addresses, core.statuses)
                         if status == codes.QUARANTINED))
-                    messages.append(Message(MessageKind.SHARE_BLOCKLIST, tick=t,
-                                            entries=blocked))
+                    messages.append(Message(MessageKind.SHARE_BLOCKLIST, entries=blocked))
                 elif spec.effect is ActionEffect.TERMINATE_SELF:
                     agent_active = False
                     accountant.terminated(t)
                     trace.status(t, "terminated", "self_terminated")
                 elif alert_after_actions and spec.effect is not ActionEffect.NOOP:
-                    messages.append(Message(MessageKind.ALERT, tick=t,
-                                            action_taken=decision.action))
+                    messages.append(Message(MessageKind.ALERT, action_taken=decision.action))
             if agent_active and heartbeat_every and t % heartbeat_every == 0:
-                messages.append(Message(MessageKind.HEARTBEAT, tick=t))
+                messages.append(Message(MessageKind.HEARTBEAT))
 
             for msg in messages:
                 rec = send(msg, env.emcon_level, guard)
@@ -652,64 +645,6 @@ def evaluate(config: ScenarioConfig, policy_spec, seeds) -> list:
         raise ConfigInvalid("evaluation needs at least one seed")
     return [run_scenario(config, seed, policy_spec, with_trace=False)[0]
             for seed in seeds]
-
-
-# ---------------------------------------------------------------------------
-# offline pattern training
-
-def offline_train(corpus, min_support: int = 5) -> PatternTable:
-    """Condense (state, action, success) triples into a pattern table.
-
-    States seen fewer than min_support times are dropped; each kept
-    state maps to the action with the best empirical success rate
-    (ties: more samples, then lowest id), at that rate as confidence.
-    """
-    corpus = list(corpus)
-    if not corpus:
-        raise EmptyCorpus("no experience triples to train on")
-    per_state: dict = {}
-    for state, action, success in corpus:
-        stats = per_state.setdefault(state, {})
-        wins, total = stats.get(action, (0, 0))
-        stats[action] = (wins + (1 if success else 0), total + 1)
-    table = PatternTable()
-    for state, stats in per_state.items():
-        seen = sum(total for _, total in stats.values())
-        if seen < min_support:
-            continue
-        best = min(stats.items(),
-                   key=lambda kv: (-(kv[1][0] / kv[1][1]), -kv[1][1], kv[0]))
-        action, (wins, total) = best
-        table.entries[state] = (action, wins / total)
-    return table
-
-
-def experience_from_trace(lines, window: int | None = None):
-    """Extract (StateKey, action, success) triples from a trace.
-
-    A decision is marked successful when the reward sample closing its
-    accounting period is positive.
-    """
-    header, records = trace_mod.parse(lines)
-    window = window or header["window"]
-    decisions = []
-    state_by_tick = {}
-    triples = []
-    for rec in records:
-        if rec["kind"] == "percept":
-            state_by_tick[rec["tick"]] = StateKey.decode(rec["state"])
-        elif rec["kind"] == "decision":
-            state = state_by_tick.get(rec["tick"])
-            if state is not None:
-                decisions.append((rec["tick"], state, rec["action"]))
-        elif rec["kind"] == "reward_sample":
-            success = rec["value"] > 0
-            tick = rec["tick"]
-            for dt, state, action in decisions:
-                if tick - window < dt <= tick:
-                    triples.append((state, action, success))
-            decisions = [d for d in decisions if d[0] > tick]
-    return triples
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +713,8 @@ def _expect(rec: dict, derived: dict) -> None:
 # ---------------------------------------------------------------------------
 # artifact io
 
-def _save_table(table, path) -> None:
-    """Write a Q or pattern table as the JSON of its to_dict."""
+def save_qtable(table: QTable, path) -> None:
+    """Write a Q table as the JSON of its to_dict."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(table.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -793,9 +728,6 @@ def _load_table(path, what: str, from_dict):
             return data, from_dict(data)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigInvalid(f"{path} is not {what}: {exc!r}") from exc
-
-
-save_qtable = save_pattern_table = _save_table
 
 
 def load_qtable(path) -> QTable:
@@ -817,11 +749,15 @@ def load_qtable(path) -> QTable:
 
 
 def load_pattern_table(path) -> PatternTable:
-    """Read a table written by save_pattern_table; ConfigInvalid when the
-    file is not JSON or lacks the layout of PatternTable.to_dict."""
+    """Read a pattern table, the JSON object {"entries": {encoded StateKey:
+    [action id, confidence]}}; ConfigInvalid when the file is not JSON,
+    lacks that layout, or holds a confidence that is not a finite number
+    in [0, 1]."""
     _, table = _load_table(path, "a pattern table", PatternTable.from_dict)
     for action, conf in table.entries.values():
-        if type(action) is not str or type(conf) not in (int, float):
+        if type(action) is not str or type(conf) not in (int, float) \
+                or not 0 <= conf <= 1:
             raise ConfigInvalid(f"{path} is not a pattern table: entry "
-                                f"[{action!r}, {conf!r}] is not [action, confidence]")
+                                f"[{action!r}, {conf!r}] is not [action, "
+                                f"confidence in [0, 1]]")
     return table

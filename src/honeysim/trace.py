@@ -5,14 +5,15 @@ with the same (config, seed, policy) must produce identical bytes.
 A header line pins the schema and the reward parameters; a footer
 line carries the record count so truncation is detectable.
 
-`dumps` defines the bytes of a line, and the record layouts live here
-alone. `TraceWriter` has one method per record kind the harness writes
+`dumps` defines the bytes of a line, and the per-tick record layouts
+live here. `TraceWriter` has one method per record kind the harness writes
 every tick (event, percept, decision, veto, executed_action and
 message). Each takes the record's fields and writes, from a fixed line
 template, exactly the line `dumps` would write for them, at a fraction
 of its cost; a field of another type raises instead.
 `TraceWriter.record` writes any other record through `dumps`, as the
-header and the footer are written.
+header and the footer are written; the harness builds the payloads of
+the `reward_sample` and `agent_status` records it passes.
 
 `walk` is the one reader and checker: it takes the lines one at a time
 and yields the header, then each record, holding none of them, and

@@ -3,9 +3,11 @@
 Each oracle deliberately avoids the implementation path it checks:
 exact rational arithmetic for the reward, Counter-based tallies for
 feature collection, two-pass moments, policy enumeration for the game
-search, and the trace's event layout written out as a dict.
+search, and the trace's event layout and the pattern table's file
+layout written out field by field.
 """
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -51,6 +53,17 @@ def event_payload(ev) -> dict:
         "load": ev.load,
         "truth_malicious": ev.truth_malicious,
     }
+
+
+def write_pattern_table(path, entries) -> None:
+    """Write a pattern table file: a JSON object whose `entries` map each
+    state, as its "threat,load,honeypots,touch" bins with the touch flag
+    0 or 1, to [action id, confidence]. `entries` maps a state's four
+    fields to (action id, confidence)."""
+    rows = {f"{threat},{load},{honeypots},{int(touch)}": [action, confidence]
+            for (threat, load, honeypots, touch), (action, confidence) in entries.items()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"entries": rows}, fh)
 
 
 def baseline_variances(baseline):

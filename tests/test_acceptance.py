@@ -360,10 +360,10 @@ def test_criterion_8_emcon_silence_and_monotone_relaxation():
     for t in range(500):
         kind = rng.choice(list(MessageKind))
         if kind is MessageKind.CRY_FOR_HELP:
-            stream.append(Message(kind, t, evidence_start=max(0, t - 5),
+            stream.append(Message(kind, evidence_start=max(0, t - 5),
                                   evidence_end=t))
         else:
-            stream.append(Message(kind, t))
+            stream.append(Message(kind))
     sent = {level: {i for i, m in enumerate(stream)
                     if send(m, level, guard).sent}
             for level in EmconLevel}

@@ -124,13 +124,6 @@ def test_pattern_match_hit_and_miss():
     assert pattern_match(table, StateKey(0, 0, 0, True)) is None
 
 
-def test_pattern_table_round_trip():
-    table = PatternTable({KEY: ("noop", 0.5),
-                          StateKey(3, 2, 1, True): ("rotate_address", 0.75)})
-    again = PatternTable.from_dict(table.to_dict())
-    assert again.entries == table.entries
-
-
 # -- escalation --------------------------------------------------------------
 
 def test_escalate_approve_first():
@@ -274,6 +267,23 @@ def test_decide_operator_timeout_recorded():
     reasons = dict(d.rejected)
     assert reasons[StageId.ONLINE_LEARNING] == "below_threshold"
     assert reasons[StageId.HUMAN_ESCALATION] == "operator_timeout"
+    # a reply that timed out is no reply, and a threshold is no veto
+    assert not d.operator_replied
+    assert d.vetoes == ()
+
+
+def test_decide_reports_guardrail_vetoes_alone():
+    # Pattern recognition falls below its threshold and the learner's
+    # cry for help needs more autonomy than Silent grants; only the
+    # second is a veto.
+    ctx = make_ctx(policy_action="cry_for_help")
+    ctx.pattern_table = PatternTable({KEY: ("quarantine_node", 0.5)})
+    d = decide(KEY, env(emcon=EmconLevel.SILENT), ctx, FailSafeProfile.NO_ACTION)
+    assert (d.action, d.provenance) == ("noop", StageId.FAIL_SAFE)
+    assert dict(d.rejected)[StageId.PATTERN_RECOGNITION] == "below_threshold"
+    assert d.vetoes == ((StageId.ONLINE_LEARNING, "cry_for_help",
+                         "guardrail:autonomy_gate"),)
+    assert not d.operator_replied
 
 
 class SilentPolicy:
@@ -298,9 +308,11 @@ def test_decide_deducts_spent_budget_before_next_stage():
     reasons = dict(d.rejected)
     assert reasons[StageId.ONLINE_LEARNING] == "no_proposal"
     assert reasons[StageId.HUMAN_ESCALATION] == "operator_timeout"
+    assert not d.operator_replied
     # with one more unit the operator answers in time
     d = decide(KEY, env(time=4), ctx, FailSafeProfile.NO_ACTION)
     assert d.provenance is StageId.HUMAN_ESCALATION
+    assert d.operator_replied
 
 
 def test_decide_reads_sealed_thresholds():

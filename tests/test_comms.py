@@ -17,9 +17,8 @@ def make_guard():
     return GuardrailSet.seal(build_ruleset(cfg.guardrails, cfg.cascade.thresholds))
 
 
-def cfh(tick=5, start=0, end=5):
-    return Message(MessageKind.CRY_FOR_HELP, tick, evidence_start=start,
-                   evidence_end=end)
+def cfh(start=0, end=5):
+    return Message(MessageKind.CRY_FOR_HELP, evidence_start=start, evidence_end=end)
 
 
 def test_cfh_suppressed_at_silent():
@@ -28,27 +27,27 @@ def test_cfh_suppressed_at_silent():
 
 
 def test_heartbeat_sent_at_open():
-    rec = send(Message(MessageKind.HEARTBEAT, 1), EmconLevel.OPEN, make_guard())
+    rec = send(Message(MessageKind.HEARTBEAT), EmconLevel.OPEN, make_guard())
     assert rec.sent
 
 
 def test_share_blocklist_gated_at_restricted():
     # default Restricted gate allows <= previsioned; blocklist sharing
     # is collaborative
-    rec = send(Message(MessageKind.SHARE_BLOCKLIST, 1, entries=(3, 4)),
+    rec = send(Message(MessageKind.SHARE_BLOCKLIST, entries=(3, 4)),
                EmconLevel.RESTRICTED, make_guard())
     assert not rec.sent and rec.reason == "autonomy_gate"
 
 
 def test_alert_passes_restricted():
-    rec = send(Message(MessageKind.ALERT, 1, action_taken="rotate_address"),
+    rec = send(Message(MessageKind.ALERT, action_taken="rotate_address"),
                EmconLevel.RESTRICTED, make_guard())
     assert rec.sent
 
 
 def test_sent_sets_monotone_across_emcon(rng):
     guard = make_guard()
-    stream = [Message(rng.choice(list(MessageKind)), t) for t in range(200)]
+    stream = [Message(rng.choice(list(MessageKind))) for _ in range(200)]
     sent = {}
     for emcon in EmconLevel:
         sent[emcon] = {i for i, m in enumerate(stream)
@@ -132,4 +131,4 @@ def test_classifier_agrees_with_any_over_held_ticks(data):
 
 def test_cfh_requires_nonempty_evidence():
     with pytest.raises(ValueError):
-        Message(MessageKind.CRY_FOR_HELP, 5, evidence_start=6, evidence_end=5)
+        Message(MessageKind.CRY_FOR_HELP, evidence_start=6, evidence_end=5)

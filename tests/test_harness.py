@@ -18,15 +18,14 @@ from honeysim import trace as trace_mod
 from honeysim.actions import build_catalog
 from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
-from honeysim.cascade import PatternTable
 from honeysim.comms import MessageKind
-from honeysim.errors import EmptyCorpus, TraceCorrupt
+from honeysim.errors import TraceCorrupt
 from honeysim.harness import (RandomPolicy, epsilon_for_episode,
-                              MetricsReport, experience_from_trace, load_qtable,
-                              offline_train, replay, run_scenario,
-                              save_pattern_table, save_qtable, train_agent)
+                              MetricsReport, load_qtable, replay, run_scenario,
+                              save_qtable, train_agent)
 from honeysim.sensing import collect
 from honeysim.world import EventKind, WorldEvent
+from oracles import write_pattern_table
 from test_golden import reference
 
 REPO = Path(__file__).resolve().parent.parent
@@ -450,38 +449,6 @@ def test_trained_policy_runs_greedy():
     assert header["policy"] == "q"
 
 
-def test_offline_train_examples():
-    k1 = StateKey(1, 0, 0, False)
-    k2 = StateKey(2, 1, 0, True)
-    k3 = StateKey(3, 3, 3, True)
-    corpus = (
-        [(k1, "quarantine_node", True)] * 6
-        + [(k2, "rotate_address", True)] * 3      # below min_support
-        + [(k3, "deploy_dummy_files", True)] * 6
-        + [(k3, "deploy_dummy_files", False)] * 4
-    )
-    table = offline_train(corpus, min_support=5)
-    assert table.entries[k1] == ("quarantine_node", 1.0)
-    assert k2 not in table.entries
-    action, conf = table.entries[k3]
-    assert action == "deploy_dummy_files"
-    assert conf == pytest.approx(0.6)
-
-
-def test_offline_train_empty_corpus():
-    with pytest.raises(EmptyCorpus):
-        offline_train([])
-
-
-def test_experience_extraction_feeds_offline_training():
-    cfg = small_config()
-    _, lines = run_scenario(cfg, 9, RandomPolicy())
-    triples = experience_from_trace(lines)
-    assert triples, "a live run must yield experience"
-    table = offline_train(triples, min_support=1)
-    assert table.entries
-
-
 def test_qtable_file_round_trip(tmp_path):
     cfg = small_config()
     result = train_agent(cfg, episodes=2)
@@ -691,20 +658,30 @@ def test_cli_oracle_reward_bad_line_exits_2(line):
     assert "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize("content", [
-    "{not json",
-    json.dumps({"entries": {StateKey(t, l, h, r).encode(): ["bogus_action", 1.0]
-                            for t in range(4) for l in range(4) for h in range(4)
-                            for r in (False, True)}}),
-    json.dumps({"entries": {StateKey(t, l, h, r).encode(): ["start_real_vm", 1.0]
-                            for t in range(4) for l in range(4) for h in range(4)
-                            for r in (False, True)}}),
-], ids=["bad_json", "bogus_action", "disabled_start_real_vm"])
-def test_cli_bad_pattern_table_exits_2(tmp_path, content):
+def _every_state_to(action, confidence=1.0):
+    return {(t, l, h, r): (action, confidence)
+            for t in range(4) for l in range(4) for h in range(4) for r in (False, True)}
+
+
+@pytest.mark.parametrize("entries", [
+    None,
+    _every_state_to("bogus_action"),
+    _every_state_to("start_real_vm"),
+    _every_state_to("quarantine_node", float("nan")),
+    _every_state_to("quarantine_node", float("inf")),
+    _every_state_to("quarantine_node", 2.5),
+    _every_state_to("quarantine_node", -0.5),
+], ids=["bad_json", "bogus_action", "disabled_start_real_vm",
+        "nan", "infinity", "above_one", "negative"])
+def test_cli_bad_pattern_table_exits_2(tmp_path, entries):
     # A table naming an action maps every state to it, so a run that
-    # accepted it would propose that action at each tick.
+    # accepted it would propose that action at each tick. A confidence
+    # of NaN clears every threshold, since NaN < threshold is false.
     table = tmp_path / "patterns.json"
-    table.write_text(content, encoding="utf-8")
+    if entries is None:
+        table.write_text("{not json", encoding="utf-8")
+    else:
+        write_pattern_table(table, entries)
     cfg_path = tmp_path / "s.yaml"
     cfg_path.write_text(f"episode_ticks: 5\ncascade:\n  pattern_table: {json.dumps(str(table))}\n",
                         encoding="utf-8")
@@ -713,16 +690,10 @@ def test_cli_bad_pattern_table_exits_2(tmp_path, content):
     assert "Traceback" not in out.stderr
 
 
-def _table_mapping_every_state_to(action):
-    return PatternTable({StateKey(t, l, h, r): (action, 1.0)
-                         for t in range(4) for l in range(4) for h in range(4)
-                         for r in (False, True)})
-
-
 def test_saved_pattern_table_answers_every_decision(tmp_path):
     # At confidence 1.0 the pattern stage, tried first, wins each decision.
     table = tmp_path / "patterns.json"
-    save_pattern_table(_table_mapping_every_state_to("noop"), table)
+    write_pattern_table(table, _every_state_to("noop"))
     data = config_mod.load_file(REPO / "configs" / "reference.yaml").to_dict()
     data["episode_ticks"] = 120
     data["cascade"]["pattern_table"] = str(table)
@@ -735,7 +706,7 @@ def test_saved_pattern_table_naming_terminate_self_exits_2(tmp_path, capsys):
     # terminate_self is the fail-safe's own action, outside the
     # selectable set that a pattern table may name.
     table = tmp_path / "patterns.json"
-    save_pattern_table(_table_mapping_every_state_to("terminate_self"), table)
+    write_pattern_table(table, _every_state_to("terminate_self"))
     cfg_path = tmp_path / "s.yaml"
     cfg_path.write_text(f"episode_ticks: 5\ncascade:\n  pattern_table: {json.dumps(str(table))}\n",
                         encoding="utf-8")

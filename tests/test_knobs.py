@@ -21,11 +21,9 @@ import typing
 import pytest
 
 from honeysim import config as config_mod
-from honeysim.agent import StateKey
-from honeysim.cascade import PatternTable
 from honeysim.errors import ConfigInvalid
-from honeysim.harness import (RandomPolicy, run_scenario, save_pattern_table,
-                              train_agent)
+from honeysim.harness import RandomPolicy, run_scenario, train_agent
+from oracles import write_pattern_table
 from test_golden import REFERENCE
 
 EPISODE_TICKS = 100
@@ -269,9 +267,8 @@ def changed_leaves(a, b) -> set:
 @pytest.fixture(scope="module")
 def table_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("knobs") / "pattern.json"
-    keys = (StateKey(t, lo, h, r) for t in range(4) for lo in range(4) for h in range(4)
-            for r in (False, True))
-    save_pattern_table(PatternTable({key: (QUARANTINE, 0.5) for key in keys}), path)
+    write_pattern_table(path, {(t, lo, h, r): (QUARANTINE, 0.5) for t in range(4)
+                               for lo in range(4) for h in range(4) for r in (False, True)})
     return str(path)
 
 

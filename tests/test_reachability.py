@@ -22,9 +22,7 @@ UNREFERENCED = {
     "sensing.update_baseline": "the benchmark's span timers wrap it",
     "agent.accumulate_reward_inputs": "the benchmark's span timers wrap it",
     "world.WorldState.check_invariants": "the world's invariant oracle for tests",
-    "harness.offline_train": "stage 1's trainer, kept until the pattern "
-                             "stage's actions are decided",
-    "harness.experience_from_trace": "stage 1's corpus reader, kept with offline_train",
+    "trace.parse": "the benchmark's span timers wrap it",
 }
 
 

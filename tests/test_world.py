@@ -1,9 +1,12 @@
+import functools
 import json
 import random
 
 import pytest
+from scipy.stats import binomtest
 
 from conftest import make_config, quiet_world
+from honeysim import config as config_mod
 from honeysim import harness
 from honeysim._kernels import codes
 from honeysim.actions import ActionEffect
@@ -11,6 +14,7 @@ from honeysim.errors import IllegalTransition, InsufficientResources, NoSuchNode
 from honeysim.world import (EventKind, ExecutedAction, NodeKind, NodeStatus,
                             apply_action, init_world, step_world)
 from oracles import event_payload
+from test_golden import REFERENCE
 
 
 def nine_real(**world_overrides):
@@ -407,3 +411,35 @@ def test_compromise_does_not_change_pool_telemetry():
     assert snapshot(w, "db-0").status is NodeStatus.COMPROMISED
     assert w.pool.used == used_before
     w.check_invariants()
+
+
+# Benign draws: each knob is the per-tick chance of one truth-false event
+# of its kind, drawn on every tick that some real node serves.
+BENIGN_KNOBS = {"p_logline": EventKind.LOG_LINE,
+                "p_false_ids": EventKind.IDS_ALERT,
+                "p_false_antimalware": EventKind.ANTI_MALWARE_ALERT,
+                "p_false_unauthorized": EventKind.UNAUTHORIZED_ACCESS}
+
+
+@functools.lru_cache(maxsize=None)
+def _benign_counts(ticks=20_000, seed=0):
+    """(serving ticks, truth-false events per kind) of a world stepped
+    alone, with no agent, on the reference scenario."""
+    world = init_world(config_mod.load_file(REFERENCE), seed)
+    trials = 0
+    counts = dict.fromkeys(BENIGN_KNOBS.values(), 0)
+    for _ in range(ticks):
+        trials += bool(world.core.serving)
+        for ev in step_world(world):
+            if not ev.truth_malicious and ev.kind in counts:
+                counts[ev.kind] += 1
+    return trials, counts
+
+
+@pytest.mark.parametrize("knob", sorted(BENIGN_KNOBS))
+def test_benign_knob_yields_its_per_tick_rate(knob):
+    trials, counts = _benign_counts()
+    rate = getattr(config_mod.load_file(REFERENCE).world, knob)
+    assert trials > 19_000  # the reference world keeps serving
+    result = binomtest(counts[BENIGN_KNOBS[knob]], trials, rate)
+    assert result.pvalue > 0.001, (knob, counts[BENIGN_KNOBS[knob]], trials, rate)
