@@ -101,9 +101,6 @@ class ActionCatalog:
     def get(self, action_id: str) -> ActionSpec:
         return self._by_id[action_id]
 
-    def __iter__(self):
-        return (self._by_id[i] for i in self.ids)
-
 
 def _validate_entries(by_id):
     term = by_id.get("terminate_self")

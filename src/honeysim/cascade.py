@@ -118,8 +118,8 @@ def pattern_match(table: PatternTable, key: StateKey):
     return ProposedAction(action, confidence, StageId.PATTERN_RECOGNITION)
 
 
-def escalate(operator: OperatorConfig, options, time_budget: int):
-    """Offer ranked options to the scripted stand-in for a human operator.
+def escalate(operator: OperatorConfig, option: str, time_budget: int):
+    """Offer one option to the scripted stand-in for a human operator.
 
     The reply consumes its latency from the decision's time budget;
     a latency above the remaining budget is a timeout.
@@ -127,9 +127,9 @@ def escalate(operator: OperatorConfig, options, time_budget: int):
     if operator.latency > time_budget:
         raise OperatorTimeout(
             f"operator latency {operator.latency} exceeds budget {time_budget}")
-    if operator.behavior == "decline" or not options:
+    if operator.behavior == "decline":
         return None
-    return ProposedAction(options[0], 1.0, StageId.HUMAN_ESCALATION)
+    return ProposedAction(option, 1.0, StageId.HUMAN_ESCALATION)
 
 
 def _expected_value(model, state, action, horizon):
@@ -221,7 +221,7 @@ class StageContext:
     """Initialized stage handles plus the shared review machinery.
 
     The online stage proposes policy.choose(key) at online_confidence;
-    escalation offers the operator policy.rank(key).
+    escalation offers the operator policy.offer(key).
     """
 
     catalog: ActionCatalog
@@ -294,7 +294,7 @@ def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
                     proposal = ProposedAction(action, ctx.online_confidence,
                                               StageId.ONLINE_LEARNING)
             elif stage is StageId.HUMAN_ESCALATION:
-                proposal = escalate(ctx.operator, ctx.policy.rank(key), remaining.time_budget)
+                proposal = escalate(ctx.operator, ctx.policy.offer(key), remaining.time_budget)
                 spent_time = max(spent_time, ctx.operator.latency)
                 replied = True
             else:

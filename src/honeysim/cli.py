@@ -55,7 +55,7 @@ def cmd_train(args):
 
 def cmd_run(args):
     cfg = config_mod.load_file(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = cfg.seed if args.seed is None else config_mod.check_seed(args.seed)
     policy = _policy_from_args(args)
     report, lines = run_scenario(cfg, seed, policy)
     if args.trace_out:
@@ -67,7 +67,7 @@ def cmd_run(args):
 def cmd_eval(args):
     cfg = config_mod.load_file(args.config)
     base = args.seed if args.seed is not None else cfg.seed
-    seeds = [base + k for k in range(args.num_seeds)]
+    seeds = [config_mod.check_seed(base + k) for k in range(args.num_seeds)]
     policy_spec = _policy_from_args(args)
     reports = evaluate(cfg, policy_spec, seeds)
     rewards = [r.cumulative_reward for r in reports]

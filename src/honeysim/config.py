@@ -391,6 +391,11 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
+def check_seed(seed) -> int:
+    """`seed` if a scenario's `seed` field takes it; else ConfigInvalid."""
+    return _build(_field_types(ScenarioConfig)["seed"], seed, "seed")
+
+
 def from_mapping(data: dict) -> ScenarioConfig:
     return validate(_build(ScenarioConfig, data, ""))
 

@@ -41,41 +41,47 @@ from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent, WorldSt
 
 
 # ---------------------------------------------------------------------------
-# policies
+# policies: each has the `name` the trace header records; `bind(stream,
+# catalog)` gives it the run's agent stream and actions before the first
+# tick, the online stage proposes `choose(key)` and escalation offers the
+# operator `offer(key)`
 
 class RandomPolicy:
-    """Marker for the seed-paired uniform-random baseline."""
+    """The seed-paired uniform-random baseline over the selectable set."""
 
+    name = "random"
 
-class _BoundRandomPolicy:
-    def __init__(self, actions, stream):
-        self.actions = tuple(sorted(actions))
+    def bind(self, stream, catalog: ActionCatalog) -> None:
+        self.actions = catalog.selectable_ids
         self.stream = stream
 
     def choose(self, key):
         return self.actions[self.stream.randrange(len(self.actions))]
 
-    def rank(self, key):
-        return list(self.actions)
+    def offer(self, key):
+        return self.actions[0]
 
 
 class QPolicy:
-    """Epsilon-greedy policy over a Q table; epsilon 0 when evaluating."""
+    """Epsilon-greedy policy over a Q table; epsilon 0 when evaluating.
+    It offers the greedy action: the highest value, ties to the lowest id."""
+
+    name = "q"
 
     def __init__(self, qtable: QTable, epsilon: float = 0.0):
         self.qtable = qtable
         self.epsilon = epsilon
         self.stream = None
 
-    def bind(self, stream):
+    def bind(self, stream, catalog: ActionCatalog) -> None:
+        _check_selectable("Q table", self.qtable.actions, catalog)
         self.stream = stream
 
     def choose(self, key):
         return select_action(self.qtable, key, self.epsilon, self.stream)
 
-    def rank(self, key):
-        return sorted(self.qtable.actions,
-                      key=lambda a: (-self.qtable.get(key, a), a))
+    def offer(self, key):
+        return self.qtable.best_action(key)
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +120,16 @@ _CRY_FOR_HELP = MessageKind.CRY_FOR_HELP.value
 class Accountant:
     """Metrics and reward-period accounting, fed one fact at a time.
 
-    The live run calls one method per fact with its fields; replay reads
-    the same fields off the trace records through `feed`. Both therefore
-    derive the report, each period's reward inputs and each cry-for-help
-    label the same way. Ground truth reaches it only through the truth
-    tags of events. The open period is kept as running counts.
+    The live run calls one method per fact with its fields, and replay
+    calls the same method with the same fields read off the fact's trace
+    record. Both therefore derive the report, each period's reward inputs
+    and each cry-for-help label the same way. Ground truth reaches it only
+    through the truth tags of events. The open period is kept as running
+    counts.
     """
 
     def __init__(self, ticks: int, window: int):
         self.window = window
-        self.tick = 0
         self.metrics = MetricsReport(ticks)
         self.period_honey = 0
         self.period_security = 0
@@ -137,7 +143,6 @@ class Accountant:
 
     def event(self, tick: int, kind: EventKind | None, truth: bool) -> None:
         """A world event; `kind` is None for a kind this build lacks."""
-        self.tick = tick
         cls = EVENT_REWARD_CLASS.get(kind)
         if cls == HONEY_EVENT:
             self.period_honey += 1
@@ -152,26 +157,21 @@ class Accountant:
             if kind is EventKind.UNAUTHORIZED_ACCESS:
                 self.metrics.real_server_compromises += 1
 
-    def decision(self, tick: int, provenance: str) -> None:
-        self.tick = tick
+    def decision(self, provenance: str) -> None:
         histogram = self.metrics.stage_histogram
         histogram[provenance] = histogram.get(provenance, 0) + 1
 
-    def veto(self, tick: int, reason: str) -> None:
-        self.tick = tick
+    def veto(self, reason: str) -> None:
         vetoes = self.metrics.vetoes_by_reason
         vetoes[reason] = vetoes.get(reason, 0) + 1
 
-    def executed(self, tick: int, action: str, available_before: int,
-                 delta: int) -> None:
-        self.tick = tick
+    def executed(self, action: str, available_before: int, delta: int) -> None:
         self.last_executed = (action, available_before, delta)
 
-    def message(self, tick: int, sent: bool, message_kind: MessageKind | None,
+    def message(self, sent: bool, message_kind: MessageKind | None,
                 label: str | None) -> None:
         """A message sent or suppressed; `label` is a sent cry's
         classification. `message_kind` is None for a kind this build lacks."""
-        self.tick = tick
         m = self.metrics
         if not sent:
             m.messages_suppressed += 1
@@ -186,40 +186,18 @@ class Accountant:
                 m.cfh_cry_wolf += 1
 
     def terminated(self, tick: int) -> None:
-        self.tick = tick
         self.metrics.agent_terminated_at = tick
 
-    def feed(self, kind: str, tick: int, payload: dict) -> None:
-        """Unpack one trace record into the method for its fact."""
-        if kind == "event":
-            ev = payload["event"]
-            self.event(tick, _EVENT_KINDS_BY_LABEL.get(ev["kind"]),
-                       ev["truth_malicious"])
-        elif kind == "executed_action":
-            self.executed(tick, payload["action"], payload["available_before"],
-                          payload["delta_resources"])
-        elif kind == "decision":
-            self.decision(tick, payload["provenance"])
-        elif kind == "veto":
-            self.veto(tick, payload["reason"])
-        elif kind == "message":
-            self.message(tick, payload["status"] == "sent",
-                         _MESSAGE_KINDS_BY_VALUE.get(payload["message_kind"]),
-                         payload["classification"])
-        elif kind == "agent_status" and payload["status"] == "terminated":
-            self.terminated(tick)
-        else:
-            self.tick = tick
-
-    def classify_cfh(self, evidence_start: int, evidence_end: int) -> str:
-        """Ground-truth label of a cry for help: "justified" when a
-        truth-tagged event falls inside its inclusive evidence window,
-        else "cry_wolf". The window must lie within the held ticks."""
-        oldest = max(0, self.tick - self.window + 1)
-        if evidence_start < oldest or evidence_end > self.tick:
+    def classify_cfh(self, tick: int, evidence_start: int, evidence_end: int) -> str:
+        """Ground-truth label of a cry for help sent at `tick`: "justified"
+        when a truth-tagged event falls inside its inclusive evidence
+        window, else "cry_wolf". The window must lie within the ticks held
+        at `tick`, the last `window` of them."""
+        oldest = max(0, tick - self.window + 1)
+        if evidence_start < oldest or evidence_end > tick:
             raise WindowOutOfRange(
                 f"evidence [{evidence_start}, {evidence_end}] outside held "
-                f"ticks [{oldest}, {self.tick}]")
+                f"ticks [{oldest}, {tick}]")
         # The held ticks ascend, so the newest one not after the window's
         # end decides: it lies in the window or none does.
         for t in reversed(self.truth_ticks):
@@ -341,22 +319,6 @@ _TARGETLESS = (ActionEffect.NOOP, ActionEffect.START_HONEYPOT,
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def _bind_policy(policy, catalog: ActionCatalog, stream):
-    if isinstance(policy, QTable):
-        policy = QPolicy(policy, epsilon=0.0)
-    if isinstance(policy, RandomPolicy):
-        return _BoundRandomPolicy(catalog.selectable_ids, stream), "random"
-    if isinstance(policy, QPolicy):
-        _check_selectable("Q table", policy.qtable.actions, catalog)
-        policy.bind(stream)
-        return policy, "q"
-    if hasattr(policy, "choose") and hasattr(policy, "rank"):
-        if hasattr(policy, "bind"):
-            policy.bind(stream)
-        return policy, getattr(policy, "name", "custom")
-    raise ConfigInvalid(f"unsupported policy object {policy!r}")
-
-
 def _check_selectable(what: str, actions, catalog: ActionCatalog) -> None:
     unknown = sorted(set(actions) - set(catalog.selectable_ids))
     if unknown:
@@ -429,9 +391,10 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                  *, learn: bool = False, with_trace: bool = True):
     """Execute one episode; returns (MetricsReport, trace lines).
 
-    trace lines are [] when with_trace is False (training runs skip
-    record serialization for speed). The same (config, seed, policy)
-    always yields byte-identical lines.
+    `policy` is a policy object or a bare QTable, run greedy. Trace
+    lines are [] when with_trace is False (training runs skip record
+    serialization for speed). The same (config, seed, policy) always
+    yields byte-identical lines.
     """
     world = init_world(config, seed)
     catalog = build_catalog(config.agent.actions)
@@ -439,9 +402,10 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     rp = config.agent.reward
     params = RewardParams(rp.a, rp.b, rp.c, rp.denominator_floor)
 
-    agent_stream = _kernels.Stream(derive_seed(seed, STREAM_AGENT))
-    policy_obj, policy_label = _bind_policy(policy, catalog, agent_stream)
-    if learn and not isinstance(policy_obj, QPolicy):
+    if isinstance(policy, QTable):
+        policy = QPolicy(policy)
+    policy.bind(_kernels.Stream(derive_seed(seed, STREAM_AGENT)), catalog)
+    if learn and not isinstance(policy, QPolicy):
         raise ConfigInvalid("learning runs need a QPolicy")
 
     ruleset = build_ruleset(config.guardrails, config.cascade.thresholds)
@@ -453,14 +417,14 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                           catalog)
     else:
         pattern_table = PatternTable()
-    qtable_for_model = policy_obj.qtable if isinstance(policy_obj, QPolicy) \
+    qtable_for_model = policy.qtable if isinstance(policy, QPolicy) \
         else QTable(catalog.selectable_ids)
     profile = FailSafeProfile(config.cascade.failsafe_profile)
 
     ctx = StageContext(
         catalog=catalog,
         guard=guard,
-        policy=policy_obj,
+        policy=policy,
         online_confidence=config.cascade.online_confidence,
         pattern_table=pattern_table,
         operator=config.cascade.operator,
@@ -474,7 +438,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         "seed": seed,
         "episode_ticks": config.episode_ticks,
         "window": window,
-        "policy": policy_label,
+        "policy": policy.name,
         "reward": {"a": params.a, "b": params.b, "c": params.c,
                    "floor": params.denominator_floor},
         "config_digest": config.digest(),
@@ -533,10 +497,10 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 reply = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
                 accountant.event(t, reply.kind, reply.truth_malicious)
                 trace.events(t, (reply,))
-            accountant.decision(t, decision.provenance.label)
+            accountant.decision(decision.provenance.label)
             trace.decision(t, decision)
             for stage, action_id, reason in decision.vetoes:
-                accountant.veto(t, reason)
+                accountant.veto(reason)
                 trace.veto(t, stage, action_id, reason)
 
             spec = catalog.get(decision.action)
@@ -559,7 +523,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                     error = _ERROR_LABELS[type(exc)]
             else:
                 error = "no_target"
-            accountant.executed(t, decision.action, available_before, delta)
+            accountant.executed(decision.action, available_before, delta)
             trace.executed(t, decision.action, spec.effect, target, applied, error,
                            delta, available_before, world.pool)
 
@@ -588,8 +552,8 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 rec = send(msg, env.emcon_level, guard)
                 label = None
                 if rec.sent and msg.kind is MessageKind.CRY_FOR_HELP:
-                    label = accountant.classify_cfh(msg.evidence_start, msg.evidence_end)
-                accountant.message(t, rec.sent, msg.kind, label)
+                    label = accountant.classify_cfh(t, msg.evidence_start, msg.evidence_end)
+                accountant.message(rec.sent, msg.kind, label)
                 trace.message(t, msg, rec, label)
 
         if (t + 1) % window == 0:
@@ -598,7 +562,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             # An agent still active here acted this tick, so the credited
             # action is this tick's decision, taken in state `key`.
             if learn and agent_active:
-                q_update(policy_obj.qtable, key, decision.action, sample[0], key)
+                q_update(policy.qtable, key, decision.action, sample[0], key)
 
     return accountant.report(), trace.finish()
 
@@ -653,13 +617,13 @@ def evaluate(config: ScenarioConfig, policy_spec, seeds) -> list:
 def replay(lines) -> MetricsReport:
     """Recompute the metrics purely from trace records.
 
-    Feeds every record's fields to the Accountant the live run uses. Each sent
-    cry for help's classification and each reward sample must equal what
-    the accountant derives from the records before it and the stated
-    reward parameters. Each executed action's pool figures must follow
-    from its own resource delta, its `applied` flag must say whether it
-    failed, and the pool's capacity (used plus available) must not
-    change. A mismatch raises TraceCorrupt.
+    Gives every record's fields to the Accountant method the live run
+    calls for its fact. Each sent cry for help's classification and each
+    reward sample must equal what the accountant derives from the records
+    before it and the stated reward parameters. Each executed action's
+    pool figures must follow from its own resource delta, its `applied`
+    flag must say whether it failed, and the pool's capacity (used plus
+    available) must not change. A mismatch raises TraceCorrupt.
 
     Each record is checked, accounted and dropped as `trace.walk` reads
     it, so memory does not grow with the trace. A fault is reported as
@@ -672,17 +636,25 @@ def replay(lines) -> MetricsReport:
     params = RewardParams(rw["a"], rw["b"], rw["c"], rw["floor"])
     accountant = Accountant(header["episode_ticks"], header["window"])
     capacity = None
+    tick = 0  # the tick of the record before this one
     try:
         for rec in records:
             kind = rec["kind"]
-            if kind == "message" and rec["status"] == "sent" \
-                    and rec["message_kind"] == _CRY_FOR_HELP:
-                try:
-                    label = accountant.classify_cfh(rec["evidence_start"],
-                                                    rec["evidence_end"])
-                except WindowOutOfRange as exc:
-                    raise TraceCorrupt(f"seq {rec['seq']}: {exc}") from exc
-                _expect(rec, {"classification": label})
+            if kind == "event":
+                ev = rec["event"]
+                accountant.event(rec["tick"], _EVENT_KINDS_BY_LABEL.get(ev["kind"]),
+                                 ev["truth_malicious"])
+            elif kind == "message":
+                sent = rec["status"] == "sent"
+                if sent and rec["message_kind"] == _CRY_FOR_HELP:
+                    try:
+                        label = accountant.classify_cfh(tick, rec["evidence_start"],
+                                                        rec["evidence_end"])
+                    except WindowOutOfRange as exc:
+                        raise TraceCorrupt(f"seq {rec['seq']}: {exc}") from exc
+                    _expect(rec, {"classification": label})
+                accountant.message(sent, _MESSAGE_KINDS_BY_VALUE.get(rec["message_kind"]),
+                                   rec["classification"])
             elif kind == "reward_sample":
                 _expect(rec, _reward_sample_payload(*accountant.close_period(
                     params, rec["inputs"]["total_resources"])))
@@ -694,7 +666,15 @@ def replay(lines) -> MetricsReport:
                     "pool_used": capacity - rec["pool_available"],
                     "applied": rec["error"] is None,
                 })
-            accountant.feed(kind, rec["tick"], rec)
+                accountant.executed(rec["action"], rec["available_before"],
+                                    rec["delta_resources"])
+            elif kind == "decision":
+                accountant.decision(rec["provenance"])
+            elif kind == "veto":
+                accountant.veto(rec["reason"])
+            elif kind == "agent_status" and rec["status"] == "terminated":
+                accountant.terminated(rec["tick"])
+            tick = rec["tick"]
     except TraceCorrupt:
         for _ in records:  # raises any fault the rest of the trace holds
             pass
@@ -733,13 +713,13 @@ def _load_table(path, what: str, from_dict):
 def load_qtable(path) -> QTable:
     """Read a table written by save_qtable; ConfigInvalid when the file
     is not JSON, lacks a field of that layout, or holds a field of
-    another type: actions must be a list of strings, and alpha, gamma
-    and every entry value finite numbers."""
+    another type: actions must be a non-empty list of strings, and
+    alpha, gamma and every entry value finite numbers."""
     data, table = _load_table(path, "a Q table", QTable.from_dict)
     actions = data["actions"]
-    if type(actions) is not list or any(type(a) is not str for a in actions):
+    if type(actions) is not list or not actions or any(type(a) is not str for a in actions):
         raise ConfigInvalid(f"{path} is not a Q table: actions {actions!r} "
-                            f"is not a list of action ids")
+                            f"is not a non-empty list of action ids")
     for name, value in (("alpha", table.alpha), ("gamma", table.gamma),
                         *data["entries"].items()):
         if type(value) not in (int, float) or not math.isfinite(value):

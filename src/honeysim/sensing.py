@@ -72,23 +72,23 @@ class WindowTally:
 
     def __init__(self, window: int):
         self.window = window
-        self.ticks: deque = deque()  # per-tick tallies, oldest first
+        self.tallies: deque = deque()  # per-tick tallies, oldest first
         # the window's tally; features() refreshes its load_sum
         self.totals = list(_EMPTY_TALLY)
 
     def push(self, events) -> None:
         """Tally one tick's events and slide the window over them."""
         tallied = _kernels.tally(events)
-        ticks = self.ticks
-        ticks.append(tallied)
-        dropped = ticks.popleft() if len(ticks) > self.window else _EMPTY_TALLY
+        tallies = self.tallies
+        tallies.append(tallied)
+        dropped = tallies.popleft() if len(tallies) > self.window else _EMPTY_TALLY
         totals = self.totals
         for k in _COUNT_FIELDS:
             totals[k] += tallied[k] - dropped[k]
 
     def features(self) -> FeatureVector:
         load_sum = 0.0
-        for tallied in self.ticks:
+        for tallied in self.tallies:
             load_sum += tallied[_LOAD_SUM]
         self.totals[_LOAD_SUM] = load_sum
         return feature_vector(self.totals, self.window)

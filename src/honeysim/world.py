@@ -68,10 +68,6 @@ class NodeStatus(IntEnum):
     COMPROMISED = codes.COMPROMISED
     QUARANTINED = codes.QUARANTINED
 
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
 
 class EventKind(IntEnum):
     IDS_ALERT = codes.IDS_ALERT

@@ -173,8 +173,8 @@ class _FixedPolicy:
     def choose(self, key):
         return self.action
 
-    def rank(self, key):
-        return [self.action]
+    def offer(self, key):
+        return self.action
 
 
 def stub_cascade(availability, accepts, failsafe_accepted):
@@ -199,7 +199,7 @@ def stub_cascade(availability, accepts, failsafe_accepted):
         online_confidence=1.0,
     )
     ctx.pattern_table = PatternTable({KEY: (proposals[StageId.PATTERN_RECOGNITION], 1.0)})
-    ctx.policy.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
+    ctx.policy.offer = lambda key: proposals[StageId.HUMAN_ESCALATION]
     gs = proposals[StageId.GAME_SEARCH]
     ctx.game_model = TabularToyModel([KEY], {KEY: [gs]},
                                      {(KEY, gs): ((1.0, KEY, 1.0),)})
@@ -383,12 +383,15 @@ class _CfhHeavyPolicy:
     def __init__(self):
         self.count = 0
 
+    def bind(self, stream, catalog):
+        pass
+
     def choose(self, key):
         self.count += 1
         return "cry_for_help" if self.count % 2 else "noop"
 
-    def rank(self, key):
-        return ["cry_for_help", "noop"]
+    def offer(self, key):
+        return "cry_for_help"
 
 
 def test_criterion_9_cfh_accounting_matches_brute_force():

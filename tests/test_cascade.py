@@ -43,8 +43,8 @@ class FixedPolicy:
     def choose(self, key):
         return self.action
 
-    def rank(self, key):
-        return [self.action, "noop"]
+    def offer(self, key):
+        return self.action
 
 
 def make_ctx(policy_action="deploy_dummy_files", confidence=0.9, **overrides):
@@ -127,17 +127,17 @@ def test_pattern_match_hit_and_miss():
 # -- escalation --------------------------------------------------------------
 
 def test_escalate_approve_first():
-    p = escalate(OperatorConfig("approve_first", 1), ["a", "b"], time_budget=10)
+    p = escalate(OperatorConfig("approve_first", 1), "a", time_budget=10)
     assert p == ProposedAction("a", 1.0, StageId.HUMAN_ESCALATION)
 
 
 def test_escalate_decline():
-    assert escalate(OperatorConfig("decline", 1), ["a"], time_budget=10) is None
+    assert escalate(OperatorConfig("decline", 1), "a", time_budget=10) is None
 
 
 def test_escalate_timeout():
     with pytest.raises(OperatorTimeout):
-        escalate(OperatorConfig("approve_first", 3), ["a"], time_budget=2)
+        escalate(OperatorConfig("approve_first", 3), "a", time_budget=2)
 
 
 # -- game search -------------------------------------------------------------
@@ -292,8 +292,8 @@ class SilentPolicy:
     def choose(self, key):
         return None
 
-    def rank(self, key):
-        return ["noop"]
+    def offer(self, key):
+        return "noop"
 
 
 def test_decide_deducts_spent_budget_before_next_stage():
@@ -351,11 +351,11 @@ def stub_ctx_with(availability_pattern, accept_pattern, failsafe_accepted=True):
     ctx.online_confidence = conf[StageId.ONLINE_LEARNING]
     ctx.operator = OperatorConfig(
         "approve_first" if True else "decline", 0)
-    # escalation proposes rank()[0]; confidence fixed 1.0, so gate it
+    # escalation proposes offer(); confidence fixed 1.0, so gate it
     # through the sealed thresholds instead
     theta = thresholds()
     theta[StageId.HUMAN_ESCALATION] = 0.5 if accepted[StageId.HUMAN_ESCALATION] else 1.1
-    ctx.policy.rank = lambda key: [proposals[StageId.HUMAN_ESCALATION]]
+    ctx.policy.offer = lambda key: proposals[StageId.HUMAN_ESCALATION]
     gs_action = proposals[StageId.GAME_SEARCH]
     ctx.game_model = TabularToyModel(
         [KEY], {KEY: [gs_action]}, {(KEY, gs_action): ((1.0, KEY, 1.0),)})

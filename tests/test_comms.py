@@ -9,7 +9,6 @@ from honeysim.errors import WindowOutOfRange
 from honeysim.guardrails import GuardrailSet, build_ruleset
 from honeysim.harness import Accountant
 from honeysim.world import EventKind, WorldEvent
-from oracles import event_payload
 
 
 def make_guard():
@@ -57,10 +56,10 @@ def test_sent_sets_monotone_across_emcon(rng):
 
 
 def fed(*events, window=20):
-    """An accountant that has seen the event records of `events`."""
+    """An accountant that has seen `events`."""
     accountant = Accountant(ticks=1000, window=window)
     for ev in events:
-        accountant.feed("event", ev.tick, {"event": event_payload(ev)})
+        accountant.event(ev.tick, ev.kind, ev.truth_malicious)
     return accountant
 
 
@@ -74,20 +73,20 @@ def benign(tick, kind=EventKind.LOAD_SAMPLE):
 
 def test_classify_justified_on_honey_touch():
     accountant = fed(benign(0), mal(3), benign(5))
-    assert accountant.classify_cfh(0, 5) == "justified"
+    assert accountant.classify_cfh(5, 0, 5) == "justified"
 
 
 def test_classify_cry_wolf_on_benign_window():
     accountant = fed(benign(0), benign(1), benign(5))
-    assert accountant.classify_cfh(0, 5) == "cry_wolf"
+    assert accountant.classify_cfh(5, 0, 5) == "cry_wolf"
 
 
 def test_classify_window_out_of_range():
     with pytest.raises(WindowOutOfRange):
-        fed(benign(0), benign(1)).classify_cfh(0, 9)
+        fed(benign(0), benign(1)).classify_cfh(1, 0, 9)
     # ticks older than the accounting window are no longer held
     with pytest.raises(WindowOutOfRange):
-        fed(mal(3), benign(30), window=20).classify_cfh(3, 30)
+        fed(mal(3), benign(30), window=20).classify_cfh(30, 3, 30)
 
 
 def test_classification_partitions_random_messages(rng):
@@ -99,7 +98,7 @@ def test_classification_partitions_random_messages(rng):
     for _ in range(total):
         start = rng.randint(0, 290)
         end = min(299, start + rng.randint(0, 20))
-        label = accountant.classify_cfh(start, end)
+        label = accountant.classify_cfh(299, start, end)
         if label == "justified":
             justified += 1
             assert any(e.truth_malicious and start <= e.tick <= end for e in log)
@@ -125,7 +124,7 @@ def test_classifier_agrees_with_any_over_held_ticks(data):
     start = data.draw(st.integers(oldest, now), label="start")
     end = data.draw(st.integers(start, now), label="end")
     expected = any(start <= t <= end for t in truth)
-    assert accountant.classify_cfh(start, end) \
+    assert accountant.classify_cfh(now, start, end) \
         == ("justified" if expected else "cry_wolf")
 
 

@@ -219,8 +219,8 @@ def test_reference_scenario_documents_every_field():
     ("comms", "violation_threshold", 3),
     ("env", "safety_margin", 0.9),
     # No input moved these, so they were deleted: the operator's reply and
-    # game search's choice carry confidence 1.0, and the operator takes
-    # the first of any number of ranked options.
+    # game search's choice carry confidence 1.0, and escalation offers
+    # the operator one option.
     ("cascade.thresholds", "human_escalation", 0.5),
     ("cascade.thresholds", "game_search", 0.3),
     ("cascade", "escalation_options", 3),

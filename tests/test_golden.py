@@ -57,12 +57,15 @@ class CryNoopPolicy:
     def __init__(self):
         self.calls = 0
 
+    def bind(self, stream, catalog):
+        pass
+
     def choose(self, key):
         self.calls += 1
         return "cry_for_help" if self.calls % 2 else "noop"
 
-    def rank(self, key):
-        return ["cry_for_help", "noop"]
+    def offer(self, key):
+        return "cry_for_help"
 
 
 def trace_digest(cfg, seed, policy):

@@ -87,7 +87,7 @@ def test_gate_allowed_sets_downward_closed():
     # For every action: allowed EMCON levels form a prefix toward Open.
     catalog = build_catalog()
     g = make_guard()
-    for action in catalog:
+    for action in map(catalog.get, catalog.ids):
         allowed = [check(action, env(e), g).allowed for e in EmconLevel]
         for stricter, looser in itertools.combinations(range(3), 2):
             if allowed[looser]:

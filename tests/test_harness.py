@@ -16,11 +16,11 @@ from honeysim import config as config_mod
 from honeysim import harness
 from honeysim import trace as trace_mod
 from honeysim.actions import build_catalog
-from honeysim.agent import (RewardInputs, RewardParams, StateKey, reward,
+from honeysim.agent import (QTable, RewardInputs, RewardParams, StateKey, reward,
                             reward_terms)
 from honeysim.comms import MessageKind
 from honeysim.errors import TraceCorrupt
-from honeysim.harness import (RandomPolicy, epsilon_for_episode,
+from honeysim.harness import (QPolicy, RandomPolicy, epsilon_for_episode,
                               MetricsReport, load_qtable, replay, run_scenario,
                               save_qtable, train_agent)
 from honeysim.sensing import collect
@@ -449,6 +449,24 @@ def test_trained_policy_runs_greedy():
     assert header["policy"] == "q"
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_qpolicy_offers_the_head_of_the_value_ranking(data):
+    # The operator is offered the action a ranking by value, ties to the
+    # lowest id, would put first; ties, signed zeros and negative values
+    # are drawn often.
+    actions = data.draw(st.lists(st.text("abcd", min_size=1, max_size=2), min_size=1,
+                                 max_size=6, unique=True), label="actions")
+    key = StateKey(1, 2, 0, True)
+    values = st.sampled_from([0.0, -0.0, 1.5, -1.5]) | st.floats(-1e6, 1e6)
+    table = QTable(actions)
+    for (state, action), value in data.draw(st.dictionaries(
+            st.tuples(st.sampled_from([key, StateKey(0, 0, 0, False)]),
+                      st.sampled_from(actions)), values), label="values").items():
+        table.values[(state, action)] = value
+    assert QPolicy(table).offer(key) == min(actions, key=lambda a: (-table.get(key, a), a))
+
+
 def test_qtable_file_round_trip(tmp_path):
     cfg = small_config()
     result = train_agent(cfg, episodes=2)
@@ -613,8 +631,9 @@ def test_cli_oracle_reward_matches_library():
     '{"actions": ["noop"], "alpha": "x", "gamma": 0.9, "entries": {}}',
     '{"actions": ["noop"], "alpha": 0.1, "gamma": 0.9, '
     '"entries": {"0,0,0,0|noop": "abc"}}',
+    '{"actions": [], "alpha": 0.1, "gamma": 0.9, "entries": {}}',
 ], ids=["bad_json", "no_actions", "no_alpha", "no_entries", "list_action",
-        "text_alpha", "text_entry"])
+        "text_alpha", "text_entry", "empty_actions"])
 def test_cli_malformed_qtable_exits_2(tmp_path, command, content):
     cfg_path = tmp_path / "s.yaml"
     cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
@@ -723,6 +742,27 @@ def test_cli_eval_without_seeds_exits_2(tmp_path, capsys, num_seeds):
     assert cli_mod.main(["eval", "--config", str(cfg_path),
                          "--num-seeds", num_seeds]) == cli_mod.EXIT_CONFIG
     assert "at least one seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1"],
+    ["run", "--seed", str(2**53 + 1)],
+    ["eval", "--seed", "-5", "--num-seeds", "2"],
+    # the last of base .. base + 2 is 2**53 + 1
+    ["eval", "--seed", str(2**53 - 1), "--num-seeds", "3"],
+    ["train", "--seed", "-1", "--episodes", "1"],
+], ids=["run-negative", "run-above-2**53", "eval-negative", "eval-past-2**53",
+        "train-negative"])
+def test_cli_seed_outside_the_scenario_seed_rule_exits_2(tmp_path, capsys, argv):
+    # Every seed a command would run takes the rule of the scenario's
+    # `seed` key: an integer in [0, 2**53].
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
+    extra = ["--out", str(tmp_path / "q.json")] if argv[0] == "train" else []
+    assert cli_mod.main([*argv, "--config", str(cfg_path), *extra]) == cli_mod.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: seed must be")
 
 
 def test_cli_eval_prints_the_untraced_run_of_each_seed(tmp_path, capsys):

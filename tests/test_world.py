@@ -443,3 +443,61 @@ def test_benign_knob_yields_its_per_tick_rate(knob):
     assert trials > 19_000  # the reference world keeps serving
     result = binomtest(counts[BENIGN_KNOBS[knob]], trials, rate)
     assert result.pvalue > 0.001, (knob, counts[BENIGN_KNOBS[knob]], trials, rate)
+
+
+# Attacker draws: each knob is the chance of one truth-tagged event of its
+# kind per trial, and the trials are read off the world stepped alone.
+# - The detection sweep runs after the campaigns and moves no status or
+#   integrity, so the nodes after a step are the nodes it swept: each one
+#   neither stopped nor quarantined is an integrity trial if its integrity
+#   is broken, and an anti-malware trial if it is compromised.
+# - Each honeypot touch is one decoy-touch trial, as only honeypots hold
+#   decoys here, and one dummy-process trial.
+# - Each exploit of a real server is one detection trial: it raises an
+#   IDS alert or else adds one to the node's progress, which nothing
+#   lowers while no agent acts.
+ATTACKER_KNOBS = {"p_integrity_alert": EventKind.FILE_INTEGRITY_VIOLATION,
+                  "p_antimalware_alert": EventKind.ANTI_MALWARE_ALERT,
+                  "p_decoy_touch": EventKind.DUMMY_FILE_ACCESS,
+                  "p_dummy_process": EventKind.DUMMY_PROCESS_ALERT,
+                  "p_detect": EventKind.IDS_ALERT}
+
+
+@functools.lru_cache(maxsize=None)
+def _attacker_counts(seeds=range(10), ticks=2000):
+    """{knob: (successes, trials)} pooled over reference worlds stepped
+    alone, one per seed. Exploits end once every real server is owned,
+    after about 90 detection trials a seed, so several seeds are pooled."""
+    knob_of = {kind: knob for knob, kind in ATTACKER_KNOBS.items()}
+    successes = dict.fromkeys(ATTACKER_KNOBS, 0)
+    trials = dict.fromkeys(ATTACKER_KNOBS, 0)
+    config = config_mod.load_file(REFERENCE)
+    for seed in seeds:
+        world = init_world(config, seed)
+        core = world.core
+        assert [d > 0 for d in core.decoys] == [k == codes.HONEYPOT for k in core.kinds]
+        for _ in range(ticks):
+            for ev in step_world(world):
+                if not ev.truth_malicious:
+                    continue
+                if ev.kind in knob_of:
+                    successes[knob_of[ev.kind]] += 1
+                elif ev.kind is EventKind.HONEY_TOUCH:
+                    trials["p_decoy_touch"] += 1
+                    trials["p_dummy_process"] += 1
+            for status, intact in zip(core.statuses, core.integrity):
+                if status != codes.STOPPED and status != codes.QUARANTINED:
+                    trials["p_integrity_alert"] += not intact
+                    trials["p_antimalware_alert"] += status == codes.COMPROMISED
+        trials["p_detect"] += sum(core.progress)
+    trials["p_detect"] += successes["p_detect"]
+    return {knob: (successes[knob], trials[knob]) for knob in ATTACKER_KNOBS}
+
+
+@pytest.mark.parametrize("knob", sorted(ATTACKER_KNOBS))
+def test_attacker_knob_yields_its_rate_per_trial(knob):
+    successes, trials = _attacker_counts()[knob]
+    rate = getattr(config_mod.load_file(REFERENCE).world, knob)
+    assert trials > 500
+    result = binomtest(successes, trials, rate)
+    assert result.pvalue > 0.001, (knob, successes, trials, rate)
