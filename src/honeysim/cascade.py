@@ -36,10 +36,10 @@ class StageId(IntEnum):
 
     @property
     def label(self) -> str:
-        return _STAGE_LABELS[self]
+        return STAGE_LABELS[self]
 
 
-_STAGE_LABELS = {stage: stage.name.lower() for stage in StageId}
+STAGE_LABELS = {stage: stage.name.lower() for stage in StageId}
 _NO_FLOOR = float("-inf")  # the floor of a stage the ruleset has no threshold for
 
 
@@ -208,7 +208,7 @@ def arbiter_review(p: ProposedAction, c: EnvConstraints, guard: gr.GuardrailSet,
     """Accept iff confidence clears the sealed ruleset's threshold for
     the stage, if it has one, and the guardrails allow the action; the
     first failure is the reason."""
-    if p.confidence < guard.ruleset.stage_thresholds.get(_STAGE_LABELS[p.stage], _NO_FLOOR):
+    if p.confidence < guard.ruleset.stage_thresholds.get(STAGE_LABELS[p.stage], _NO_FLOOR):
         return gr.Verdict(False, BELOW_THRESHOLD)
     verdict = gr.check(catalog.get(p.action), c, guard)
     if not verdict.allowed:

@@ -57,6 +57,9 @@ def cmd_run(args):
     cfg = config_mod.load_file(args.config)
     seed = cfg.seed if args.seed is None else config_mod.check_seed(args.seed)
     policy = _policy_from_args(args)
+    # A bad trace path fails the command before the run and writes nothing.
+    if args.trace_out:
+        _check_writable(args.trace_out)
     report, lines = run_scenario(cfg, seed, policy)
     if args.trace_out:
         trace_mod.write_file(args.trace_out, lines)

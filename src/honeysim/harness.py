@@ -27,7 +27,7 @@ from .agent import (EVENT_REWARD_CLASS, HONEY_EVENT, SECURITY_EVENT, QTable,
                     RewardInputs, RewardParams, StateKey, discretize,
                     period_reward_inputs, q_update, reward, reward_terms,
                     select_action)
-from .cascade import (FailSafeProfile, PatternTable, QValueModel,
+from .cascade import (STAGE_LABELS, FailSafeProfile, PatternTable, QValueModel,
                       StageContext, decide)
 from .comms import Message, MessageKind, send
 from .config import ScenarioConfig
@@ -36,8 +36,8 @@ from .errors import (ConfigInvalid, IllegalTransition, InsufficientResources,
                      NoSuchNode, TraceCorrupt, WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_sealed
 from .sensing import Moments, WindowTally
-from .world import (EventKind, ExecutedAction, STREAM_AGENT, WorldEvent, WorldState,
-                    apply_action, derive_seed, init_world, step_world)
+from .world import (EVENT_LABELS, EventKind, ExecutedAction, STREAM_AGENT, WorldEvent,
+                    WorldState, apply_action, derive_seed, init_world, step_world)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,8 @@ def _reward_sample_payload(value: float, terms: tuple, inputs: RewardInputs,
     honey, resource, cfh = terms
     return {"value": value,
             "terms": {"honey": honey, "resource": resource, "cfh": cfh},
-            "inputs": asdict(inputs),
+            # a frozen dataclass's instance dict holds its fields in order
+            "inputs": dict(vars(inputs)),
             "credited_action": credited}
 
 
@@ -333,36 +334,87 @@ _ERROR_LABELS = {
 }
 
 
+# Values of the enums a trace writes, by member, beside the label tables
+# of EventKind and StageId.
+_EFFECT_VALUES = {effect: effect.value for effect in ActionEffect}
+_MESSAGE_KIND_VALUES = {kind: kind.value for kind in MessageKind}
+
+
 class _Trace:
-    """A traced run's trace: alone turns each fact into its TraceWriter record."""
+    """A traced run's trace: alone turns each fact into its TraceWriter
+    record.
+
+    Per record kind it keeps the `again` writer that a kind's first
+    record returned, keyed by the facts its shared fields come from, so
+    a run encodes each such fragment once. The keys are an event's kind,
+    node and truth; the state key; a decision's action, provenance and
+    rejections; the whole veto; an executed action's action, effect,
+    applied flag and error; and a message's kind, outcome, classification,
+    entries and reported action.
+    """
 
     def __init__(self, header: dict):
         self.writer = trace_mod.TraceWriter(header)
+        self.event_writers, self.percept_writers, self.decision_writers = {}, {}, {}
+        self.veto_writers, self.executed_writers, self.message_writers = {}, {}, {}
         self.status(0, "active", "episode_start")
 
     def events(self, tick: int, events) -> None:
+        writers = self.event_writers
         for event_tick, kind, node, severity, load, truth in events:
-            self.writer.event(tick, event_tick, kind.label, node, severity, load, truth)
+            again = writers.get((kind, node, truth))
+            if again is None:
+                writers[kind, node, truth] = self.writer.event(
+                    tick, event_tick, EVENT_LABELS[kind], node, severity, load, truth)
+            else:
+                again(tick, event_tick, severity, load)
 
     def percept(self, tick: int, score: float, key: StateKey, fv) -> None:
-        self.writer.percept(tick, score, key.encode(), *fv)
+        again = self.percept_writers.get(key)
+        if again is None:
+            self.percept_writers[key] = self.writer.percept(tick, score, key.encode(), *fv)
+        else:
+            again(tick, score, *fv)
 
     def decision(self, tick: int, decision) -> None:
-        rejected = [(stage.label, reason) for stage, reason in decision.rejected]
-        self.writer.decision(tick, decision.action, decision.provenance.label, rejected)
+        key = decision.action, decision.provenance, decision.rejected
+        again = self.decision_writers.get(key)
+        if again is None:
+            rejected = [(STAGE_LABELS[stage], reason) for stage, reason in decision.rejected]
+            self.decision_writers[key] = self.writer.decision(
+                tick, decision.action, STAGE_LABELS[decision.provenance], rejected)
+        else:
+            again(tick)
 
     def veto(self, tick: int, stage, action: str, reason: str) -> None:
-        self.writer.veto(tick, action, stage.label, reason)
+        again = self.veto_writers.get((stage, action, reason))
+        if again is None:
+            self.veto_writers[stage, action, reason] = self.writer.veto(
+                tick, action, STAGE_LABELS[stage], reason)
+        else:
+            again(tick)
 
     def executed(self, tick: int, action: str, effect: ActionEffect, target,
                  applied: bool, error, delta: int, available_before: int, pool) -> None:
-        self.writer.executed_action(tick, action, effect.value, target, applied, error,
-                                    delta, available_before, pool.used, pool.available)
+        key = action, effect, applied, error
+        again = self.executed_writers.get(key)
+        if again is None:
+            self.executed_writers[key] = self.writer.executed_action(
+                tick, action, _EFFECT_VALUES[effect], target, applied, error,
+                delta, available_before, pool.used, pool.available)
+        else:
+            again(tick, target, delta, available_before, pool.used, pool.available)
 
     def message(self, tick: int, msg: Message, rec, label: str | None) -> None:
-        self.writer.message(tick, msg.kind.value, "sent" if rec.sent else "suppressed",
-                            rec.reason, label, msg.evidence_start, msg.evidence_end,
-                            msg.entries, msg.action_taken)
+        key = msg.kind, rec.sent, rec.reason, label, msg.entries, msg.action_taken
+        again = self.message_writers.get(key)
+        if again is None:
+            self.message_writers[key] = self.writer.message(
+                tick, _MESSAGE_KIND_VALUES[msg.kind], "sent" if rec.sent else "suppressed",
+                rec.reason, label, msg.evidence_start, msg.evidence_end, msg.entries,
+                msg.action_taken)
+        else:
+            again(tick, msg.evidence_start, msg.evidence_end)
 
     def status(self, tick: int, status: str, reason: str) -> None:
         self.writer.record("agent_status", tick, {"status": status, "reason": reason})

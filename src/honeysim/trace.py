@@ -10,10 +10,18 @@ live here. `TraceWriter` has one method per record kind the harness writes
 every tick (event, percept, decision, veto, executed_action and
 message). Each takes the record's fields and writes, from a fixed line
 template, exactly the line `dumps` would write for them, at a fraction
-of its cost; a field of another type raises instead.
-`TraceWriter.record` writes any other record through `dumps`, as the
-header and the footer are written; the harness builds the payloads of
-the `reward_sample` and `agent_status` records it passes.
+of its cost. It encodes the fields that repeat within a run into
+fragments of the template once, and returns `again`, which writes
+further records sharing them from the rest of the fields alone: an
+event's kind, node and truth; a percept's state key; all of a decision
+or a veto but the tick; an executed action's action, effect, applied
+flag and error; a message's all but its tick and evidence window. The
+harness keeps each `again` per run, keyed by those fields. A field of
+another type, or a non-finite float, still raises TypeError or
+ValueError before any line is appended, at the call and at each
+`again`. `TraceWriter.record` writes any other record through `dumps`,
+as the header and the footer are written; the harness builds the
+payloads of the `reward_sample` and `agent_status` records it passes.
 
 `walk` is the one reader and checker: it takes the lines one at a time
 and yields the header, then each record, holding none of them, and
@@ -45,33 +53,37 @@ def dumps(obj: dict) -> str:
 
 # -- value encoders ---------------------------------------------------------
 #
-# Each returns the JSON `dumps` writes for one value, or raises TypeError
-# for a value of another type and ValueError for one it cannot write
-# (a non-finite float, an int too long for str()). A bool is an int to
-# Python and f"{True}" is not JSON, so types are checked exactly.
-# `_str` is the encoder's own string writer, which raises TypeError on
-# anything but a str.
+# A per-tick line is written from its template behind one guard over the
+# ints and floats its `again` takes: each must be of its exact type and
+# each float finite (x - x is 0.0 for a finite float, and NaN, which is
+# true, for an infinite or NaN one). Its other fields are checked as they
+# are encoded. A bool is an int to Python and f"{True}" is not JSON, so
+# types are checked exactly. An int too long for str() raises ValueError
+# as its line is formatted. `_str` is the encoder's own string writer,
+# which raises TypeError on anything but a str.
+
+def _fault(values, types) -> Exception:
+    """What a guard raises: TypeError for the first of `values` not of
+    the exact type at its place in `types`, or ValueError for the first
+    non-finite float."""
+    for value, want in zip(values, types):
+        if type(value) is not want:
+            return TypeError(f"expected {want.__name__}, got {type(value).__name__}")
+        if want is float and not math.isfinite(value):  # dumps would write NaN or Infinity
+            return ValueError(f"non-finite float {value!r}")
+    raise AssertionError(f"a guard rejected {values!r} against {types!r}")
+
 
 def _int(x) -> str:
     if type(x) is not int:
-        raise TypeError(f"expected an int, got {type(x).__name__}")
+        raise _fault((x,), (int,))
     return int.__repr__(x)
 
 
-def _float(x) -> str:
-    if type(x) is not float:
-        raise TypeError(f"expected a float, got {type(x).__name__}")
-    if not math.isfinite(x):  # dumps would write NaN or Infinity
-        raise ValueError(f"non-finite float {x!r}")
-    return float.__repr__(x)
-
-
 def _bool(x) -> str:
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    raise TypeError(f"expected a bool, got {type(x).__name__}")
+    if type(x) is not bool:
+        raise _fault((x,), (bool,))
+    return "true" if x else "false"
 
 
 def _opt_str(x) -> str:
@@ -89,11 +101,26 @@ def _strs(items) -> str:
     return _array(items, _str)
 
 
+# The types of the ints and floats each per-tick method's `again` takes,
+# in its argument order.
+_TICK = (int,)
+_EVENT = (int, int, int, float)
+_PERCEPT = (int, float, int, int, int, int, int, int, int, float, int)
+_EXECUTED = (int, int, int, int, int)
+_MESSAGE = (int, int, int)
+
+
 class TraceWriter:
     """Accumulates one run's records; emits header/records/footer.
 
-    Each per-tick method encodes every field before it appends its line,
-    so one that raises leaves `lines` and `seq` as they were.
+    Each per-tick method encodes the fields of its record that repeat
+    within a run into fragments of its line, and returns `again`, the
+    writer of further records of its kind that share those fields: it
+    takes the other fields, in the method's order, and writes its line
+    from the fragments and them. The method then calls it for its own
+    record. Every field is checked before a line is appended, so a call
+    of a method or of an `again` that raises leaves `lines` and `seq` as
+    they were.
     """
 
     def __init__(self, header_fields: dict):
@@ -110,82 +137,149 @@ class TraceWriter:
         self.seq += 1
 
     def event(self, tick: int, event_tick: int, kind: str, node: str,
-              severity: int, load: float, truth_malicious: bool) -> None:
-        """A world event; `kind` is its label."""
-        self.lines.append(
-            f'{{"event":{{"kind":{_str(kind)},"load":{_float(load)},'
-            f'"node":{_str(node)},"severity":{_int(severity)},'
-            f'"tick":{_int(event_tick)},"truth_malicious":{_bool(truth_malicious)}}},'
-            f'"kind":"event","seq":{self.seq},"tick":{_int(tick)}}}')
-        self.seq += 1
+              severity: int, load: float, truth_malicious: bool):
+        """A world event; `kind` is its label. `again(tick, event_tick,
+        severity, load)` shares its kind, node and truth."""
+        head = f'{{"event":{{"kind":{_str(kind)},"load":'
+        at_node = f',"node":{_str(node)},"severity":'
+        tail = f',"truth_malicious":{_bool(truth_malicious)}}},"kind":"event","seq":'
+
+        def again(tick, event_tick, severity, load):
+            if (type(tick), type(event_tick), type(severity), type(load)) != _EVENT \
+                    or load - load:
+                raise _fault((tick, event_tick, severity, load), _EVENT)
+            self.lines.append(f'{head}{load!r}{at_node}{severity},"tick":{event_tick}'
+                              f'{tail}{self.seq},"tick":{tick}}}')
+            self.seq += 1
+
+        again(tick, event_tick, severity, load)
+        return again
 
     def percept(self, tick: int, anomaly: float, state: str,
                 ids_alert_count: int, ids_severity_sum: int,
                 antimalware_alerts: int, unauthorized_accesses: int,
                 honey_touches: int, dummy_process_alerts: int,
                 integrity_violations: int, system_load: float,
-                window_ticks: int) -> None:
+                window_ticks: int):
         """A percept: the anomaly score, the encoded state key, then the
-        fields of its `sensing.FeatureVector` in their order."""
-        self.lines.append(
-            f'{{"anomaly":{_float(anomaly)},"features":{{'
-            f'"antimalware_alerts":{_int(antimalware_alerts)},'
-            f'"dummy_process_alerts":{_int(dummy_process_alerts)},'
-            f'"honey_touches":{_int(honey_touches)},'
-            f'"ids_alert_count":{_int(ids_alert_count)},'
-            f'"ids_severity_sum":{_int(ids_severity_sum)},'
-            f'"integrity_violations":{_int(integrity_violations)},'
-            f'"system_load":{_float(system_load)},'
-            f'"unauthorized_accesses":{_int(unauthorized_accesses)},'
-            f'"window_ticks":{_int(window_ticks)}}},'
-            f'"kind":"percept","seq":{self.seq},"state":{_str(state)},'
-            f'"tick":{_int(tick)}}}')
-        self.seq += 1
+        fields of its `sensing.FeatureVector` in their order. `again`
+        shares its state and takes every other field."""
+        at_state = f',"state":{_str(state)},"tick":'
 
-    def decision(self, tick: int, action: str, provenance: str,
-                 rejected) -> None:
+        def again(tick, anomaly, ids_alert_count, ids_severity_sum,
+                  antimalware_alerts, unauthorized_accesses, honey_touches,
+                  dummy_process_alerts, integrity_violations, system_load,
+                  window_ticks):
+            if (type(tick), type(anomaly), type(ids_alert_count),
+                    type(ids_severity_sum), type(antimalware_alerts),
+                    type(unauthorized_accesses), type(honey_touches),
+                    type(dummy_process_alerts), type(integrity_violations),
+                    type(system_load), type(window_ticks)) != _PERCEPT \
+                    or anomaly - anomaly or system_load - system_load:
+                raise _fault((tick, anomaly, ids_alert_count, ids_severity_sum,
+                              antimalware_alerts, unauthorized_accesses, honey_touches,
+                              dummy_process_alerts, integrity_violations, system_load,
+                              window_ticks), _PERCEPT)
+            self.lines.append(
+                f'{{"anomaly":{anomaly!r},"features":{{'
+                f'"antimalware_alerts":{antimalware_alerts},'
+                f'"dummy_process_alerts":{dummy_process_alerts},'
+                f'"honey_touches":{honey_touches},'
+                f'"ids_alert_count":{ids_alert_count},'
+                f'"ids_severity_sum":{ids_severity_sum},'
+                f'"integrity_violations":{integrity_violations},'
+                f'"system_load":{system_load!r},'
+                f'"unauthorized_accesses":{unauthorized_accesses},'
+                f'"window_ticks":{window_ticks}}},'
+                f'"kind":"percept","seq":{self.seq}{at_state}{tick}}}')
+            self.seq += 1
+
+        again(tick, anomaly, ids_alert_count, ids_severity_sum, antimalware_alerts,
+              unauthorized_accesses, honey_touches, dummy_process_alerts,
+              integrity_violations, system_load, window_ticks)
+        return again
+
+    def decision(self, tick: int, action: str, provenance: str, rejected):
         """A decision; `rejected` lists each rejected stage's
-        [stage, reason] label pair in evaluation order."""
-        self.lines.append(
-            f'{{"action":{_str(action)},"kind":"decision",'
-            f'"provenance":{_str(provenance)},"rejected":{_array(rejected, _strs)},'
-            f'"seq":{self.seq},"tick":{_int(tick)}}}')
-        self.seq += 1
+        [stage, reason] label pair in evaluation order. `again(tick)`
+        shares every other field."""
+        head = (f'{{"action":{_str(action)},"kind":"decision",'
+                f'"provenance":{_str(provenance)},"rejected":{_array(rejected, _strs)},'
+                f'"seq":')
 
-    def veto(self, tick: int, action: str, stage: str, reason: str) -> None:
-        """An arbiter rejection caused by the guardrails."""
-        self.lines.append(
-            f'{{"action":{_str(action)},"kind":"veto","reason":{_str(reason)},'
-            f'"seq":{self.seq},"stage":{_str(stage)},"tick":{_int(tick)}}}')
-        self.seq += 1
+        def again(tick):
+            if type(tick) is not int:
+                raise _fault((tick,), _TICK)
+            self.lines.append(f'{head}{self.seq},"tick":{tick}}}')
+            self.seq += 1
+
+        again(tick)
+        return again
+
+    def veto(self, tick: int, action: str, stage: str, reason: str):
+        """An arbiter rejection caused by the guardrails. `again(tick)`
+        shares every other field."""
+        head = f'{{"action":{_str(action)},"kind":"veto","reason":{_str(reason)},"seq":'
+        at_stage = f',"stage":{_str(stage)},"tick":'
+
+        def again(tick):
+            if type(tick) is not int:
+                raise _fault((tick,), _TICK)
+            self.lines.append(f'{head}{self.seq}{at_stage}{tick}}}')
+            self.seq += 1
+
+        again(tick)
+        return again
 
     def executed_action(self, tick: int, action: str, effect: str,
                         target: str | None, applied: bool, error: str | None,
                         delta_resources: int, available_before: int,
-                        pool_used: int, pool_available: int) -> None:
-        """An executed action and the resource pool after it."""
-        self.lines.append(
-            f'{{"action":{_str(action)},"applied":{_bool(applied)},'
-            f'"available_before":{_int(available_before)},'
-            f'"delta_resources":{_int(delta_resources)},"effect":{_str(effect)},'
-            f'"error":{_opt_str(error)},"kind":"executed_action",'
-            f'"pool_available":{_int(pool_available)},"pool_used":{_int(pool_used)},'
-            f'"seq":{self.seq},"target":{_opt_str(target)},"tick":{_int(tick)}}}')
-        self.seq += 1
+                        pool_used: int, pool_available: int):
+        """An executed action and the resource pool after it.
+        `again(tick, target, delta_resources, available_before, pool_used,
+        pool_available)` shares its action, effect, applied flag and error."""
+        head = f'{{"action":{_str(action)},"applied":{_bool(applied)},"available_before":'
+        at_effect = (f',"effect":{_str(effect)},"error":{_opt_str(error)},'
+                     f'"kind":"executed_action","pool_available":')
+
+        def again(tick, target, delta_resources, available_before, pool_used,
+                  pool_available):
+            if (type(tick), type(delta_resources), type(available_before),
+                    type(pool_used), type(pool_available)) != _EXECUTED:
+                raise _fault((tick, delta_resources, available_before, pool_used,
+                              pool_available), _EXECUTED)
+            self.lines.append(
+                f'{head}{available_before},"delta_resources":{delta_resources}'
+                f'{at_effect}{pool_available},"pool_used":{pool_used},"seq":{self.seq},'
+                f'"target":{"null" if target is None else _str(target)},"tick":{tick}}}')
+            self.seq += 1
+
+        again(tick, target, delta_resources, available_before, pool_used, pool_available)
+        return again
 
     def message(self, tick: int, message_kind: str, status: str,
                 reason: str | None, classification: str | None,
                 evidence_start: int, evidence_end: int, entries,
-                action_taken: str | None) -> None:
-        """A message sent or suppressed; `entries` lists the ints it shares."""
-        self.lines.append(
-            f'{{"action_taken":{_opt_str(action_taken)},'
-            f'"classification":{_opt_str(classification)},'
-            f'"entries":{_array(entries, _int)},"evidence_end":{_int(evidence_end)},'
-            f'"evidence_start":{_int(evidence_start)},"kind":"message",'
-            f'"message_kind":{_str(message_kind)},"reason":{_opt_str(reason)},'
-            f'"seq":{self.seq},"status":{_str(status)},"tick":{_int(tick)}}}')
-        self.seq += 1
+                action_taken: str | None):
+        """A message sent or suppressed; `entries` lists the ints it
+        shares. `again(tick, evidence_start, evidence_end)` shares every
+        other field."""
+        head = (f'{{"action_taken":{_opt_str(action_taken)},'
+                f'"classification":{_opt_str(classification)},'
+                f'"entries":{_array(entries, _int)},"evidence_end":')
+        at_kind = (f',"kind":"message","message_kind":{_str(message_kind)},'
+                   f'"reason":{_opt_str(reason)},"seq":')
+        at_status = f',"status":{_str(status)},"tick":'
+
+        def again(tick, evidence_start, evidence_end):
+            if (type(tick), type(evidence_start), type(evidence_end)) != _MESSAGE:
+                raise _fault((tick, evidence_start, evidence_end), _MESSAGE)
+            self.lines.append(f'{head}{evidence_end},"evidence_start":{evidence_start}'
+                              f'{at_kind}{self.seq}{at_status}{tick}}}')
+            self.seq += 1
+
+        again(tick, evidence_start, evidence_end)
+        return again
 
     def finish(self) -> list:
         self.lines.append(dumps({"format": FORMAT_END, "records": self.seq}))

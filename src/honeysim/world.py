@@ -83,10 +83,10 @@ class EventKind(IntEnum):
 
     @property
     def label(self) -> str:
-        return _EVENT_LABELS[self]
+        return EVENT_LABELS[self]
 
 
-_EVENT_LABELS = {kind: kind.name.lower() for kind in EventKind}
+EVENT_LABELS = {kind: kind.name.lower() for kind in EventKind}
 # EventKind by kernel code (raises at import if the codes have a gap).
 _EVENT_KINDS = tuple(EventKind(code) for code in range(len(EventKind)))
 

@@ -824,6 +824,24 @@ def test_cli_train_checks_both_outputs_before_training(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml"]
 
 
+def test_cli_run_checks_trace_out_before_running(tmp_path, capsys, monkeypatch):
+    # A directory given for --trace-out fails the command before the run,
+    # and nothing is written.
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
+    ran = []
+    real_run = cli_mod.run_scenario
+    monkeypatch.setattr(cli_mod, "run_scenario",
+                        lambda *args: ran.append(args) or real_run(*args))
+    argv = ["run", "--config", str(cfg_path), "--trace-out", str(tmp_path)]
+    assert cli_mod.main(argv) == cli_mod.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert ran == []
+    assert out == ""
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml"]
+
+
 @pytest.mark.parametrize("command", ["run", "train"])
 def test_cli_scenario_without_a_selectable_action_exits_2(tmp_path, capsys, command):
     # A policy picks among the enabled selectable actions, so a scenario
