@@ -13,6 +13,8 @@ the digest the harness re-verifies every tick covers them.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from typing import NamedTuple
@@ -101,6 +103,13 @@ class PatternTable:
             return None
         return min(((-conf, action, key.encode())
                     for key, (action, conf) in self.entries.items()))
+
+    def digest(self) -> str:
+        """SHA-256 of the canonical JSON of the entries, each keyed by its
+        encoded state."""
+        entries = {key.encode(): list(entry) for key, entry in self.entries.items()}
+        text = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @classmethod
     def from_dict(cls, data: dict) -> "PatternTable":

@@ -243,12 +243,9 @@ class Accountant:
 def _reward_sample_payload(value: float, terms: tuple, inputs: RewardInputs,
                            credited: str | None) -> dict:
     """The reward_sample record the live run writes and replay expects."""
-    honey, resource, cfh = terms
-    return {"value": value,
-            "terms": {"honey": honey, "resource": resource, "cfh": cfh},
-            # a frozen dataclass's instance dict holds its fields in order
-            "inputs": dict(vars(inputs)),
-            "credited_action": credited}
+    # a frozen dataclass's instance dict holds its fields in order
+    return trace_mod.payload("reward_sample", value, *terms, *vars(inputs).values(),
+                             credited)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +341,9 @@ class _Trace:
     """A traced run's trace: alone turns each fact into its TraceWriter
     record.
 
-    Per record kind it keeps the `again` writer that a kind's first
-    record returned, keyed by the facts its shared fields come from, so
-    a run encodes each such fragment once. The keys are an event's kind,
-    node and truth; the state key; a decision's action, provenance and
-    rejections; the whole veto; an executed action's action, effect,
-    applied flag and error; and a message's kind, outcome, classification,
-    entries and reported action.
+    Per templated kind it keeps the `again` that the kind's first record
+    returned, keyed by the facts that the layout's shared fields come
+    from, so a run encodes each such fragment once.
     """
 
     def __init__(self, header: dict):
@@ -417,7 +410,8 @@ class _Trace:
             again(tick, msg.evidence_start, msg.evidence_end)
 
     def status(self, tick: int, status: str, reason: str) -> None:
-        self.writer.record("agent_status", tick, {"status": status, "reason": reason})
+        self.writer.record("agent_status", tick,
+                           trace_mod.payload("agent_status", status, reason))
 
     def reward_sample(self, tick: int, sample: tuple) -> None:
         self.writer.record("reward_sample", tick, _reward_sample_payload(*sample))
@@ -486,15 +480,11 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     )
 
     accountant = Accountant(config.episode_ticks, window)
-    trace = _Trace({
-        "seed": seed,
-        "episode_ticks": config.episode_ticks,
-        "window": window,
-        "policy": policy.name,
-        "reward": {"a": params.a, "b": params.b, "c": params.c,
-                   "floor": params.denominator_floor},
-        "config_digest": config.digest(),
-    }) if with_trace else _NoTrace()
+    trace = _Trace(trace_mod.header(
+        seed, config.episode_ticks, window, policy.name, params.a, params.b, params.c,
+        params.denominator_floor, config.digest(),
+        pattern_table.digest() if config.cascade.pattern_table else None,
+    )) if with_trace else _NoTrace()
 
     # The schedule starts at tick 0 and its ticks strictly increase, so
     # each entry's constraints hold from its tick until the next entry.

@@ -5,23 +5,12 @@ with the same (config, seed, policy) must produce identical bytes.
 A header line pins the schema and the reward parameters; a footer
 line carries the record count so truncation is detectable.
 
-`dumps` defines the bytes of a line, and the per-tick record layouts
-live here. `TraceWriter` has one method per record kind the harness writes
-every tick (event, percept, decision, veto, executed_action and
-message). Each takes the record's fields and writes, from a fixed line
-template, exactly the line `dumps` would write for them, at a fraction
-of its cost. It encodes the fields that repeat within a run into
-fragments of the template once, and returns `again`, which writes
-further records sharing them from the rest of the fields alone: an
-event's kind, node and truth; a percept's state key; all of a decision
-or a veto but the tick; an executed action's action, effect, applied
-flag and error; a message's all but its tick and evidence window. The
-harness keeps each `again` per run, keyed by those fields. A field of
-another type, or a non-finite float, still raises TypeError or
-ValueError before any line is appended, at the call and at each
-`again`. `TraceWriter.record` writes any other record through `dumps`,
-as the header and the footer are written; the harness builds the
-payloads of the `reward_sample` and `agent_status` records it passes.
+`dumps` defines the bytes of a line, and `LAYOUTS` states the layout of
+the header and of each record kind once. From it come `TraceWriter`'s
+methods for the kinds written every tick, which write from line
+templates exactly what `dumps` would write, at a fraction of its cost;
+`header` and `payload`, the fields of the lines written through `dumps`;
+and `HEADER_FIELDS` and `RECORD_FIELDS`, what `walk` checks.
 
 `walk` is the one reader and checker: it takes the lines one at a time
 and yields the header, then each record, holding none of them, and
@@ -35,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from json.encoder import encode_basestring_ascii as _str
 
 from .errors import TraceCorrupt
@@ -51,16 +41,141 @@ def dumps(obj: dict) -> str:
     return _ENCODER.encode(obj)
 
 
+# -- layouts ----------------------------------------------------------------
+#
+# Each row is (name, type, flags), in the order of a writer method's and
+# of `payload`'s arguments. `name` is "object.field" for a field of a
+# nested object. `type` is what the writer takes: int, float, bool, str,
+# OPT_STR (a str or None) or [type], an array of that type. A "shared"
+# field is encoded once into the `again` a templated kind's method
+# returns; the others are that `again`'s arguments after the tick. `walk`
+# requires a "checked" field on read, where a float may read as an int,
+# in row order, the top-level fields first; a nested object is checked
+# whole, holding exactly its fields, or not at all.
+
+OPT_STR = (str, type(None))
+
+LAYOUTS = {
+    "header": (
+        ("seed", int, ""),
+        ("episode_ticks", int, "checked"),
+        ("window", int, "checked"),
+        ("policy", str, ""),
+        ("reward.a", float, "checked"),
+        ("reward.b", float, "checked"),
+        ("reward.c", float, "checked"),
+        ("reward.floor", int, "checked"),
+        ("config_digest", str, ""),
+        # the SHA-256 of a named pattern table's entries; absent without one
+        ("pattern_table_digest", OPT_STR, ""),
+    ),
+    "event": (
+        ("event.tick", int, "checked"),
+        ("event.kind", str, "shared checked"),
+        ("event.node", str, "shared checked"),
+        ("event.severity", int, "checked"),
+        ("event.load", float, "checked"),
+        ("event.truth_malicious", bool, "shared checked"),
+    ),
+    "percept": (
+        ("anomaly", float, ""),
+        ("state", str, "shared"),
+        # the fields of sensing.FeatureVector, in its order
+        ("features.ids_alert_count", int, ""),
+        ("features.ids_severity_sum", int, ""),
+        ("features.antimalware_alerts", int, ""),
+        ("features.unauthorized_accesses", int, ""),
+        ("features.honey_touches", int, ""),
+        ("features.dummy_process_alerts", int, ""),
+        ("features.integrity_violations", int, ""),
+        ("features.system_load", float, ""),
+        ("features.window_ticks", int, ""),
+    ),
+    "decision": (
+        ("action", str, "shared"),
+        ("provenance", str, "shared checked"),
+        # each rejected stage's [stage, reason] pair, in evaluation order
+        ("rejected", [[str]], "shared"),
+    ),
+    "veto": (
+        ("action", str, "shared"),
+        ("stage", str, "shared"),
+        ("reason", str, "shared checked"),
+    ),
+    "executed_action": (
+        ("action", str, "shared checked"),
+        ("effect", str, "shared"),
+        ("target", OPT_STR, ""),
+        ("applied", bool, "shared checked"),
+        ("error", OPT_STR, "shared checked"),
+        ("delta_resources", int, "checked"),
+        ("available_before", int, "checked"),
+        ("pool_used", int, "checked"),
+        ("pool_available", int, "checked"),
+    ),
+    "message": (
+        ("message_kind", str, "shared checked"),
+        ("status", str, "shared checked"),
+        ("reason", OPT_STR, "shared"),
+        ("classification", OPT_STR, "shared checked"),
+        ("evidence_start", int, "checked"),
+        ("evidence_end", int, "checked"),
+        ("entries", [int], "shared"),
+        ("action_taken", OPT_STR, "shared"),
+    ),
+    "reward_sample": (
+        ("value", float, "checked"),
+        ("terms.honey", float, "checked"),
+        ("terms.resource", float, "checked"),
+        ("terms.cfh", float, "checked"),
+        # the fields of agent.RewardInputs, in its order
+        ("inputs.honey_events", int, "checked"),
+        ("inputs.security_events", int, "checked"),
+        ("inputs.delta_resources", int, "checked"),
+        ("inputs.total_resources", int, "checked"),
+        ("inputs.justified_cfh", int, "checked"),
+        ("inputs.cw", int, "checked"),
+        ("credited_action", OPT_STR, "checked"),
+    ),
+    "agent_status": (
+        ("status", str, "checked"),
+        ("reason", str, ""),
+    ),
+}
+
+# Each row's (object, field) slot, by kind; the object is "" for a
+# top-level field.
+_SLOTS = {kind: [name.rpartition(".")[::2] for name, _, _ in rows]
+          for kind, rows in LAYOUTS.items()}
+
+
+def _nested(slots, values) -> dict:
+    """`values`, one per slot, each in its slot."""
+    obj = {}
+    for (group, leaf), value in zip(slots, values, strict=True):
+        (obj.setdefault(group, {}) if group else obj)[leaf] = value
+    return obj
+
+
+def payload(kind: str, *values) -> dict:
+    """The fields of a `kind` line holding `values`, in its rows' order."""
+    return _nested(_SLOTS[kind], values)
+
+
+def header(*values) -> dict:
+    """`payload("header", *values)` less each top-level field given as None."""
+    return {name: value for name, value in payload("header", *values).items()
+            if value is not None}
+
+
 # -- value encoders ---------------------------------------------------------
 #
-# A per-tick line is written from its template behind one guard over the
-# ints and floats its `again` takes: each must be of its exact type and
-# each float finite (x - x is 0.0 for a finite float, and NaN, which is
-# true, for an infinite or NaN one). Its other fields are checked as they
-# are encoded. A bool is an int to Python and f"{True}" is not JSON, so
-# types are checked exactly. An int too long for str() raises ValueError
-# as its line is formatted. `_str` is the encoder's own string writer,
-# which raises TypeError on anything but a str.
+# Types are checked exactly, since a bool is an int to Python and
+# f"{True}" is not JSON. A templated line's `again` checks the ints and
+# floats it takes in one guard, where x - x is 0.0 for a finite float and
+# NaN, which is true, for an infinite or NaN one; an int too long for
+# str() raises ValueError as the line is formatted. `_str` is the
+# encoder's own string writer, which raises TypeError on anything but a str.
 
 def _fault(values, types) -> Exception:
     """What a guard raises: TypeError for the first of `values` not of
@@ -74,53 +189,102 @@ def _fault(values, types) -> Exception:
     raise AssertionError(f"a guard rejected {values!r} against {types!r}")
 
 
-def _int(x) -> str:
-    if type(x) is not int:
-        raise _fault((x,), (int,))
-    return int.__repr__(x)
+def _check(value, type_):
+    """`value` if it is of the layout type `type_` (int, float, bool or an
+    array type), a float finite and an array a list or tuple; else the
+    TypeError or ValueError `_fault` gives."""
+    if type(type_) is list:
+        if type(value) is not list and type(value) is not tuple:
+            raise TypeError(f"expected a list or tuple, got {type(value).__name__}")
+    elif type(value) is not type_ or type_ is float and value - value:
+        raise _fault((value,), (type_,))
+    return value
 
 
-def _bool(x) -> str:
-    if type(x) is not bool:
-        raise _fault((x,), (bool,))
-    return "true" if x else "false"
+def _encoder(type_):
+    """The JSON writer of a value of layout type `type_`; TypeError or ValueError on any other."""
+    if type_ is str:
+        return _str
+    if type_ == OPT_STR:
+        return lambda value: "null" if value is None else _str(value)
+    if type(type_) is list:
+        item = _encoder(type_[0])
+        return lambda value: f"[{','.join(map(item, _check(value, type_)))}]"
+    if type_ is bool:
+        return lambda value: "true" if _check(value, bool) else "false"
+    return lambda value: repr(_check(value, type_))  # an int's or float's repr is its JSON
 
 
-def _opt_str(x) -> str:
-    return "null" if x is None else _str(x)
+# -- templated writers ------------------------------------------------------
 
+def _template(kind: str):
+    """The TraceWriter method of a templated kind, compiled from its layout.
 
-def _array(items, encode) -> str:
-    """A list or tuple as a JSON array, each item written by `encode`."""
-    if type(items) is not list and type(items) is not tuple:
-        raise TypeError(f"expected a list or tuple, got {type(items).__name__}")
-    return f"[{','.join(map(encode, items))}]"
+    `dumps` writes the record with a marker for each value, which fixes
+    the key order and nesting. The method encodes each run of JSON text and
+    shared fields between two per-record values once, into a fragment;
+    `again` formats the line from the fragments and the per-record values.
+    A nested field's argument is its path joined by "_".
+    """
+    args, types, shared = [], {"tick": int, "self.seq": int}, set()
+    for name, type_, flags in LAYOUTS[kind]:
+        args.append(name.replace(".", "_"))
+        types[args[-1]] = type_
+        if "shared" in flags.split():
+            shared.add(args[-1])
+    each = [arg for arg in args if arg not in shared]
+    guarded = ["tick"] + [arg for arg in each if types[arg] in (int, float)]
+    scope = {"__name__": __name__, "_fault": _fault,
+             "_types": tuple(types[arg] for arg in guarded),
+             **{f"_{arg}": _encoder(types[arg]) for arg in args}}
 
+    marked = {"kind": kind, "seq": "\0self.seq", "tick": "\0tick",
+              **payload(kind, *(f"\0{arg}" for arg in args))}
+    pieces = re.split(r'"\\u0000([\w.]+)"',  # JSON text as f-string source, and args
+                      dumps(marked).replace("{", "{{").replace("}", "}}"))
+    setup, line, fragment, held = [], [], pieces[0], False
+    for arg, text in zip(pieces[1::2] + [None], pieces[2::2] + [""]):
+        if arg in shared:
+            fragment, held = f"{fragment}{{_{arg}({arg})}}{text}", True
+            continue
+        if held:
+            setup.append(f"f{len(setup)} = f'{fragment}'")
+            fragment = f"{{f{len(setup) - 1}}}"
+        line.append(fragment)
+        if arg is not None:  # an int's or float's repr is its JSON
+            line.append(f"{{{arg}!r}}" if types[arg] in (int, float) else f"{{_{arg}({arg})}}")
+        fragment, held = text, False
 
-def _strs(items) -> str:
-    return _array(items, _str)
-
-
-# The types of the ints and floats each per-tick method's `again` takes,
-# in its argument order.
-_TICK = (int,)
-_EVENT = (int, int, int, float)
-_PERCEPT = (int, float, int, int, int, int, int, int, int, float, int)
-_EXECUTED = (int, int, int, int, int)
-_MESSAGE = (int, int, int)
+    each_args = "".join(f", {arg}" for arg in each)
+    source = "\n".join([
+        f"def {kind}(self, tick, {', '.join(args)}):",
+        *(f"    {statement}" for statement in setup),
+        f"    def again(tick{each_args}):",
+        f"        if {' or '.join(f'type({arg}) is not {types[arg].__name__}' for arg in guarded)}"
+        + "".join(f" or {arg} - {arg}" for arg in guarded if types[arg] is float) + ":",
+        f"            raise _fault(({''.join(f'{arg}, ' for arg in guarded)}), _types)",
+        f"        self.lines.append(f'{''.join(line)}')",
+        "        self.seq += 1",
+        f"    again(tick{each_args})",
+        "    return again"])
+    exec(source, scope)
+    method = scope[kind]
+    method.__qualname__ = f"TraceWriter.{kind}"
+    method.__doc__ = (f"Write one {kind} record; return again(tick{each_args}), the "
+                      f"writer of further ones that share its {', '.join(sorted(shared))}.")
+    return method
 
 
 class TraceWriter:
     """Accumulates one run's records; emits header/records/footer.
 
-    Each per-tick method encodes the fields of its record that repeat
-    within a run into fragments of its line, and returns `again`, the
-    writer of further records of its kind that share those fields: it
-    takes the other fields, in the method's order, and writes its line
-    from the fragments and them. The method then calls it for its own
-    record. Every field is checked before a line is appended, so a call
-    of a method or of an `again` that raises leaves `lines` and `seq` as
-    they were.
+    Besides `record`, which writes any record through `dumps`, it has a
+    method per templated kind (see `_template`), which writes a record and
+    returns `again`, the writer of further records sharing its shared
+    fields. A field of another type, or a non-finite float, raises
+    TypeError or ValueError before any line is appended, so a call of a
+    method or of an `again` that raises leaves `lines` and `seq` as they
+    were.
     """
 
     def __init__(self, header_fields: dict):
@@ -136,154 +300,15 @@ class TraceWriter:
         self.lines.append(dumps(entry))
         self.seq += 1
 
-    def event(self, tick: int, event_tick: int, kind: str, node: str,
-              severity: int, load: float, truth_malicious: bool):
-        """A world event; `kind` is its label. `again(tick, event_tick,
-        severity, load)` shares its kind, node and truth."""
-        head = f'{{"event":{{"kind":{_str(kind)},"load":'
-        at_node = f',"node":{_str(node)},"severity":'
-        tail = f',"truth_malicious":{_bool(truth_malicious)}}},"kind":"event","seq":'
-
-        def again(tick, event_tick, severity, load):
-            if (type(tick), type(event_tick), type(severity), type(load)) != _EVENT \
-                    or load - load:
-                raise _fault((tick, event_tick, severity, load), _EVENT)
-            self.lines.append(f'{head}{load!r}{at_node}{severity},"tick":{event_tick}'
-                              f'{tail}{self.seq},"tick":{tick}}}')
-            self.seq += 1
-
-        again(tick, event_tick, severity, load)
-        return again
-
-    def percept(self, tick: int, anomaly: float, state: str,
-                ids_alert_count: int, ids_severity_sum: int,
-                antimalware_alerts: int, unauthorized_accesses: int,
-                honey_touches: int, dummy_process_alerts: int,
-                integrity_violations: int, system_load: float,
-                window_ticks: int):
-        """A percept: the anomaly score, the encoded state key, then the
-        fields of its `sensing.FeatureVector` in their order. `again`
-        shares its state and takes every other field."""
-        at_state = f',"state":{_str(state)},"tick":'
-
-        def again(tick, anomaly, ids_alert_count, ids_severity_sum,
-                  antimalware_alerts, unauthorized_accesses, honey_touches,
-                  dummy_process_alerts, integrity_violations, system_load,
-                  window_ticks):
-            if (type(tick), type(anomaly), type(ids_alert_count),
-                    type(ids_severity_sum), type(antimalware_alerts),
-                    type(unauthorized_accesses), type(honey_touches),
-                    type(dummy_process_alerts), type(integrity_violations),
-                    type(system_load), type(window_ticks)) != _PERCEPT \
-                    or anomaly - anomaly or system_load - system_load:
-                raise _fault((tick, anomaly, ids_alert_count, ids_severity_sum,
-                              antimalware_alerts, unauthorized_accesses, honey_touches,
-                              dummy_process_alerts, integrity_violations, system_load,
-                              window_ticks), _PERCEPT)
-            self.lines.append(
-                f'{{"anomaly":{anomaly!r},"features":{{'
-                f'"antimalware_alerts":{antimalware_alerts},'
-                f'"dummy_process_alerts":{dummy_process_alerts},'
-                f'"honey_touches":{honey_touches},'
-                f'"ids_alert_count":{ids_alert_count},'
-                f'"ids_severity_sum":{ids_severity_sum},'
-                f'"integrity_violations":{integrity_violations},'
-                f'"system_load":{system_load!r},'
-                f'"unauthorized_accesses":{unauthorized_accesses},'
-                f'"window_ticks":{window_ticks}}},'
-                f'"kind":"percept","seq":{self.seq}{at_state}{tick}}}')
-            self.seq += 1
-
-        again(tick, anomaly, ids_alert_count, ids_severity_sum, antimalware_alerts,
-              unauthorized_accesses, honey_touches, dummy_process_alerts,
-              integrity_violations, system_load, window_ticks)
-        return again
-
-    def decision(self, tick: int, action: str, provenance: str, rejected):
-        """A decision; `rejected` lists each rejected stage's
-        [stage, reason] label pair in evaluation order. `again(tick)`
-        shares every other field."""
-        head = (f'{{"action":{_str(action)},"kind":"decision",'
-                f'"provenance":{_str(provenance)},"rejected":{_array(rejected, _strs)},'
-                f'"seq":')
-
-        def again(tick):
-            if type(tick) is not int:
-                raise _fault((tick,), _TICK)
-            self.lines.append(f'{head}{self.seq},"tick":{tick}}}')
-            self.seq += 1
-
-        again(tick)
-        return again
-
-    def veto(self, tick: int, action: str, stage: str, reason: str):
-        """An arbiter rejection caused by the guardrails. `again(tick)`
-        shares every other field."""
-        head = f'{{"action":{_str(action)},"kind":"veto","reason":{_str(reason)},"seq":'
-        at_stage = f',"stage":{_str(stage)},"tick":'
-
-        def again(tick):
-            if type(tick) is not int:
-                raise _fault((tick,), _TICK)
-            self.lines.append(f'{head}{self.seq}{at_stage}{tick}}}')
-            self.seq += 1
-
-        again(tick)
-        return again
-
-    def executed_action(self, tick: int, action: str, effect: str,
-                        target: str | None, applied: bool, error: str | None,
-                        delta_resources: int, available_before: int,
-                        pool_used: int, pool_available: int):
-        """An executed action and the resource pool after it.
-        `again(tick, target, delta_resources, available_before, pool_used,
-        pool_available)` shares its action, effect, applied flag and error."""
-        head = f'{{"action":{_str(action)},"applied":{_bool(applied)},"available_before":'
-        at_effect = (f',"effect":{_str(effect)},"error":{_opt_str(error)},'
-                     f'"kind":"executed_action","pool_available":')
-
-        def again(tick, target, delta_resources, available_before, pool_used,
-                  pool_available):
-            if (type(tick), type(delta_resources), type(available_before),
-                    type(pool_used), type(pool_available)) != _EXECUTED:
-                raise _fault((tick, delta_resources, available_before, pool_used,
-                              pool_available), _EXECUTED)
-            self.lines.append(
-                f'{head}{available_before},"delta_resources":{delta_resources}'
-                f'{at_effect}{pool_available},"pool_used":{pool_used},"seq":{self.seq},'
-                f'"target":{"null" if target is None else _str(target)},"tick":{tick}}}')
-            self.seq += 1
-
-        again(tick, target, delta_resources, available_before, pool_used, pool_available)
-        return again
-
-    def message(self, tick: int, message_kind: str, status: str,
-                reason: str | None, classification: str | None,
-                evidence_start: int, evidence_end: int, entries,
-                action_taken: str | None):
-        """A message sent or suppressed; `entries` lists the ints it
-        shares. `again(tick, evidence_start, evidence_end)` shares every
-        other field."""
-        head = (f'{{"action_taken":{_opt_str(action_taken)},'
-                f'"classification":{_opt_str(classification)},'
-                f'"entries":{_array(entries, _int)},"evidence_end":')
-        at_kind = (f',"kind":"message","message_kind":{_str(message_kind)},'
-                   f'"reason":{_opt_str(reason)},"seq":')
-        at_status = f',"status":{_str(status)},"tick":'
-
-        def again(tick, evidence_start, evidence_end):
-            if (type(tick), type(evidence_start), type(evidence_end)) != _MESSAGE:
-                raise _fault((tick, evidence_start, evidence_end), _MESSAGE)
-            self.lines.append(f'{head}{evidence_end},"evidence_start":{evidence_start}'
-                              f'{at_kind}{self.seq}{at_status}{tick}}}')
-            self.seq += 1
-
-        again(tick, evidence_start, evidence_end)
-        return again
-
     def finish(self) -> list:
         self.lines.append(dumps({"format": FORMAT_END, "records": self.seq}))
         return self.lines
+
+
+# The kinds written every tick, which TraceWriter writes from templates.
+TEMPLATED = ("event", "percept", "decision", "veto", "executed_action", "message")
+for _kind in TEMPLATED:
+    setattr(TraceWriter, _kind, _template(_kind))
 
 
 # Lines joined per write, and characters decoded per read: the file round
@@ -334,43 +359,23 @@ def read_file(path) -> list:
     return lines
 
 
-# Allowed types per field. An int must be exact as a double and a float
-# finite, so replay's arithmetic on them cannot overflow or turn NaN.
-# A scenario's int fields are held to the same bound when it loads.
-_INT, _STR, _BOOL = (int,), (str,), (bool,)
-_NUMBER, _OPTIONAL_STR = (int, float), (str, type(None))
+# What walk requires of the checked fields. An int must be exact as a
+# double and a float finite, so replay's arithmetic on them cannot overflow
+# or turn NaN; a scenario's int fields are held to the same bound at load.
 MAX_EXACT_INT = 2**53
+_READS = {int: (int,), float: (int, float), bool: (bool,), str: (str,), OPT_STR: OPT_STR}
 
-# What the header and each record kind must carry for replay. A nested
-# dict must hold exactly the listed keys.
-HEADER_FIELDS = {
-    "episode_ticks": _INT,
-    "window": _INT,
-    "reward": {"a": _NUMBER, "b": _NUMBER, "c": _NUMBER, "floor": _INT},
-}
-RECORD_FIELDS = {
-    "event": {"event": {"tick": _INT, "kind": _STR, "node": _STR,
-                        "severity": _INT, "load": _NUMBER,
-                        "truth_malicious": _BOOL}},
-    "percept": {},
-    "decision": {"provenance": _STR},
-    "executed_action": {"action": _STR, "applied": _BOOL, "error": _OPTIONAL_STR,
-                        "delta_resources": _INT, "available_before": _INT,
-                        "pool_used": _INT, "pool_available": _INT},
-    "veto": {"reason": _STR},
-    "message": {"status": _STR, "message_kind": _STR,
-                "classification": _OPTIONAL_STR,
-                "evidence_start": _INT, "evidence_end": _INT},
-    "reward_sample": {
-        "value": _NUMBER,
-        "credited_action": _OPTIONAL_STR,
-        "terms": {"honey": _NUMBER, "resource": _NUMBER, "cfh": _NUMBER},
-        "inputs": {name: _INT for name in (
-            "honey_events", "security_events", "delta_resources",
-            "total_resources", "justified_cfh", "cw")},
-    },
-    "agent_status": {"status": _STR},
-}
+
+def _checks(kind: str) -> dict:
+    """The types each checked field of `kind` may read as, in its slot."""
+    checked = sorted(((slot, _READS[type_]) for slot, (_, type_, flags)
+                      in zip(_SLOTS[kind], LAYOUTS[kind]) if "checked" in flags.split()),
+                     key=lambda check: check[0][0] != "")
+    return _nested([slot for slot, _ in checked], [reads for _, reads in checked])
+
+
+HEADER_FIELDS = _checks("header")
+RECORD_FIELDS = {kind: _checks(kind) for kind in LAYOUTS if kind != "header"}
 
 
 def _bad_field(obj: dict, fields: dict) -> str | None:

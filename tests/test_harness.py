@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -719,6 +720,42 @@ def test_saved_pattern_table_answers_every_decision(tmp_path):
     report, lines = run_scenario(config_mod.from_mapping(data), 3, RandomPolicy())
     assert report.stage_histogram == {"pattern_recognition": 120}
     assert replay(lines) == report
+
+
+def test_header_pins_the_pattern_table_a_run_read(tmp_path):
+    # Two tables written in turn at one path: the scenario, and so its
+    # config_digest, stays the same, but each header holds the SHA-256 of
+    # the canonical JSON of the entries its run read, and each trace
+    # replays to its own run. A run without a table writes no such field.
+    table = tmp_path / "patterns.json"
+    data = config_mod.load_file(REPO / "configs" / "reference.yaml").to_dict()
+    data["episode_ticks"] = 60
+    data["cascade"]["pattern_table"] = str(table)
+    config = config_mod.from_mapping(data)
+    runs = []
+    for action in ("noop", "start_honeypot"):
+        write_pattern_table(table, _every_state_to(action))
+        report, lines = run_scenario(config, 3, RandomPolicy())
+        assert replay(lines) == report
+        runs.append((json.loads(lines[0]), lines[1:]))
+        entries = {f"{t},{lo},{h},{int(r)}": [a, c]
+                   for (t, lo, h, r), (a, c) in _every_state_to(action).items()}
+        canonical = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+        assert runs[-1][0]["pattern_table_digest"] \
+            == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    (first, first_records), (second, second_records) = runs
+    assert first["pattern_table_digest"] != second["pattern_table_digest"]
+    assert first["config_digest"] == second["config_digest"]
+    assert first_records != second_records
+
+    # the entries pin the run, not the file's bytes
+    table.write_text(json.dumps(
+        {"entries": {key: [action, confidence] for key, (action, confidence)
+                     in reversed(json.loads(table.read_text())["entries"].items())}},
+        indent=2), encoding="utf-8")
+    assert json.loads(run_scenario(config, 3, RandomPolicy())[1][0]) == second
+    assert "pattern_table_digest" not in json.loads(
+        run_scenario(reference(episode_ticks=60), 3, RandomPolicy())[1][0])
 
 
 def test_saved_pattern_table_naming_terminate_self_exits_2(tmp_path, capsys):

@@ -9,17 +9,18 @@ after its base again, so a cache key that left out a field would write
 the base's bytes for the changed record. Each `again` a writer method
 returns keeps the method's contract for the fields it takes."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from honeysim.actions import ActionEffect
-from honeysim.agent import StateKey
+from honeysim.agent import RewardInputs, StateKey
 from honeysim.cascade import Decision, StageId
 from honeysim.comms import Message, MessageKind, SendRecord
 from honeysim.harness import _Trace
 from honeysim.sensing import FeatureVector
-from honeysim.trace import TraceWriter
+from honeysim.trace import LAYOUTS, TraceWriter
 from honeysim.world import EventKind, ResourcePool, WorldEvent
 from test_trace import CALLS, ENTRY, INT, ODD_EXAMPLES, _admits, _reference_line
 
@@ -54,6 +55,17 @@ def write_executed(w, tick, action, effect, target, applied, error, delta,
 def write_message(w, tick, msg, rec, label):
     w.message(tick, msg.kind.value, "sent" if rec.sent else "suppressed", rec.reason,
               label, msg.evidence_start, msg.evidence_end, msg.entries, msg.action_taken)
+
+
+def write_status(w, tick, status, reason):
+    w.record("agent_status", tick, {"status": status, "reason": reason})
+
+
+def write_reward_sample(w, tick, sample):
+    value, (honey, resource, cfh), inputs, credited = sample
+    w.record("reward_sample", tick, {
+        "value": value, "terms": {"honey": honey, "resource": resource, "cfh": cfh},
+        "inputs": dataclasses.asdict(inputs), "credited_action": credited})
 
 
 # Per _Trace method: the per-field writer calls it stands for, a base
@@ -133,6 +145,20 @@ KINDS = {
         lambda f: (Message(f["kind"], f["start"], f["end"], f["action_taken"],
                            f["entries"]),
                    SendRecord(f["sent"], f["reason"]), f["label"]),
+    ),
+    "status": (
+        write_status,
+        {"status": "terminated", "reason": "ruleset_tampered"},
+        {"status": ["active"], "reason": ["self_terminated", "episode_start"]},
+        lambda f: (f["status"], f["reason"]),
+    ),
+    "reward_sample": (
+        write_reward_sample,
+        {"value": 0.5, "terms": (0.25, 0.25, 0.0), "inputs": RewardInputs(3, 2, -10, 100, 1, 0),
+         "credited": "noop"},
+        {"value": [-1.5], "terms": [(0.0, -0.125, 1.0)],
+         "inputs": [RewardInputs(0, 0, 0, 50, 0, 2)], "credited": [None, "cry_for_help"]},
+        lambda f: ((f["value"], f["terms"], f["inputs"], f["credited"]),),
     ),
 }
 
@@ -219,3 +245,25 @@ def test_again_writes_what_dumps_writes_or_raises_before_appending(kind):
                 with pytest.raises((TypeError, ValueError)):
                     again(*call)
                 assert (w.lines, w.seq) == (lines, seq), (place, value)
+
+
+@pytest.mark.parametrize("kind", sorted(set(KINDS) - {"status", "reward_sample"}))
+def test_some_fact_change_moves_each_shared_field(kind):
+    """The keys checked against the layout: each shared field of the
+    kind's layout takes a new value under some one-fact change above, so
+    test_caches_write_what_per_field_calls_write fails for a key that
+    leaves out the fact the field comes from."""
+    write, base, alternatives, make = KINDS[kind]
+    calls = []
+
+    class Spy:
+        def __getattr__(self, method):
+            return lambda tick, *args: calls.append((method, args))
+
+    for fields in one_field_changes(base, alternatives):
+        write(Spy(), 0, *make(fields))
+    (method,) = {method for method, _ in calls}
+    rows = LAYOUTS[method]
+    moved = {name for _, args in calls
+             for (name, _, _), value, first in zip(rows, args, calls[0][1]) if value != first}
+    assert moved >= {name for name, _, flags in rows if "shared" in flags.split()}
