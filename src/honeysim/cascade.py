@@ -9,6 +9,13 @@ if nothing is accepted the fail-safe profile decides, and a plain
 no-op is the unvetoable floor, so decide() is total. The arbiter's
 per-stage confidence thresholds are those of the sealed ruleset, so
 the digest the harness re-verifies every tick covers them.
+
+Only the proposals depend on the percept's state key. A `Plan` works
+out the rest once per posture: which stages can propose, the budget
+each sees, and the rejections fixed around them; it then keeps the
+arbiter's verdict on each proposal and the resulting Decision, which
+hold while the ruleset stays sealed. decide() runs a plan's proposers
+for one key.
 """
 
 from __future__ import annotations
@@ -245,86 +252,170 @@ class StageContext:
     availability: object = None  # test hook; defaults to stage_available
 
 
-# The stages decide() tries before the fail-safe, in evaluation order,
+# The stages a plan weighs before the fail-safe, in evaluation order,
 # each with its label.
 _CASCADE = tuple((stage, stage.label) for stage in StageId
                  if stage is not StageId.FAIL_SAFE)
 
 
-def _review(proposal: ProposedAction, c: EnvConstraints, ctx: StageContext,
-            rejected: list, vetoes: list) -> bool:
-    """Whether the arbiter accepts `proposal`; a rejection is recorded
-    in `rejected`, and in `vetoes` too when the guardrails made it."""
-    verdict = arbiter_review(proposal, c, ctx.guard, ctx.catalog)
-    if verdict.allowed:
-        return True
-    rejected.append((proposal.stage, verdict.reason))
-    if verdict.reason.startswith("guardrail:"):
-        vetoes.append((proposal.stage, proposal.action, verdict.reason))
-    return False
+def _proposer(stage: StageId, ctx: StageContext, time_budget: int):
+    """The stage's proposer: key -> its ProposedAction, or the stage's
+    (stage, reason) rejection when it makes none. Escalation gets the
+    time budget it sees."""
+    if stage is StageId.PATTERN_RECOGNITION:
+        table = ctx.pattern_table
+        return lambda key: pattern_match(table, key) or (stage, NO_PROPOSAL)
+    if stage is StageId.ONLINE_LEARNING:
+        choose, confidence = ctx.policy.choose, ctx.online_confidence
+
+        def online(key):
+            action = choose(key)
+            if action is None:
+                return stage, NO_PROPOSAL
+            return ProposedAction(action, confidence, stage)
+        return online
+    if stage is StageId.HUMAN_ESCALATION:
+        operator, offer = ctx.operator, ctx.policy.offer
+        return lambda key: escalate(operator, offer(key), time_budget)
+    model, horizon = ctx.game_model, ctx.game_horizon
+
+    def search(key):
+        try:
+            return game_search(model, key, horizon)
+        except ModelIncomplete:
+            return stage, MODEL_INCOMPLETE
+    return search
 
 
-def decide(key: StateKey, c: EnvConstraints, ctx: StageContext,
-           profile: FailSafeProfile) -> Decision:
+class Plan:
+    """The cascade's key-independent work for one posture (constraints,
+    stage context, fail-safe profile), done once.
+
+    Which stages can still propose, the rejections fixed before each
+    (unavailable stages, a pattern stage with an empty table, an operator
+    who declines or times out) and the budget each sees follow from the
+    constraints alone: each stage the environment can pay for spends its
+    cost, escalation max(its time, the operator's latency) unless it
+    times out. The plan also keeps the arbiter's verdict on each
+    distinct proposal and the Decision of each distinct run of the
+    proposing stages' results. Both read the sealed ruleset, so they
+    hold while it stays sealed: the harness verifies it before every
+    decision, terminates the agent within the tick on a tamper, and
+    builds a new plan when the posture changes.
+    """
+
+    def __init__(self, c: EnvConstraints, ctx: StageContext, profile: FailSafeProfile):
+        self.c, self.guard, self.catalog = c, ctx.guard, ctx.catalog
+        self.failsafe = failsafe(profile, ctx.pattern_table)
+        availability = ctx.availability
+        remaining = c
+        fixed = []  # the rejections fixed since the last proposing stage
+        replied = False
+        proposers, steps = [], []
+        for stage, label in _CASCADE:
+            cost = getattr(ctx.stage_costs, label)
+            if availability is None:
+                available = stage_available(stage, remaining, cost)
+            else:
+                available = availability(stage, remaining)
+            if not available:
+                fixed.append((stage, UNAVAILABLE))
+                continue
+            spent_time = cost.time
+            failure = None
+            if stage is StageId.PATTERN_RECOGNITION and not ctx.pattern_table.entries:
+                failure = NO_PROPOSAL
+            elif stage is StageId.HUMAN_ESCALATION:
+                # The operator's answer depends on the key only through
+                # the option offered.
+                try:
+                    reply = escalate(ctx.operator, None, remaining.time_budget)
+                except OperatorTimeout:
+                    failure = OPERATOR_TIMEOUT
+                else:
+                    spent_time = max(spent_time, ctx.operator.latency)
+                    replied = True
+                    if reply is None:
+                        failure = NO_PROPOSAL
+            if failure is None:
+                proposers.append(_proposer(stage, ctx, remaining.time_budget))
+                steps.append((tuple(fixed), replied))
+                fixed = []
+            else:
+                fixed.append((stage, failure))
+            if spent_time or cost.power:
+                remaining = replace(
+                    remaining,
+                    time_budget=max(remaining.time_budget - spent_time, 0),
+                    power_budget=max(remaining.power_budget - cost.power, 0))
+        self.proposers = tuple(proposers)
+        self.steps = tuple(steps)  # per proposer: (rejections fixed before it, replied)
+        self.tail = tuple(fixed)
+        self.replied = replied
+        self.verdicts = {}  # ProposedAction -> the arbiter's Verdict
+        self.decisions = {}  # the proposing stages' results -> Decision
+
+    def verdict(self, proposal: ProposedAction) -> gr.Verdict:
+        """The arbiter's verdict on `proposal` under this posture."""
+        verdict = self.verdicts.get(proposal)
+        if verdict is None:
+            verdict = self.verdicts[proposal] = arbiter_review(
+                proposal, self.c, self.guard, self.catalog)
+        return verdict
+
+    def decision(self, results: tuple) -> Decision:
+        """The Decision of the proposing stages' results in evaluation
+        order, each a ProposedAction or a (stage, reason) rejection,
+        which end at the first accepted proposal or hold none."""
+        decision = self.decisions.get(results)
+        if decision is None:
+            decision = self.decisions[results] = self._assemble(results)
+        return decision
+
+    def _assemble(self, results: tuple) -> Decision:
+        rejected, vetoes = [], []
+        for result, (before, replied) in zip(results, self.steps):
+            rejected += before
+            if type(result) is not ProposedAction:
+                rejected.append(result)
+            elif self._review(result, rejected, vetoes):
+                return Decision(result.action, result.stage, tuple(rejected),
+                                tuple(vetoes), replied)
+        rejected += self.tail
+        proposal = self.failsafe
+        # Unvetoable floor: doing nothing needs no budget, no emissions.
+        action = proposal.action if self._review(proposal, rejected, vetoes) else "noop"
+        return Decision(action, StageId.FAIL_SAFE, tuple(rejected), tuple(vetoes),
+                        self.replied)
+
+    def _review(self, proposal: ProposedAction, rejected: list, vetoes: list) -> bool:
+        """Whether the arbiter accepts `proposal`; a rejection is recorded
+        in `rejected`, and in `vetoes` too when the guardrails made it."""
+        verdict = self.verdict(proposal)
+        if verdict.allowed:
+            return True
+        rejected.append((proposal.stage, verdict.reason))
+        if verdict.reason.startswith("guardrail:"):
+            vetoes.append((proposal.stage, proposal.action, verdict.reason))
+        return False
+
+
+def decide(key: StateKey, plan: Plan) -> Decision:
     """Run the cascade for the percept's state key to the first
     accepted proposal.
 
-    Total by construction: every skipped or rejected stage is recorded
-    with its reason, and the fail-safe path cannot fail (a vetoed
-    fail-safe proposal degrades to a no-op with fail-safe provenance).
-    The decision also carries each guardrail veto and whether the
-    operator replied, which the caller records.
+    Only the plan's proposing stages run, in evaluation order, so a
+    policy sees the calls it would see stage by stage. Total by
+    construction: every skipped or rejected stage is recorded with its
+    reason, and the fail-safe path cannot fail (a vetoed fail-safe
+    proposal degrades to a no-op with fail-safe provenance). The
+    decision also carries each guardrail veto and whether the operator
+    replied, which the caller records.
     """
-    availability = ctx.availability
-    costs = ctx.stage_costs
-    remaining = c
-    rejected = []
-    vetoes = []
-    replied = False
-
-    for stage, label in _CASCADE:
-        cost = getattr(costs, label)
-        if availability is None:
-            available = stage_available(stage, remaining, cost)
-        else:
-            available = availability(stage, remaining)
-        if not available:
-            rejected.append((stage, UNAVAILABLE))
-            continue
-        spent_time, spent_power = cost.time, cost.power
-        proposal = None
-        failure = NO_PROPOSAL
-        try:
-            if stage is StageId.PATTERN_RECOGNITION:
-                proposal = pattern_match(ctx.pattern_table, key)
-            elif stage is StageId.ONLINE_LEARNING:
-                action = ctx.policy.choose(key)
-                if action is not None:
-                    proposal = ProposedAction(action, ctx.online_confidence,
-                                              StageId.ONLINE_LEARNING)
-            elif stage is StageId.HUMAN_ESCALATION:
-                proposal = escalate(ctx.operator, ctx.policy.offer(key), remaining.time_budget)
-                spent_time = max(spent_time, ctx.operator.latency)
-                replied = True
-            else:
-                proposal = game_search(ctx.game_model, key, ctx.game_horizon)
-        except OperatorTimeout:
-            failure = OPERATOR_TIMEOUT
-        except ModelIncomplete:
-            failure = MODEL_INCOMPLETE
-        if proposal is None:
-            rejected.append((stage, failure))
-        elif _review(proposal, c, ctx, rejected, vetoes):
-            return Decision(proposal.action, stage, tuple(rejected), tuple(vetoes), replied)
-        # An accepted stage has returned; the budget left matters only
-        # to the stages after this one.
-        if spent_time or spent_power:
-            remaining = replace(
-                remaining,
-                time_budget=max(remaining.time_budget - spent_time, 0),
-                power_budget=max(remaining.power_budget - spent_power, 0))
-
-    proposal = failsafe(profile, ctx.pattern_table)
-    # Unvetoable floor: doing nothing needs no budget, no emissions.
-    action = proposal.action if _review(proposal, c, ctx, rejected, vetoes) else "noop"
-    return Decision(action, StageId.FAIL_SAFE, tuple(rejected), tuple(vetoes), replied)
+    results = ()
+    for propose in plan.proposers:
+        result = propose(key)
+        results += (result,)
+        if type(result) is ProposedAction and plan.verdict(result).allowed:
+            break
+    return plan.decision(results)

@@ -27,8 +27,8 @@ from .agent import (EVENT_REWARD_CLASS, HONEY_EVENT, SECURITY_EVENT, QTable,
                     RewardInputs, RewardParams, StateKey, discretize,
                     period_reward_inputs, q_update, reward, reward_terms,
                     select_action)
-from .cascade import (STAGE_LABELS, FailSafeProfile, PatternTable, QValueModel,
-                      StageContext, decide)
+from .cascade import (STAGE_LABELS, FailSafeProfile, PatternTable, Plan,
+                      QValueModel, StageContext, decide)
 from .comms import Message, MessageKind, send
 from .config import ScenarioConfig
 from .constraints import EmconLevel, EnvConstraints
@@ -495,7 +495,6 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                                    power_budget=env_cfg.power_budget,
                                    emcon_level=EmconLevel.from_name(entry.level))
         for entry in env_cfg.emcon_schedule}
-    env = env_from_tick[0]
 
     moments = Moments()  # the anomaly baseline, updated in place
     window_tally = WindowTally(window)
@@ -510,7 +509,13 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
     alert_after_actions = config.comms.alert_after_actions
 
     for t in range(config.episode_ticks):
-        env = env_from_tick.get(t, env)
+        if t in env_from_tick:
+            # Per posture: the cascade's plan, and what send gives each
+            # message kind, which reads nothing else of the message. Both
+            # hold while the ruleset verified below stays sealed.
+            env = env_from_tick[t]
+            plan = Plan(env, ctx, profile)
+            send_records = {}
 
         if tamper_tick == t:
             ruleset.budget.max_impact_per_action += 1.0
@@ -534,7 +539,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
             key = discretize(fv, world.honeypots_active(), bins, score)
             trace.percept(t, score, key, fv)  # the accountant reads no percept
 
-            decision = decide(key, env, ctx, profile)
+            decision = decide(key, plan)
             if decision.operator_replied:
                 reply = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
                 accountant.event(t, reply.kind, reply.truth_malicious)
@@ -591,7 +596,9 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 messages.append(Message(MessageKind.HEARTBEAT))
 
             for msg in messages:
-                rec = send(msg, env.emcon_level, guard)
+                rec = send_records.get(msg.kind)
+                if rec is None:
+                    rec = send_records[msg.kind] = send(msg, env.emcon_level, guard)
                 label = None
                 if rec.sent and msg.kind is MessageKind.CRY_FOR_HELP:
                     label = accountant.classify_cfh(t, msg.evidence_start, msg.evidence_end)

@@ -149,17 +149,29 @@ _SLOTS = {kind: [name.rpartition(".")[::2] for name, _, _ in rows]
           for kind, rows in LAYOUTS.items()}
 
 
-def _nested(slots, values) -> dict:
-    """`values`, one per slot, each in its slot."""
-    obj = {}
-    for (group, leaf), value in zip(slots, values, strict=True):
-        (obj.setdefault(group, {}) if group else obj)[leaf] = value
-    return obj
+def _nesting(slots):
+    """The function of one value per slot that returns a dict holding
+    each value in its slot, in slot order, compiled to one dict display."""
+    top = {}  # top-level key -> a value's name, or a nested object's {leaf: name}
+    for n, (group, leaf) in enumerate(slots):
+        if group:
+            top.setdefault(group, {})[leaf] = f"v{n}"
+        else:
+            top[leaf] = f"v{n}"
+
+    def display(fields: dict) -> str:
+        return "{" + ", ".join(
+            f"{key!r}: {display(value) if type(value) is dict else value}"
+            for key, value in fields.items()) + "}"
+    return eval(f"lambda {', '.join(f'v{n}' for n in range(len(slots)))}: {display(top)}")
+
+
+_PAYLOADS = {kind: _nesting(slots) for kind, slots in _SLOTS.items()}
 
 
 def payload(kind: str, *values) -> dict:
     """The fields of a `kind` line holding `values`, in its rows' order."""
-    return _nested(_SLOTS[kind], values)
+    return _PAYLOADS[kind](*values)
 
 
 def header(*values) -> dict:
@@ -371,7 +383,7 @@ def _checks(kind: str) -> dict:
     checked = sorted(((slot, _READS[type_]) for slot, (_, type_, flags)
                       in zip(_SLOTS[kind], LAYOUTS[kind]) if "checked" in flags.split()),
                      key=lambda check: check[0][0] != "")
-    return _nested([slot for slot, _ in checked], [reads for _, reads in checked])
+    return _nesting([slot for slot, _ in checked])(*(reads for _, reads in checked))
 
 
 HEADER_FIELDS = _checks("header")

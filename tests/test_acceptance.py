@@ -19,7 +19,7 @@ from honeysim import config as config_mod
 from honeysim import trace as trace_mod
 from honeysim.agent import RewardInputs, RewardParams, StateKey, reward
 from honeysim.cascade import (FailSafeProfile, PatternTable,
-                              StageContext, StageId, _best_value, decide,
+                              Plan, StageContext, StageId, _best_value, decide,
                               game_search)
 from honeysim.actions import AutonomyLevel, build_catalog
 from honeysim.constraints import EmconLevel, EnvConstraints
@@ -215,7 +215,7 @@ def test_criterion_4_cascade_totality_and_minimality():
         for accepts in itertools.product([False, True], repeat=4):
             for fs_ok in (False, True):
                 ctx, proposals = stub_cascade(availability, accepts, fs_ok)
-                d = decide(KEY, EnvConstraints(), ctx, FailSafeProfile.NO_ACTION)
+                d = decide(KEY, Plan(EnvConstraints(), ctx, FailSafeProfile.NO_ACTION))
                 checked += 1
                 assert d is not None  # totality
                 winners = [stage for i, stage in enumerate(_STved)

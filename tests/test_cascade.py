@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from honeysim.actions import build_catalog
+from honeysim.actions import AutonomyLevel, build_catalog
 from honeysim.agent import QTable, StateKey
 from honeysim.cascade import (FailSafeProfile, PatternTable,
                               ProposedAction, StageContext, StageId,
-                              arbiter_review, decide, escalate, failsafe,
+                              Plan, arbiter_review, decide, escalate, failsafe,
                               game_search, pattern_match, stage_available)
 from honeysim.config import (OperatorConfig, ScenarioConfig, StageCostConfig,
                              StageCostsConfig)
@@ -226,7 +229,7 @@ def test_arbiter_accept():
 def test_decide_pattern_hit_wins():
     ctx = make_ctx()
     ctx.pattern_table = PatternTable({KEY: ("quarantine_node", 0.99)})
-    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(), ctx, FailSafeProfile.NO_ACTION))
     assert d.action == "quarantine_node"
     assert d.provenance is StageId.PATTERN_RECOGNITION
     assert d.rejected == ()
@@ -234,7 +237,7 @@ def test_decide_pattern_hit_wins():
 
 def test_decide_falls_through_to_online():
     ctx = make_ctx(policy_action="rotate_address")
-    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(), ctx, FailSafeProfile.NO_ACTION))
     assert d.action == "rotate_address"
     assert d.provenance is StageId.ONLINE_LEARNING
     assert d.rejected == ((StageId.PATTERN_RECOGNITION, "no_proposal"),)
@@ -244,8 +247,8 @@ def test_decide_forced_to_failsafe_records_all_rejections():
     # No pattern, no budget for the learner or the game search, no
     # connectivity for escalation.
     ctx = make_ctx()
-    d = decide(KEY, env(connectivity=False, time=0, power=0), ctx,
-               FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(connectivity=False, time=0, power=0), ctx,
+                         FailSafeProfile.NO_ACTION))
     assert d.action == "noop"
     assert d.provenance is StageId.FAIL_SAFE
     assert len(d.rejected) == 4
@@ -261,7 +264,7 @@ def test_decide_operator_timeout_recorded():
     ctx.policy = FixedPolicy("noop")
     ctx.online_confidence = 0.1  # below theta
     ctx.pattern_table = PatternTable()
-    d = decide(KEY, env(time=9), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(time=9), ctx, FailSafeProfile.NO_ACTION))
     # online learner is attempted first (its cost 1 leaves budget 8),
     # rejected below threshold, then the operator times out.
     reasons = dict(d.rejected)
@@ -278,7 +281,7 @@ def test_decide_reports_guardrail_vetoes_alone():
     # second is a veto.
     ctx = make_ctx(policy_action="cry_for_help")
     ctx.pattern_table = PatternTable({KEY: ("quarantine_node", 0.5)})
-    d = decide(KEY, env(emcon=EmconLevel.SILENT), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(emcon=EmconLevel.SILENT), ctx, FailSafeProfile.NO_ACTION))
     assert (d.action, d.provenance) == ("noop", StageId.FAIL_SAFE)
     assert dict(d.rejected)[StageId.PATTERN_RECOGNITION] == "below_threshold"
     assert d.vetoes == ((StageId.ONLINE_LEARNING, "cry_for_help",
@@ -304,13 +307,13 @@ def test_decide_deducts_spent_budget_before_next_stage():
                              human_escalation=StageCostConfig(1, 0))
     ctx = make_ctx(operator=OperatorConfig("approve_first", 3), stage_costs=costs)
     ctx.policy = SilentPolicy()
-    d = decide(KEY, env(time=3), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(time=3), ctx, FailSafeProfile.NO_ACTION))
     reasons = dict(d.rejected)
     assert reasons[StageId.ONLINE_LEARNING] == "no_proposal"
     assert reasons[StageId.HUMAN_ESCALATION] == "operator_timeout"
     assert not d.operator_replied
     # with one more unit the operator answers in time
-    d = decide(KEY, env(time=4), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(time=4), ctx, FailSafeProfile.NO_ACTION))
     assert d.provenance is StageId.HUMAN_ESCALATION
     assert d.operator_replied
 
@@ -320,10 +323,10 @@ def test_decide_reads_sealed_thresholds():
     # ruleset's threshold above the learner's confidence rejects the
     # stage, and the same edit is a tamper the digest check reports.
     ctx = make_ctx(policy_action="rotate_address", confidence=0.9)
-    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(), ctx, FailSafeProfile.NO_ACTION))
     assert d.provenance is StageId.ONLINE_LEARNING
     ctx.guard.ruleset.stage_thresholds["online_learning"] = 0.95
-    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(), ctx, FailSafeProfile.NO_ACTION))
     assert dict(d.rejected)[StageId.ONLINE_LEARNING] == "below_threshold"
     assert d.provenance is not StageId.ONLINE_LEARNING
     assert verify_ruleset(ctx.guard, ctx.guard.ruleset.canonical_bytes()) \
@@ -374,7 +377,7 @@ def stub_ctx_with(availability_pattern, accept_pattern, failsafe_accepted=True):
                                      (False, False, False, False)])
 def test_decide_minimality_over_stub_grid(availability, accepts):
     ctx, proposals, accepted, avail = stub_ctx_with(availability, accepts)
-    d = decide(KEY, env(), ctx, FailSafeProfile.NO_ACTION)
+    d = decide(KEY, Plan(env(), ctx, FailSafeProfile.NO_ACTION))
     runnable = [stage for stage in proposals if avail[stage] and accepted[stage]]
     if runnable:
         assert d.provenance == min(runnable)
@@ -382,3 +385,74 @@ def test_decide_minimality_over_stub_grid(availability, accepts):
     else:
         assert d.provenance is StageId.FAIL_SAFE
         assert d.action == "noop"
+
+
+# -- plan reuse --------------------------------------------------------------
+
+# noop and rotate_address pass every gate; quarantine_node (impact 4.0)
+# meets the impact budget of 2.0, cry_for_help the Restricted gate and,
+# at Silent, the emission block.
+PLAN_ACTIONS = ("noop", "quarantine_node", "cry_for_help", "rotate_address")
+PLAN_KEYS = [StateKey(t, 0, h, False) for t in range(3) for h in range(2)]
+
+
+class StreamPolicy:
+    """Chooses and offers from a seeded stream; chooses nothing sometimes."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def choose(self, key):
+        return self.rng.choice(PLAN_ACTIONS + (None,))
+
+    def offer(self, key):
+        return self.rng.choice(PLAN_ACTIONS)
+
+
+@st.composite
+def plan_cases(draw):
+    actions, confidences = st.sampled_from(PLAN_ACTIONS), st.sampled_from((0.5, 0.7, 0.9))
+    cfg = ScenarioConfig()
+    ruleset = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
+    ruleset.budget.max_impact_per_action = draw(st.sampled_from((2.0, 5.0)))
+    # a Silent gate above Reflex lets the emission check be the one that vetoes
+    ruleset.autonomy_gates[EmconLevel.SILENT] = draw(st.sampled_from(AutonomyLevel))
+    ruleset.stage_thresholds["fail_safe"] = draw(st.sampled_from((0.0, 1.1)))
+    guard = GuardrailSet.seal(ruleset)
+    table = PatternTable(draw(st.dictionaries(st.sampled_from(PLAN_KEYS),
+                                              st.tuples(actions, confidences))))
+    searched = draw(st.sets(st.sampled_from(PLAN_KEYS)))  # others are incomplete
+    game_action = draw(actions)
+    model = TabularToyModel(list(searched), {key: [game_action] for key in searched},
+                            {(key, game_action): ((1.0, key, 1.0),) for key in searched})
+    stub = draw(st.none() | st.tuples(*[st.booleans()] * 5))
+    budgets = st.sampled_from((0, 1, 5, 10))  # none, and the default stage costs
+    operator = OperatorConfig(draw(st.sampled_from(("approve_first", "decline"))),
+                              draw(budgets))
+    c = env(draw(st.booleans()), draw(budgets), draw(budgets),
+            draw(st.sampled_from(EmconLevel)))
+    online_confidence = draw(confidences)
+
+    def make(policy):
+        ctx = StageContext(catalog=make_catalog(), guard=guard, policy=policy,
+                           online_confidence=online_confidence, pattern_table=table,
+                           operator=operator, game_model=model)
+        if stub is not None:
+            ctx.availability = lambda stage, remaining: stub[stage]
+        return ctx
+
+    return (make, c, draw(st.sampled_from(FailSafeProfile)), draw(st.integers(0, 2**32)),
+            draw(st.lists(st.sampled_from(PLAN_KEYS), min_size=1, max_size=30)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_cases())
+def test_reused_plan_decides_as_a_fresh_plan_per_call(case):
+    # A plan keeps the arbiter's verdict per proposal and the decision per
+    # run of the stages' results; neither may carry one key's answer to
+    # another.
+    make, c, profile, seed, keys = case
+    plan = Plan(c, make(StreamPolicy(seed)), profile)
+    reused = [decide(key, plan) for key in keys]
+    fresh_ctx = make(StreamPolicy(seed))
+    assert reused == [decide(key, Plan(c, fresh_ctx, profile)) for key in keys]

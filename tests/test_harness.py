@@ -422,6 +422,23 @@ def test_tamper_kill_stops_agent_same_tick():
             assert rec["tick"] < 37
 
 
+@pytest.mark.parametrize("level", ["restricted", "silent"])
+def test_tamper_on_a_posture_change_kills_the_agent_that_tick(level):
+    # The new posture's plan is built on the tick the ruleset is tampered
+    # with; the tamper check still runs before any decision of that tick.
+    cfg = small_config(guardrails={"tamper_tick": 37},
+                       env={"emcon_schedule": [{"tick": 0, "level": "open"},
+                                               {"tick": 37, "level": level}]})
+    report, lines = run_scenario(cfg, 3, RandomPolicy())
+    assert report.agent_terminated_at == 37
+    _, records = trace_mod.parse(lines)
+    assert [(r["tick"], r["reason"]) for r in records
+            if r["kind"] == "agent_status" and r["status"] == "terminated"] \
+        == [(37, "ruleset_tampered")]
+    decided = [r["tick"] for r in records if r["kind"] == "decision"]
+    assert decided == list(range(37))
+
+
 def test_learning_disabled_alpha_zero_keeps_table_empty():
     cfg = small_config(agent={"learning": {"alpha": 0.0}})
     result = train_agent(cfg, episodes=1)
