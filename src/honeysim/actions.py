@@ -10,24 +10,19 @@ applied, from the cost of the node kind it starts or stops.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum, IntEnum
+from enum import Enum
 
+from .constraints import Labelled
 from .errors import ConfigInvalid
 
 
-class AutonomyLevel(IntEnum):
+class AutonomyLevel(Labelled):
+    """Ordered from least to most autonomous; a gate admits its level and below."""
+
     REFLEX = 0
     PREVISIONED = 1
     COLLABORATIVE = 2
     DELEGATED = 3
-
-    @classmethod
-    def from_name(cls, name: str) -> "AutonomyLevel":
-        return cls[name.upper()]
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
 
 class ActionEffect(Enum):

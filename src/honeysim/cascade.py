@@ -20,21 +20,19 @@ for one key.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
-from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from . import guardrails as gr
 from .actions import ActionCatalog
 from .agent import StateKey
 from .config import OperatorConfig, StageCostConfig, StageCostsConfig
-from .constraints import EmconLevel, EnvConstraints
+from .constraints import EmconLevel, EnvConstraints, FailSafeProfile, Labelled
 from .errors import ModelIncomplete, OperatorTimeout
+from .trace import dumps, sha256_hex
 
 
-class StageId(IntEnum):
+class StageId(Labelled):
     """Runtime stages in evaluation order."""
 
     PATTERN_RECOGNITION = 0
@@ -43,19 +41,9 @@ class StageId(IntEnum):
     GAME_SEARCH = 3
     FAIL_SAFE = 4
 
-    @property
-    def label(self) -> str:
-        return STAGE_LABELS[self]
 
-
-STAGE_LABELS = {stage: stage.name.lower() for stage in StageId}
+STAGE_LABELS = StageId.labels()
 _NO_FLOOR = float("-inf")  # the floor of a stage the ruleset has no threshold for
-
-
-class FailSafeProfile(Enum):
-    NO_ACTION = "no_action"
-    LOW_THRESHOLD_ACT = "low_threshold_act"
-    TERMINATE = "terminate"
 
 
 class ProposedAction(NamedTuple):
@@ -115,8 +103,7 @@ class PatternTable:
         """SHA-256 of the canonical JSON of the entries, each keyed by its
         encoded state."""
         entries = {key.encode(): list(entry) for key, entry in self.entries.items()}
-        text = json.dumps(entries, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return sha256_hex(dumps(entries).encode("utf-8"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PatternTable":

@@ -1,9 +1,11 @@
 """Outbound messaging under emissions control.
 
 What matters here is only whether a message may leave the agent at the
-current EMCON level and autonomy gate; no peer receives it. Whether a
-sent cry for help was justified needs ground truth, so the harness's
-accountant decides it.
+current EMCON level and autonomy gate; no peer receives it. `send`
+answers per message kind and posture, reading nothing else of the
+message, so a run asks it once per kind per posture. Whether a sent cry
+for help was justified needs ground truth, so the harness's accountant
+decides it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from enum import Enum
 
 from .actions import AutonomyLevel
 from .constraints import EmconLevel
-from .guardrails import AUTONOMY_GATE, EMISSION_BLOCKED, GuardrailSet
+from .guardrails import ALLOW, AUTONOMY_GATE, EMISSION_BLOCKED, GuardrailSet, Verdict
 
 
 class MessageKind(Enum):
@@ -50,16 +52,11 @@ MESSAGE_AUTONOMY = {
 }
 
 
-@dataclass(frozen=True)
-class SendRecord:
-    sent: bool
-    reason: str | None = None
-
-
-def send(msg: Message, emcon: EmconLevel, g: GuardrailSet) -> SendRecord:
-    """Gate one outbound message; Silent suppresses every emission."""
+def send(kind: MessageKind, emcon: EmconLevel, g: GuardrailSet) -> Verdict:
+    """Whether a message of `kind` may leave at `emcon` under g's gates;
+    Silent suppresses every emission."""
     if emcon is EmconLevel.SILENT:
-        return SendRecord(sent=False, reason=EMISSION_BLOCKED)
-    if MESSAGE_AUTONOMY[msg.kind] > g.ruleset.autonomy_gates[emcon]:
-        return SendRecord(sent=False, reason=AUTONOMY_GATE)
-    return SendRecord(sent=True)
+        return Verdict(False, EMISSION_BLOCKED)
+    if MESSAGE_AUTONOMY[kind] > g.ruleset.autonomy_gates[emcon]:
+        return Verdict(False, AUTONOMY_GATE)
+    return ALLOW

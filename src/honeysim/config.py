@@ -17,8 +17,6 @@ so the walk reads them as types.
 
 import dataclasses
 import functools
-import hashlib
-import json
 import math
 import types
 import typing
@@ -27,14 +25,20 @@ from typing import Annotated, Literal
 
 import yaml
 
-from .actions import build_catalog
+from .actions import AutonomyLevel, build_catalog
+from .constraints import EmconLevel, FailSafeProfile
 from .errors import ConfigInvalid
-from .trace import MAX_EXACT_INT
+from .trace import MAX_EXACT_INT, dumps, sha256_hex
 
-Emcon = Literal["open", "restricted", "silent"]
-# Ordered from least to most autonomous; the gates' ranks follow it.
-Autonomy = Literal["reflex", "previsioned", "collaborative", "delegated"]
-FailsafeProfile = Literal["no_action", "low_threshold_act", "terminate"]
+
+def _names(enum):
+    """The Literal of an enum's labels, the names a scenario gives it."""
+    return Literal[tuple(enum.labels().values())]
+
+
+Emcon = _names(EmconLevel)
+Autonomy = _names(AutonomyLevel)
+FailsafeProfile = _names(FailSafeProfile)
 OperatorBehavior = Literal["approve_first", "decline"]
 
 
@@ -247,10 +251,10 @@ class ScenarioConfig:
         return _as_plain(self)
 
     def canonical_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_dict())
 
     def digest(self):
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.canonical_json().encode("utf-8"))
 
 
 # -- strict construction ----------------------------------------------------
@@ -368,7 +372,7 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     _check(g.max_impact_per_action <= g.mission_need,
            "guardrails.max_impact_per_action must not exceed mission_need")
     gates = g.autonomy_gates
-    rank = typing.get_args(Autonomy).index
+    rank = AutonomyLevel.from_name
     _check(rank(gates.open) >= rank(gates.restricted) >= rank(gates.silent),
            "guardrails.autonomy_gates must be monotone: open >= restricted >= silent")
 

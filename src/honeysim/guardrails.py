@@ -20,14 +20,13 @@ switch stays reachable under any gate configuration.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from operator import is_
 
 from .actions import ActionSpec, ActionEffect, AutonomyLevel
 from .constraints import EmconLevel, EnvConstraints
+from .trace import dumps, sha256_hex
 
 
 @dataclass
@@ -60,21 +59,20 @@ class Ruleset:
         }
 
     def canonical_bytes(self) -> bytes:
-        """Sorted-key compact JSON of every sealed field, rebuilt from
-        the live fields on each call so that any edit changes it. Gates
-        encode as their EMCON and autonomy labels."""
+        """The canonical JSON (`trace.dumps`) of every sealed field,
+        rebuilt from the live fields on each call so that any edit
+        changes it. Gates encode as their EMCON and autonomy labels."""
         payload = self.sealed_fields()
         payload["autonomy_gates"] = {
             _EMCON_LABELS[level]: _AUTONOMY_LABELS[gate]
             for level, gate in payload["autonomy_gates"].items()}
-        return _ENCODER.encode(payload).encode("utf-8")
+        return dumps(payload).encode("utf-8")
 
 
 # Both enums are IntEnums whose members compare equal across the two
 # types, so each has its own table.
-_EMCON_LABELS = {level: level.label for level in EmconLevel}
-_AUTONOMY_LABELS = {gate: gate.label for gate in AutonomyLevel}
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_EMCON_LABELS = EmconLevel.labels()
+_AUTONOMY_LABELS = AutonomyLevel.labels()
 # Immutable scalars whose object fixes their bytes; bool and the enums
 # are listed apart from int because identity is checked on exact types.
 _IDENTITY_TYPES = frozenset({int, float, bool, str, EmconLevel, AutonomyLevel})
@@ -95,10 +93,6 @@ def _sealed_objects(ruleset: Ruleset):
              *gates, *gates.values(), *thresholds, *thresholds.values()])
 
 
-def ruleset_digest(rules_bytes: bytes) -> str:
-    return hashlib.sha256(rules_bytes).hexdigest()
-
-
 @dataclass
 class GuardrailSet:
     ruleset: Ruleset
@@ -113,7 +107,7 @@ class GuardrailSet:
         if sealed is not None and not _IDENTITY_TYPES.issuperset(map(type, sealed[1])):
             sealed = None
         return cls(ruleset=ruleset,
-                   expected_digest=ruleset_digest(ruleset.canonical_bytes()),
+                   expected_digest=sha256_hex(ruleset.canonical_bytes()),
                    sealed=sealed)
 
 
@@ -155,7 +149,7 @@ class RulesetCheck(Enum):
 def verify_ruleset(g: GuardrailSet, current_rules: bytes) -> RulesetCheck:
     """Recompute the digest over the live rules. On TAMPERED the caller
     must transition the agent to Terminated within the same tick."""
-    if ruleset_digest(current_rules) != g.expected_digest:
+    if sha256_hex(current_rules) != g.expected_digest:
         return RulesetCheck.TAMPERED
     return RulesetCheck.OK
 

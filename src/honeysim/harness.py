@@ -10,6 +10,8 @@ the agent works purely from percepts. One run is the per-tick loop
 whose facts go to two consumers: the accountant, and a trace chosen
 once per run that writes a byte-deterministic record or nothing. The
 percept is a `WindowTally` of the last `window` ticks; `Moments` scores it.
+At each `env.emcon_schedule` entry the run builds the posture's cascade
+`Plan` and asks `comms.send` once for each message kind's verdict.
 """
 
 from __future__ import annotations
@@ -27,17 +29,18 @@ from .agent import (EVENT_REWARD_CLASS, HONEY_EVENT, SECURITY_EVENT, QTable,
                     RewardInputs, RewardParams, StateKey, discretize,
                     period_reward_inputs, q_update, reward, reward_terms,
                     select_action)
-from .cascade import (STAGE_LABELS, FailSafeProfile, PatternTable, Plan,
-                      QValueModel, StageContext, decide)
+from .cascade import (STAGE_LABELS, PatternTable, Plan, QValueModel, StageContext,
+                      decide)
 from .comms import Message, MessageKind, send
 from .config import ScenarioConfig
-from .constraints import EmconLevel, EnvConstraints
+from .constraints import EmconLevel, EnvConstraints, FailSafeProfile
 from .errors import (ConfigInvalid, IllegalTransition, InsufficientResources,
                      NoSuchNode, TraceCorrupt, WindowOutOfRange)
 from .guardrails import GuardrailSet, RulesetCheck, build_ruleset, verify_sealed
 from .sensing import Moments, WindowTally
-from .world import (EVENT_LABELS, EventKind, ExecutedAction, STREAM_AGENT, WorldEvent,
-                    WorldState, apply_action, derive_seed, init_world, step_world)
+from .world import (EVENT_LABELS, TARGETLESS, EventKind, ExecutedAction, STREAM_AGENT,
+                    WorldEvent, WorldState, apply_action, derive_seed, init_world,
+                    step_world)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +269,9 @@ def resolve_target(effect: ActionEffect, world: WorldState, window_events):
 
     Suspicion ranking counts alert-type events per node in the current
     window; ties and empty rankings fall back to the lowest node id.
-    Returns None when no legal candidate exists. Candidates are read off
-    the kernel's integer kind and status codes of the resident nodes.
+    Returns None when no legal candidate exists, and for a targetless
+    effect. Candidates are read off the kernel's integer kind and status
+    codes of the resident nodes, or its serving list.
     """
     core = world.core
     ids = world.node_ids
@@ -295,9 +299,8 @@ def resolve_target(effect: ActionEffect, world: WorldState, window_events):
     elif effect is ActionEffect.RESTORE_KNOWN_GOOD:
         candidates = [ids[i] for i in range(n)
                       if kinds[i] != honeypot and statuses[i] != stopped]
-    else:  # STOP_REAL_VM, QUARANTINE_NODE, ROTATE_ADDRESS
-        candidates = [ids[i] for i in range(n)
-                      if kinds[i] != honeypot and statuses[i] in up]
+    else:  # STOP_REAL_VM, QUARANTINE_NODE, ROTATE_ADDRESS: the serving nodes
+        candidates = [ids[i] for i in core.serving]
     if not candidates:
         return None
     suspicion: dict = {}
@@ -305,13 +308,6 @@ def resolve_target(effect: ActionEffect, world: WorldState, window_events):
         if ev.kind in _SUSPICIOUS_KINDS:
             suspicion[ev.node] = suspicion.get(ev.node, 0) + 1
     return min(candidates, key=lambda node_id: (-suspicion.get(node_id, 0), node_id))
-
-
-_TARGETLESS = (ActionEffect.NOOP, ActionEffect.START_HONEYPOT,
-               ActionEffect.RESTRICT_COMMS_INBOUND,
-               ActionEffect.RESTRICT_COMMS_OUTBOUND,
-               ActionEffect.CRY_FOR_HELP, ActionEffect.SHARE_BLOCKLIST,
-               ActionEffect.TERMINATE_SELF)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +394,14 @@ class _Trace:
         else:
             again(tick, target, delta, available_before, pool.used, pool.available)
 
-    def message(self, tick: int, msg: Message, rec, label: str | None) -> None:
-        key = msg.kind, rec.sent, rec.reason, label, msg.entries, msg.action_taken
+    def message(self, tick: int, msg: Message, verdict, label: str | None) -> None:
+        key = msg.kind, verdict.allowed, verdict.reason, label, msg.entries, msg.action_taken
         again = self.message_writers.get(key)
         if again is None:
             self.message_writers[key] = self.writer.message(
-                tick, _MESSAGE_KIND_VALUES[msg.kind], "sent" if rec.sent else "suppressed",
-                rec.reason, label, msg.evidence_start, msg.evidence_end, msg.entries,
-                msg.action_taken)
+                tick, _MESSAGE_KIND_VALUES[msg.kind],
+                "sent" if verdict.allowed else "suppressed", verdict.reason, label,
+                msg.evidence_start, msg.evidence_end, msg.entries, msg.action_taken)
         else:
             again(tick, msg.evidence_start, msg.evidence_end)
 
@@ -465,7 +461,7 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
         pattern_table = PatternTable()
     qtable_for_model = policy.qtable if isinstance(policy, QPolicy) \
         else QTable(catalog.selectable_ids)
-    profile = FailSafeProfile(config.cascade.failsafe_profile)
+    profile = FailSafeProfile.from_name(config.cascade.failsafe_profile)
 
     ctx = StageContext(
         catalog=catalog,
@@ -510,12 +506,11 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
 
     for t in range(config.episode_ticks):
         if t in env_from_tick:
-            # Per posture: the cascade's plan, and what send gives each
-            # message kind, which reads nothing else of the message. Both
-            # hold while the ruleset verified below stays sealed.
+            # The posture's plan and message verdicts hold while the
+            # ruleset verified below stays sealed.
             env = env_from_tick[t]
             plan = Plan(env, ctx, profile)
-            send_records = {}
+            sendable = {kind: send(kind, env.emcon_level, guard) for kind in MessageKind}
 
         if tamper_tick == t:
             ruleset.budget.max_impact_per_action += 1.0
@@ -544,14 +539,14 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 reply = WorldEvent(t, EventKind.OPERATOR_REPLY, "operator", 0, 0.0, False)
                 accountant.event(t, reply.kind, reply.truth_malicious)
                 trace.events(t, (reply,))
-            accountant.decision(decision.provenance.label)
+            accountant.decision(STAGE_LABELS[decision.provenance])
             trace.decision(t, decision)
             for stage, action_id, reason in decision.vetoes:
                 accountant.veto(reason)
                 trace.veto(t, stage, action_id, reason)
 
             spec = catalog.get(decision.action)
-            targetless = spec.effect in _TARGETLESS
+            targetless = spec.effect in TARGETLESS
             target = None
             if not targetless:
                 window_events = [ev for b in buckets for ev in b] \
@@ -596,14 +591,12 @@ def run_scenario(config: ScenarioConfig, seed: int, policy,
                 messages.append(Message(MessageKind.HEARTBEAT))
 
             for msg in messages:
-                rec = send_records.get(msg.kind)
-                if rec is None:
-                    rec = send_records[msg.kind] = send(msg, env.emcon_level, guard)
+                verdict = sendable[msg.kind]
                 label = None
-                if rec.sent and msg.kind is MessageKind.CRY_FOR_HELP:
+                if verdict.allowed and msg.kind is MessageKind.CRY_FOR_HELP:
                     label = accountant.classify_cfh(t, msg.evidence_start, msg.evidence_end)
-                accountant.message(rec.sent, msg.kind, label)
-                trace.message(t, msg, rec, label)
+                accountant.message(verdict.allowed, msg.kind, label)
+                trace.message(t, msg, verdict, label)
 
         if (t + 1) % window == 0:
             sample = accountant.close_period(params, world.pool.available)

@@ -5,7 +5,10 @@ with the same (config, seed, policy) must produce identical bytes.
 A header line pins the schema and the reward parameters; a footer
 line carries the record count so truncation is detectable.
 
-`dumps` defines the bytes of a line, and `LAYOUTS` states the layout of
+`dumps` is the package's one canonical JSON encoder (sorted keys,
+compact separators). It defines the bytes of a trace line, and those of
+the scenario config, the pattern table and the sealed ruleset, which
+`sha256_hex`, the one digest, hashes. `LAYOUTS` states the layout of
 the header and of each record kind once. From it come `TraceWriter`'s
 methods for the kinds written every tick, which write from line
 templates exactly what `dumps` would write, at a fraction of its cost;
@@ -22,6 +25,7 @@ neither holds a copy of the whole text.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -33,12 +37,18 @@ FORMAT = "honeysim-trace"
 FORMAT_END = "honeysim-trace-end"
 VERSION = 1
 
-# One encoder for every line; json.dumps would build one per call.
+# One encoder for every canonical text; json.dumps would build one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def dumps(obj: dict) -> str:
+def dumps(obj) -> str:
+    """The canonical JSON of `obj`: sorted keys, compact separators."""
     return _ENCODER.encode(obj)
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of `data`, the bytes of a canonical text."""
+    return hashlib.sha256(data).hexdigest()
 
 
 # -- layouts ----------------------------------------------------------------

@@ -33,6 +33,7 @@ from typing import NamedTuple
 from . import _kernels
 from ._kernels import CoreWorld, codes
 from .config import ScenarioConfig, node_id
+from .constraints import Labelled
 from .errors import IllegalTransition, InsufficientResources, NoSuchNode
 from .actions import ActionEffect
 
@@ -51,15 +52,11 @@ def derive_seed(master: int, index: int) -> int:
     return _kernels.mix64((master + (index + 1) * _DERIVE_SALT) & _MASK)
 
 
-class NodeKind(IntEnum):
+class NodeKind(Labelled):
     DATABASE = codes.DATABASE
     APPLICATION = codes.APPLICATION
     WEB = codes.WEB
     HONEYPOT = codes.HONEYPOT
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
 
 class NodeStatus(IntEnum):
@@ -69,7 +66,7 @@ class NodeStatus(IntEnum):
     QUARANTINED = codes.QUARANTINED
 
 
-class EventKind(IntEnum):
+class EventKind(Labelled):
     IDS_ALERT = codes.IDS_ALERT
     ANTI_MALWARE_ALERT = codes.ANTI_MALWARE_ALERT
     UNAUTHORIZED_ACCESS = codes.UNAUTHORIZED_ACCESS
@@ -81,12 +78,8 @@ class EventKind(IntEnum):
     LOG_LINE = codes.LOG_LINE
     OPERATOR_REPLY = codes.OPERATOR_REPLY
 
-    @property
-    def label(self) -> str:
-        return EVENT_LABELS[self]
 
-
-EVENT_LABELS = {kind: kind.name.lower() for kind in EventKind}
+EVENT_LABELS = EventKind.labels()
 # EventKind by kernel code (raises at import if the codes have a gap).
 _EVENT_KINDS = tuple(EventKind(code) for code in range(len(EventKind)))
 
@@ -261,6 +254,14 @@ def step_world(world: WorldState) -> list:
             for kind, i, severity, load, truth in raw]
 
 
+# The effects that act on no resident node; every other effect needs a
+# target. A tuple, since a scan of plain-Enum members is cheaper than a
+# hash of one.
+TARGETLESS = (ActionEffect.NOOP, ActionEffect.CRY_FOR_HELP, ActionEffect.SHARE_BLOCKLIST,
+              ActionEffect.RESTRICT_COMMS_OUTBOUND, ActionEffect.TERMINATE_SELF,
+              ActionEffect.START_HONEYPOT, ActionEffect.RESTRICT_COMMS_INBOUND)
+
+
 def _require_target(world: WorldState, action: ExecutedAction) -> int:
     if action.target is None:
         raise NoSuchNode(f"{action.action_id} requires a target node")
@@ -286,26 +287,20 @@ def apply_action(world: WorldState, action: ExecutedAction) -> ActionOutcome:
     effect = action.effect
     w = world.config.world
 
-    if effect is ActionEffect.NOOP or effect is ActionEffect.CRY_FOR_HELP \
-            or effect is ActionEffect.SHARE_BLOCKLIST \
-            or effect is ActionEffect.RESTRICT_COMMS_OUTBOUND \
-            or effect is ActionEffect.TERMINATE_SELF:
-        return ActionOutcome(delta_resources=0)
-
-    if effect is ActionEffect.START_HONEYPOT:
-        cost = w.honeypot.cost
-        if cost > pool.available:
-            raise InsufficientResources(
-                f"honeypot needs {cost} units, only {pool.available} available")
-        new_id = node_id("honeypot", world._next_hp)
-        world._next_hp += 1
-        core.add_node(codes.HONEYPOT, codes.RUNNING, w.honeypot_decoys)
-        world.node_ids.append(new_id)
-        pool.used += cost
-        return ActionOutcome(delta_resources=-cost, node=new_id)
-
-    if effect is ActionEffect.RESTRICT_COMMS_INBOUND:
-        core.inbound_restricted = True
+    if effect in TARGETLESS:
+        if effect is ActionEffect.START_HONEYPOT:
+            cost = w.honeypot.cost
+            if cost > pool.available:
+                raise InsufficientResources(
+                    f"honeypot needs {cost} units, only {pool.available} available")
+            new_id = node_id("honeypot", world._next_hp)
+            world._next_hp += 1
+            core.add_node(codes.HONEYPOT, codes.RUNNING, w.honeypot_decoys)
+            world.node_ids.append(new_id)
+            pool.used += cost
+            return ActionOutcome(delta_resources=-cost, node=new_id)
+        if effect is ActionEffect.RESTRICT_COMMS_INBOUND:
+            core.inbound_restricted = True
         return ActionOutcome(delta_resources=0)
 
     i = _require_target(world, action)

@@ -365,7 +365,7 @@ def test_criterion_8_emcon_silence_and_monotone_relaxation():
         else:
             stream.append(Message(kind))
     sent = {level: {i for i, m in enumerate(stream)
-                    if send(m, level, guard).sent}
+                    if send(m.kind, level, guard).allowed}
             for level in EmconLevel}
     assert sent[EmconLevel.SILENT] == set()
     assert sent[EmconLevel.SILENT] <= sent[EmconLevel.RESTRICTED]

@@ -16,32 +16,26 @@ def make_guard():
     return GuardrailSet.seal(build_ruleset(cfg.guardrails, cfg.cascade.thresholds))
 
 
-def cfh(start=0, end=5):
-    return Message(MessageKind.CRY_FOR_HELP, evidence_start=start, evidence_end=end)
-
-
 def test_cfh_suppressed_at_silent():
-    rec = send(cfh(), EmconLevel.SILENT, make_guard())
-    assert not rec.sent and rec.reason == "emission_blocked"
+    rec = send(MessageKind.CRY_FOR_HELP, EmconLevel.SILENT, make_guard())
+    assert not rec.allowed and rec.reason == "emission_blocked"
 
 
 def test_heartbeat_sent_at_open():
-    rec = send(Message(MessageKind.HEARTBEAT), EmconLevel.OPEN, make_guard())
-    assert rec.sent
+    rec = send(MessageKind.HEARTBEAT, EmconLevel.OPEN, make_guard())
+    assert rec.allowed
 
 
 def test_share_blocklist_gated_at_restricted():
     # default Restricted gate allows <= previsioned; blocklist sharing
     # is collaborative
-    rec = send(Message(MessageKind.SHARE_BLOCKLIST, entries=(3, 4)),
-               EmconLevel.RESTRICTED, make_guard())
-    assert not rec.sent and rec.reason == "autonomy_gate"
+    rec = send(MessageKind.SHARE_BLOCKLIST, EmconLevel.RESTRICTED, make_guard())
+    assert not rec.allowed and rec.reason == "autonomy_gate"
 
 
 def test_alert_passes_restricted():
-    rec = send(Message(MessageKind.ALERT, action_taken="rotate_address"),
-               EmconLevel.RESTRICTED, make_guard())
-    assert rec.sent
+    rec = send(MessageKind.ALERT, EmconLevel.RESTRICTED, make_guard())
+    assert rec.allowed
 
 
 def test_sent_sets_monotone_across_emcon(rng):
@@ -50,7 +44,7 @@ def test_sent_sets_monotone_across_emcon(rng):
     sent = {}
     for emcon in EmconLevel:
         sent[emcon] = {i for i, m in enumerate(stream)
-                       if send(m, emcon, guard).sent}
+                       if send(m.kind, emcon, guard).allowed}
     assert sent[EmconLevel.SILENT] <= sent[EmconLevel.RESTRICTED] <= sent[EmconLevel.OPEN]
     assert sent[EmconLevel.SILENT] == set()
 

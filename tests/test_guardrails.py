@@ -15,8 +15,9 @@ from honeysim.constraints import EmconLevel, EnvConstraints
 from honeysim.guardrails import (AUTONOMY_GATE, EMISSION_BLOCKED,
                                  IMPACT_EXCEEDED, GuardrailSet, Ruleset,
                                  RulesetCheck, build_ruleset, check,
-                                 ruleset_digest, verify_ruleset, verify_sealed)
+                                 verify_ruleset, verify_sealed)
 from honeysim.harness import RandomPolicy, run_scenario
+from honeysim.trace import sha256_hex
 
 
 def make_guard(max_impact=5.0, need=8.0):
@@ -125,13 +126,13 @@ def test_canonical_serialization_round_trip():
     a = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
     b = build_ruleset(cfg.guardrails, cfg.cascade.thresholds)
     assert a.canonical_bytes() == b.canonical_bytes()
-    assert ruleset_digest(a.canonical_bytes()) == ruleset_digest(b.canonical_bytes())
+    assert sha256_hex(a.canonical_bytes()) == sha256_hex(b.canonical_bytes())
     g = GuardrailSet.seal(a)
     assert verify_ruleset(g, b.canonical_bytes()) is RulesetCheck.OK
 
 
 def test_digest_is_hex_sha256():
-    digest = ruleset_digest(b"anything")
+    digest = sha256_hex(b"anything")
     assert len(digest) == 64
     assert digest == digest.lower()
     assert all(c in "0123456789abcdef" for c in digest)

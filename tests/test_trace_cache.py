@@ -17,7 +17,8 @@ import pytest
 from honeysim.actions import ActionEffect
 from honeysim.agent import RewardInputs, StateKey
 from honeysim.cascade import Decision, StageId
-from honeysim.comms import Message, MessageKind, SendRecord
+from honeysim.comms import Message, MessageKind
+from honeysim.guardrails import Verdict
 from honeysim.harness import _Trace
 from honeysim.sensing import FeatureVector
 from honeysim.trace import LAYOUTS, TraceWriter
@@ -53,7 +54,7 @@ def write_executed(w, tick, action, effect, target, applied, error, delta,
 
 
 def write_message(w, tick, msg, rec, label):
-    w.message(tick, msg.kind.value, "sent" if rec.sent else "suppressed", rec.reason,
+    w.message(tick, msg.kind.value, "sent" if rec.allowed else "suppressed", rec.reason,
               label, msg.evidence_start, msg.evidence_end, msg.entries, msg.action_taken)
 
 
@@ -144,7 +145,7 @@ KINDS = {
          "label": ["justified", "cry_wolf"]},
         lambda f: (Message(f["kind"], f["start"], f["end"], f["action_taken"],
                            f["entries"]),
-                   SendRecord(f["sent"], f["reason"]), f["label"]),
+                   Verdict(f["sent"], f["reason"]), f["label"]),
     ),
     "status": (
         write_status,
