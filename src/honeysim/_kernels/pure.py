@@ -3,8 +3,12 @@
 This is the only kernel implementation; honeysim._kernels re-exports it.
 
 Determinism contract:
-  * Stream is splitmix64. All draws are ordered and counted; a given
-    world state consumes an identical draw sequence on every run.
+  * Stream is splitmix64: output k (from 1) of a stream seeded s is
+    mix64 of s + (k - 1) * _GOLDEN. All draws are ordered and counted; a
+    given world state consumes an identical draw sequence on every run.
+  * A Stream computes its outputs a block of BLOCK at a time, and hands
+    them out one per draw in order; see Stream. The values and their
+    order are those of the one-at-a-time generator.
   * uniform() maps the top 53 bits to [0, 1); randrange(n) is plain
     modulo (bias is irrelevant at simulation scale, and changing it
     would change every trace).
@@ -12,35 +16,82 @@ Determinism contract:
     campaigns sorted by index, then the detection sweep by node index.
 """
 
+import struct
+from itertools import chain
+
 from . import codes
 
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / 9007199254740992.0
+
+# splitmix64's increment, and the finalizer's three xor-shifts and two
+# multipliers. mix64 and _blocks both read them from here.
+_GOLDEN = 0x9E3779B97F4A7C15
+_SHIFT_1, _MULT_1 = 30, 0xBF58476D1CE4E5B9
+_SHIFT_2, _MULT_2 = 27, 0x94D049BB133111EB
+_SHIFT_3 = 31
 
 
 def mix64(x):
     """splitmix64 finalizer; also used to derive per-subsystem seeds."""
     z = (x + _GOLDEN) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+    z = ((z ^ (z >> _SHIFT_1)) * _MULT_1) & _MASK
+    z = ((z ^ (z >> _SHIFT_2)) * _MULT_2) & _MASK
+    return z ^ (z >> _SHIFT_3)
+
+
+# The lane layout: a block holds BLOCK outputs in the 128-bit lanes of one
+# int, output j (from 0) in bits 128j to 128j + 63. Each lane holds a
+# 64-bit value, and a 64-bit value times a 64-bit multiplier fits in 128
+# bits, so no lane carries into the next; the high half of each lane is
+# cleared after each multiply and after each xor-shift, which shifts the
+# next lane's low bits into it. The last xor-shift is not masked:
+# unpacking reads only the low 64 bits of each lane.
+BLOCK = 256
+_LANE_BYTES = 16
+
+
+def _lanes(values):
+    """The int whose lane j holds values[j]."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE_BYTES, "little") for v in values),
+                          "little")
+
+
+_ONES = _lanes([1] * BLOCK)
+_LANES = _lanes([_MASK] * BLOCK)
+_STEPS = _lanes([k * _GOLDEN for k in range(1, BLOCK + 1)])
+_UNPACK = struct.Struct("<" + "Q8x" * BLOCK).unpack
+
+
+def _blocks(state):
+    """Tuples of BLOCK consecutive splitmix64 outputs of the stream whose
+    state is `state`, one tuple per block, without end."""
+    while True:
+        z = (state * _ONES + _STEPS) & _LANES
+        z = (((z ^ (z >> _SHIFT_1)) & _LANES) * _MULT_1) & _LANES
+        z = (((z ^ (z >> _SHIFT_2)) & _LANES) * _MULT_2) & _LANES
+        yield _UNPACK((z ^ (z >> _SHIFT_3)).to_bytes(BLOCK * _LANE_BYTES, "little"))
+        state = (state + BLOCK * _GOLDEN) & _MASK
 
 
 class Stream:
-    """A single deterministic pseudo-random stream (splitmix64)."""
+    """A single deterministic pseudo-random stream (splitmix64).
 
-    __slots__ = ("state",)
+    next_u64 hands out the outputs of _blocks one at a time, in order.
+    Each value is exact: lane j of a block starts as the block's state
+    plus (j + 1) * _GOLDEN, masked to 64 bits, and then takes the same
+    shifts, multipliers and 64-bit masks as mix64, with no lane spilling
+    into another (see the lane layout above _blocks). The lanes are packed
+    and unpacked little-endian, so no value depends on the host's byte
+    order. Blocks are made lazily, on the first draw that needs one, so a
+    stream holds at most one partly used block and a stream that is never
+    drawn from computes nothing.
+    """
+
+    __slots__ = ("next_u64",)
 
     def __init__(self, state):
-        self.state = state & _MASK
-
-    def next_u64(self):
-        self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        self.next_u64 = chain.from_iterable(_blocks(state & _MASK)).__next__
 
     def uniform(self):
         return (self.next_u64() >> 11) * _INV_2_53

@@ -116,9 +116,12 @@ def cmd_oracle_reward(args):
                 justified_cfh=data["justified_cfh"],
                 cw=data["cw"],
             )
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            value = reward(params, inputs)
+        # OverflowError: an int too large for a float, as a coefficient
+        # or inside a term.
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ConfigInvalid(f"bad oracle-reward line {line!r}: {exc!r}") from exc
-        print(repr(reward(params, inputs)))
+        print(repr(value))
     return 0
 
 

@@ -756,7 +756,7 @@ def load_qtable(path) -> QTable:
     """Read a table written by save_qtable; ConfigInvalid when the file
     is not JSON, lacks a field of that layout, or holds a field of
     another type: actions must be a non-empty list of strings, and
-    alpha, gamma and every entry value finite numbers."""
+    alpha, gamma and every entry value finite numbers a float can hold."""
     data, table = _load_table(path, "a Q table", QTable.from_dict)
     actions = data["actions"]
     if type(actions) is not list or not actions or any(type(a) is not str for a in actions):
@@ -764,10 +764,17 @@ def load_qtable(path) -> QTable:
                             f"is not a non-empty list of action ids")
     for name, value in (("alpha", table.alpha), ("gamma", table.gamma),
                         *data["entries"].items()):
-        if type(value) not in (int, float) or not math.isfinite(value):
+        if type(value) not in (int, float) or not _fits_a_float(value):
             raise ConfigInvalid(f"{path} is not a Q table: {name} = {value!r} "
                                 f"is not a finite number")
     return table
+
+
+def _fits_a_float(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the largest float
+        return False
 
 
 def load_pattern_table(path) -> PatternTable:

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the implementation path it checks:
 exact rational arithmetic for the reward, Counter-based tallies for
 feature collection, two-pass moments, policy enumeration for the game
-search, and the trace's event layout and the pattern table's file
+search, a scalar splitmix64 one draw at a time for the kernel's block
+generator, and the trace's event layout and the pattern table's file
 layout written out field by field.
 """
 
@@ -23,6 +24,31 @@ def reward_oracle(a, b, c, floor, honey, sec, delta, total, jcfh, cw) -> float:
              + Fraction(b) * Fraction(delta, total)
              + Fraction(c) * Fraction(jcfh, max(cw, floor)))
     return float(value)
+
+
+class ScalarSplitMix64:
+    """splitmix64 one output per call, with its constants written out.
+    Draws map to uniform, randrange and below as the kernel's Stream
+    maps them."""
+
+    def __init__(self, state):
+        self.state = state & 0xFFFFFFFFFFFFFFFF
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return (self.next_u64() >> 11) / 2.0 ** 53
+
+    def randrange(self, n):
+        return self.next_u64() % n
+
+    def below(self, p):
+        return self.uniform() < p
 
 
 def tally_oracle(events):

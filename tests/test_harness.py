@@ -650,8 +650,12 @@ def test_cli_oracle_reward_matches_library():
     '{"actions": ["noop"], "alpha": 0.1, "gamma": 0.9, '
     '"entries": {"0,0,0,0|noop": "abc"}}',
     '{"actions": [], "alpha": 0.1, "gamma": 0.9, "entries": {}}',
+    '{"actions": ["noop"], "alpha": %s, "gamma": 0.9, "entries": {}}' % ("9" * 400),
+    '{"actions": ["noop"], "alpha": 0.1, "gamma": 0.9, '
+    '"entries": {"0,0,0,0|noop": -%s}}' % ("9" * 400),
 ], ids=["bad_json", "no_actions", "no_alpha", "no_entries", "list_action",
-        "text_alpha", "text_entry", "empty_actions"])
+        "text_alpha", "text_entry", "empty_actions", "huge_int_alpha",
+        "huge_int_entry"])
 def test_cli_malformed_qtable_exits_2(tmp_path, command, content):
     cfg_path = tmp_path / "s.yaml"
     cfg_path.write_text("episode_ticks: 5\n", encoding="utf-8")
@@ -688,7 +692,13 @@ def test_cli_qtable_action_outside_selectable_set_exits_2(tmp_path, action):
     json.dumps({"a": 1.0, "b": 1.0, "c": 1.0, "honey_events": 4,
                 "security_events": 2, "delta_resources": -10,
                 "total_resources": 100, "justified_cfh": 2}),
-], ids=["bad_json", "no_cw"])
+    json.dumps({"a": 10**400, "b": 1.0, "c": 1.0, "honey_events": 4,
+                "security_events": 2, "delta_resources": -10,
+                "total_resources": 100, "justified_cfh": 2, "cw": 1}),
+    json.dumps({"a": 1.0, "b": 1.0, "c": 1.0, "honey_events": 10**400,
+                "security_events": 2, "delta_resources": -10,
+                "total_resources": 100, "justified_cfh": 2, "cw": 1}),
+], ids=["bad_json", "no_cw", "huge_int_a", "huge_int_honey_events"])
 def test_cli_oracle_reward_bad_line_exits_2(line):
     out = cli("oracle-reward", stdin=line + "\n")
     assert out.returncode == 2, out.stderr
